@@ -17,20 +17,17 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .calibration import (
-    DEFAULT_PRIORS,
-    CalibratedCandidate,
-    PositionPriorTable,
-    build_candidates,
-)
+from .calibration import DEFAULT_PRIORS, CalibratedCandidate, PositionPriorTable
 from .corpus import (
     JUDGED_POOL_MIXTURE,
     TRAFFIC_MIXTURE,
     GeneratorConfig,
+    QueryRecord,
     generate_corpus,
     load_corpus,
     load_features,
     load_judgments,
+    load_predictions,
     load_rankings,
     load_queries,
     write_corpus,
@@ -39,28 +36,23 @@ from .errors import ConfigError, FreshblendError, ValidationError
 from .experiments import (
     DEFAULT_SWEEP_GRID,
     ab_test,
+    blend_pages,
     blend_policy,
     bucket_comparison,
+    estimates_for,
     initial_ranking_policy,
+    prepare_queries,
     sweep_estimate,
     write_ab_report,
     write_buckets_csv,
     write_sweep_csv,
 )
 from .fileio import atomic_write_text, fmt
-from .diversifier import blend
-from .freshness import (
-    FreshnessWindow,
-    burst_profile,
-    derive_fresh_ranking,
-    load_query_log,
-    write_burst_csv,
-)
+from .freshness import FreshnessWindow, burst_profile, load_query_log, write_burst_csv
 from .metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
 from .recency_classifier import (
     GbrtHyperparams,
     load_model,
-    predict,
     predict_batch,
     save_model,
     traffic_coverage,
@@ -135,6 +127,9 @@ def _load_config_file(path: str | None) -> dict:
             document = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, "
+                          f"got {type(document).__name__}")
     unknown = set(document) - set(_SHARED_KEYS)
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {sorted(unknown)}")
@@ -376,9 +371,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     out = _require_out(args)
     model = load_model(_require_file(args.model, "model"))
     features = load_features(_require_file(args.features, "features"))
-    lines = []
-    for qid, vector in features.rows.items():
-        lines.append(f"{qid}\t{fmt(predict(model, vector))}")
+    qids = list(features.rows)
+    p_hat = predict_batch(model, features.matrix(qids)) if qids else ()
+    lines = [f"{qid}\t{fmt(p)}" for qid, p in zip(qids, p_hat)]
     atomic_write_text(os.path.join(out, "predictions.tsv"),
                       "".join(line + "\n" for line in lines))
     _echo_config(out, config, "predict", {
@@ -388,34 +383,17 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_predictions(path: str) -> dict[str, float]:
-    predictions: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValidationError(f"{path}:{number}: expected 2 fields")
-            try:
-                predictions[fields[0]] = float(fields[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{number}: bad probability {fields[1]!r}") from None
-    return predictions
-
-
-def _issue_times(args: argparse.Namespace, rankings) -> dict[str, int]:
+def _blend_queries(args: argparse.Namespace, rankings) -> dict[str, QueryRecord]:
+    """The query records to blend: one per ranked query, in ranking order,
+    carrying the issue time its freshness checks use."""
     if args.queries is not None:
         queries = load_queries(_require_file(args.queries, "queries"))
-        times = {}
         for qid in rankings:
             if qid not in queries:
                 raise ValidationError(f"query {qid!r} in rankings but not in queries file")
-            times[qid] = queries[qid].issue_time
-        return times
+        return {qid: queries[qid] for qid in rankings}
     if args.query_time is not None:
-        return {qid: args.query_time for qid in rankings}
+        return {qid: QueryRecord(qid, args.query_time) for qid in rankings}
     raise ValidationError("blend needs --queries or --query-time for freshness checks")
 
 
@@ -423,28 +401,25 @@ def _cmd_blend(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     out = _require_out(args)
     rankings = load_rankings(_require_file(args.rankings, "rankings"))
-    times = _issue_times(args, rankings)
+    queries = _blend_queries(args, rankings)
     if args.predictions is not None:
-        p_by_query = _load_predictions(_require_file(args.predictions, "predictions"))
+        p_by_query = load_predictions(_require_file(args.predictions, "predictions"))
     elif args.p_fresh is not None:
         p_by_query = {qid: args.p_fresh for qid in rankings}
     else:
         raise ValidationError("blend needs --p-fresh or --predictions")
 
     metric_config = config.metric_config()
-    window = config.window()
-    table = config.prior_table()
+    prepared = prepare_queries(queries, rankings, metric_config, config.window(),
+                               config.prior_table(), require_latents=False)
+    orders, gains = blend_pages(prepared, estimates_for(prepared, p_by_query), metric_config)
     lines = []
-    for qid, ranking in rankings.items():
-        if qid not in p_by_query:
-            raise ValidationError(f"no recency-need estimate for query {qid!r}")
-        fresh = derive_fresh_ranking(ranking, times[qid], window)
-        candidates = build_candidates(ranking, fresh, table, times[qid], window,
-                                      metric_config.depth)
-        result = blend(candidates, IntentDistribution.from_p_fresh(p_by_query[qid]),
-                       metric_config)
-        for position, (doc_id, gain) in enumerate(zip(result.doc_ids, result.gains), start=1):
-            lines.append(f"{qid}\t{position}\t{doc_id}\t{fmt(gain)}")
+    for qid, pool, order, row_gains in zip(prepared.query_ids, prepared.candidates,
+                                           orders, gains):
+        for position, (column, gain) in enumerate(zip(order, row_gains), start=1):
+            if column < 0:
+                break
+            lines.append(f"{qid}\t{position}\t{pool[column].doc_id}\t{fmt(gain)}")
     atomic_write_text(os.path.join(out, "blended.tsv"),
                       "".join(line + "\n" for line in lines))
     _echo_config(out, config, "blend", {

@@ -304,6 +304,25 @@ def load_queries(path: str) -> dict[str, QueryRecord]:
     return queries
 
 
+def load_predictions(path: str) -> dict[str, float]:
+    """Read a predictions TSV (query_id, p_fresh).  The range of p_fresh
+    is checked where it is used, so that every estimate source is
+    checked alike."""
+    predictions: dict[str, float] = {}
+    for number, line in _read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 fields, got {len(fields)}", path, number)
+        qid = fields[0]
+        if qid in predictions:
+            raise ParseError(f"duplicate query_id {qid!r}", path, number)
+        try:
+            predictions[qid] = float(fields[1])
+        except ValueError:
+            raise ParseError(f"bad probability {fields[1]!r}", path, number) from None
+    return predictions
+
+
 def load_corpus(directory: str) -> Corpus:
     """Load the four corpus files from a directory, joining features onto
     the query records."""

@@ -30,15 +30,22 @@ def tie_break_key(candidate: CalibratedCandidate):
     return (-candidate.r_any, rank, candidate.doc_id)
 
 
-def candidate_arrays(candidates: Sequence[CalibratedCandidate]):
-    """Pack candidates into the float arrays the blend kernel consumes."""
-    m = len(candidates)
-    r_fresh = np.fromiter((c.r_fresh for c in candidates), dtype=np.float64, count=m)
-    r_any = np.fromiter((c.r_any for c in candidates), dtype=np.float64, count=m)
-    order = sorted(range(m), key=lambda i: tie_break_key(candidates[i]))
-    tie_rank = np.empty(m, dtype=np.int64)
-    tie_rank[order] = np.arange(m, dtype=np.int64)
-    return r_fresh, r_any, tie_rank
+def candidate_arrays(pools: Sequence[Sequence[CalibratedCandidate]]):
+    """Pack pools into the padded (B, M) arrays the blend kernel consumes.
+
+    Each pool is sorted by tie_break_key, so column j of row b holds
+    ``ordered[b][j]``.  Returns ``(ordered, r_fresh, r_any, sizes)``;
+    columns past ``sizes[b]`` are zero padding.
+    """
+    ordered = tuple(tuple(sorted(pool, key=tie_break_key)) for pool in pools)
+    sizes = np.fromiter((len(pool) for pool in ordered), dtype=np.int64, count=len(ordered))
+    m = int(sizes.max()) if sizes.size else 0
+    r_fresh = np.zeros((len(ordered), m), dtype=np.float64)
+    r_any = np.zeros((len(ordered), m), dtype=np.float64)
+    for b, pool in enumerate(ordered):
+        r_fresh[b, : len(pool)] = [c.r_fresh for c in pool]
+        r_any[b, : len(pool)] = [c.r_any for c in pool]
+    return ordered, r_fresh, r_any, sizes
 
 
 def blend(
@@ -50,20 +57,20 @@ def blend(
     position, until the page depth or the pool is exhausted."""
     if not candidates:
         raise ValidationError("cannot blend an empty candidate pool")
-    r_fresh, r_any, tie_rank = candidate_arrays(candidates)
+    ordered, r_fresh, r_any, sizes = candidate_arrays([candidates])
     order, gains = kernels.greedy_blend(
         r_fresh,
         r_any,
-        tie_rank,
-        dist.p_fresh,
-        dist.p_any,
+        sizes,
+        np.array([dist.p_fresh]),
+        np.array([dist.p_any]),
         config.p_break,
         config.break_exponent.shift,
         config.depth,
     )
-    doc_ids = tuple(candidates[int(i)].doc_id for i in order)
-    gain_list = tuple(float(g) for g in gains)
-    return BlendedResult(doc_ids, gain_list, float(gains.sum()), dist)
+    doc_ids = tuple(ordered[0][int(i)].doc_id for i in order[0])
+    gain_list = tuple(float(g) for g in gains[0])
+    return BlendedResult(doc_ids, gain_list, float(gains[0].sum()), dist)
 
 
 def brute_force_best(

@@ -10,8 +10,7 @@ quality survives when the blending probability is wrong.
 
 Every experiment is deterministic given (corpus seed, experiment seed).
 Randomness is pre-drawn into arrays before entering the kernels, one
-block per simulated impression, so per-query simulations are independent
-and the result does not depend on the kernel backend.
+block per simulated impression, so per-query simulations are independent.
 """
 
 import enum
@@ -29,7 +28,7 @@ from .calibration import (
     PositionPriorTable,
     build_candidates,
 )
-from .corpus import Corpus
+from .corpus import Corpus, QueryRecord, Ranking
 from .errors import ValidationError
 from .fileio import atomic_write_text, fmt
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
@@ -123,66 +122,67 @@ class AbReport:
 
 
 @dataclass(frozen=True)
-class PreparedQuery:
-    """One query's candidate pool as kernel-ready arrays.
+class PreparedQueries:
+    """Every query's candidate pool as padded (B, M) kernel arrays.
 
+    Row b is query ``query_ids[b]``; its ``sizes[b]`` candidates fill the
+    leading columns in tie-break order, column j holding
+    ``candidates[b][j]``, and the rest of the row is zero padding.
     cal_* hold the calibrated probabilities the blender sees; lat_* hold
     the latent ground truth used for evaluation and click simulation.
-    initial_order / fresh_order index the candidates forming the
-    unmodified ordinary page and the fresh-only page.
+    initial_order / fresh_order are (B, depth) column indices of the
+    unmodified ordinary page and the fresh-only page, -1 past a page's end.
+    true_grade is NaN where a query has none.
     """
 
-    query_id: str
-    true_grade: float | None
-    volume: int
-    candidates: tuple[CalibratedCandidate, ...]
+    query_ids: tuple[str, ...]
+    true_grade: np.ndarray
+    volume: np.ndarray
+    candidates: tuple[tuple[CalibratedCandidate, ...], ...]
+    sizes: np.ndarray
     cal_fresh: np.ndarray
     cal_any: np.ndarray
-    tie_rank: np.ndarray
     lat_fresh: np.ndarray
     lat_any: np.ndarray
     initial_order: np.ndarray
     fresh_order: np.ndarray
 
-    def blend_order(self, p_fresh: float, config: MetricConfig) -> np.ndarray:
-        dist = IntentDistribution.from_p_fresh(float(p_fresh))
-        order, _ = kernels.greedy_blend(
-            self.cal_fresh,
-            self.cal_any,
-            self.tie_rank,
-            dist.p_fresh,
-            dist.p_any,
-            config.p_break,
-            config.break_exponent.shift,
-            config.depth,
-        )
-        return order
 
-
-Policy = Callable[[PreparedQuery, MetricConfig], np.ndarray]
+Policy = Callable[[PreparedQueries, MetricConfig], np.ndarray]
 
 
 def prepare_queries(
-    corpus: Corpus,
+    queries: Mapping[str, QueryRecord],
+    rankings: Mapping[str, Ranking],
     metric_config: MetricConfig = DEFAULT_METRIC_CONFIG,
     window: FreshnessWindow = DEFAULT_WINDOW,
     table: PositionPriorTable = DEFAULT_PRIOR_TABLE,
     require_latents: bool = True,
-) -> dict[str, PreparedQuery]:
+) -> PreparedQueries:
+    """Derive, calibrate and pack the candidate pool of every query in
+    `queries`, in that order."""
     depth = metric_config.depth
-    prepared: dict[str, PreparedQuery] = {}
-    for qid, record in corpus.queries.items():
-        ranking = corpus.rankings.get(qid)
+    pools = []
+    pages = []
+    for qid, record in queries.items():
+        ranking = rankings.get(qid)
         if ranking is None:
             raise ValidationError(f"query {qid!r} has no ranking")
         fresh = derive_fresh_ranking(ranking, record.issue_time, window)
-        candidates = build_candidates(ranking, fresh, table, record.issue_time, window, depth)
-        by_doc = {entry.doc_id: entry for entry in ranking.entries}
+        pools.append(build_candidates(ranking, fresh, table, record.issue_time, window, depth))
+        pages.append((ranking.entries[:depth], fresh.entries[:depth]))
+    ordered, cal_fresh, cal_any, sizes = candidate_arrays(pools)
 
-        m = len(candidates)
-        lat_fresh = np.zeros(m, dtype=np.float64)
-        lat_any = np.zeros(m, dtype=np.float64)
-        for i, candidate in enumerate(candidates):
+    n = len(ordered)
+    lat_fresh = np.zeros_like(cal_fresh)
+    lat_any = np.zeros_like(cal_any)
+    initial_order = np.full((n, depth), -1, dtype=np.int64)
+    fresh_order = np.full((n, depth), -1, dtype=np.int64)
+    for b, (qid, pool, (ordinary_top, fresh_top)) in enumerate(zip(queries, ordered, pages)):
+        by_doc = {entry.doc_id: entry for entry in rankings[qid].entries}
+        column = {}
+        for j, candidate in enumerate(pool):
+            column[candidate.doc_id] = j
             entry = by_doc[candidate.doc_id]
             if entry.latent_rel_any is None:
                 if require_latents:
@@ -191,30 +191,63 @@ def prepare_queries(
                         "experiments need latent ground truth"
                     )
             else:
-                lat_any[i] = entry.latent_rel_any
+                lat_any[b, j] = entry.latent_rel_any
             if entry.latent_rel_fresh is not None:
-                lat_fresh[i] = entry.latent_rel_fresh
+                lat_fresh[b, j] = entry.latent_rel_fresh
+        initial_order[b, : len(ordinary_top)] = [column[e.doc_id] for e in ordinary_top]
+        fresh_order[b, : len(fresh_top)] = [column[e.doc_id] for e in fresh_top]
 
-        cal_fresh, cal_any, tie_rank = candidate_arrays(candidates)
-        n_initial = sum(1 for c in candidates if c.ordinary_rank is not None and c.ordinary_rank <= depth)
-        index_by_doc = {c.doc_id: i for i, c in enumerate(candidates)}
-        fresh_order = np.fromiter(
-            (index_by_doc[e.doc_id] for e in fresh.entries[:depth]), dtype=np.int64
+    return PreparedQueries(
+        query_ids=tuple(queries),
+        true_grade=np.asarray(
+            [np.nan if r.true_grade is None else r.true_grade for r in queries.values()],
+            dtype=np.float64,
+        ),
+        volume=np.asarray(
+            [1 if r.volume is None else r.volume for r in queries.values()], dtype=np.float64
+        ),
+        candidates=ordered,
+        sizes=sizes,
+        cal_fresh=cal_fresh,
+        cal_any=cal_any,
+        lat_fresh=lat_fresh,
+        lat_any=lat_any,
+        initial_order=initial_order,
+        fresh_order=fresh_order,
+    )
+
+
+def blend_pages(
+    prepared: PreparedQueries, p_fresh, config: MetricConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blend every prepared pool with its query's recency-need estimate
+    (one per row, or one for all); returns the kernel's (order, gains)."""
+    p = np.broadcast_to(np.asarray(p_fresh, dtype=np.float64), prepared.sizes.shape)
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"intent probabilities out of [0,1]: p_fresh {float(p[i])!r} "
+            f"for query {prepared.query_ids[i]!r}"
         )
-        prepared[qid] = PreparedQuery(
-            query_id=qid,
-            true_grade=record.true_grade,
-            volume=record.volume if record.volume is not None else 1,
-            candidates=tuple(candidates),
-            cal_fresh=cal_fresh,
-            cal_any=cal_any,
-            tie_rank=tie_rank,
-            lat_fresh=lat_fresh,
-            lat_any=lat_any,
-            initial_order=np.arange(n_initial, dtype=np.int64),
-            fresh_order=fresh_order,
-        )
-    return prepared
+    return kernels.greedy_blend(
+        prepared.cal_fresh,
+        prepared.cal_any,
+        prepared.sizes,
+        p,
+        1.0 - p,
+        config.p_break,
+        config.break_exponent.shift,
+        config.depth,
+    )
+
+
+def estimates_for(prepared: PreparedQueries, p_fresh_by_query: Mapping[str, float]) -> np.ndarray:
+    """Each prepared query's recency-need estimate, in row order."""
+    missing = [qid for qid in prepared.query_ids if qid not in p_fresh_by_query]
+    if missing:
+        raise ValidationError(f"no recency-need estimate for query {missing[0]!r}")
+    return np.asarray([p_fresh_by_query[qid] for qid in prepared.query_ids], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -223,67 +256,51 @@ def prepare_queries(
 
 
 def initial_ranking_policy() -> Policy:
-    def policy(pq: PreparedQuery, config: MetricConfig) -> np.ndarray:
-        return pq.initial_order[: config.depth]
-
-    return policy
-
-
-def fresh_only_policy() -> Policy:
-    def policy(pq: PreparedQuery, config: MetricConfig) -> np.ndarray:
-        return pq.fresh_order[: config.depth]
+    def policy(prepared: PreparedQueries, config: MetricConfig) -> np.ndarray:
+        return prepared.initial_order[:, : config.depth]
 
     return policy
 
 
 def blend_policy(p_fresh_by_query: Mapping[str, float]) -> Policy:
-    def policy(pq: PreparedQuery, config: MetricConfig) -> np.ndarray:
-        if pq.query_id not in p_fresh_by_query:
-            raise ValidationError(f"no recency-need estimate for query {pq.query_id!r}")
-        return pq.blend_order(p_fresh_by_query[pq.query_id], config)
-
-    return policy
-
-
-def ideal_blend_policy() -> Policy:
-    def policy(pq: PreparedQuery, config: MetricConfig) -> np.ndarray:
-        if pq.true_grade is None:
-            raise ValidationError(f"query {pq.query_id!r} has no true grade")
-        return pq.blend_order(pq.true_grade, config)
+    def policy(prepared: PreparedQueries, config: MetricConfig) -> np.ndarray:
+        return blend_pages(prepared, estimates_for(prepared, p_fresh_by_query), config)[0]
 
     return policy
 
 
 def _page_matrices(
-    prepared: Sequence[PreparedQuery], orders: Sequence[np.ndarray], depth: int
+    prepared: PreparedQueries, orders: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = len(prepared)
+    """Latent relevances of the pages `orders` selects, zero-padded to
+    `depth` columns."""
+    n, k = orders.shape
+    rows = np.arange(n)[:, None]
+    cols = np.maximum(orders, 0)
     lat_fresh = np.zeros((n, depth), dtype=np.float64)
     lat_any = np.zeros((n, depth), dtype=np.float64)
-    for i, (pq, order) in enumerate(zip(prepared, orders)):
-        k = min(order.size, depth)
-        lat_fresh[i, :k] = pq.lat_fresh[order[:k]]
-        lat_any[i, :k] = pq.lat_any[order[:k]]
+    lat_fresh[:, :k] = np.where(orders >= 0, prepared.lat_fresh[rows, cols], 0.0)
+    lat_any[:, :k] = np.where(orders >= 0, prepared.lat_any[rows, cols], 0.0)
     return lat_fresh, lat_any
 
 
 def _true_err(
-    prepared: Sequence[PreparedQuery],
-    orders: Sequence[np.ndarray],
+    prepared: PreparedQueries,
+    orders: np.ndarray,
     config: MetricConfig,
 ) -> np.ndarray:
     lat_fresh, lat_any = _page_matrices(prepared, orders, config.depth)
-    p_fresh = np.fromiter((pq.true_grade for pq in prepared), dtype=np.float64)
+    p_fresh = prepared.true_grade
     return kernels.err_iaa_batch(
         lat_fresh, lat_any, p_fresh, 1.0 - p_fresh, config.p_break,
         config.break_exponent.shift,
     )
 
 
-def _require_grades(prepared: dict[str, PreparedQuery]) -> None:
-    for pq in prepared.values():
-        if pq.true_grade is None:
-            raise ValidationError(f"query {pq.query_id!r} has no true grade")
+def _require_grades(prepared: PreparedQueries) -> None:
+    missing = np.flatnonzero(np.isnan(prepared.true_grade))
+    if missing.size:
+        raise ValidationError(f"query {prepared.query_ids[missing[0]]!r} has no true grade")
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +325,15 @@ def sweep_estimate(
     for p_hat in grid:
         if not 0.0 <= p_hat <= 1.0:
             raise ValidationError(f"grid value out of [0,1]: {p_hat!r}")
-    prepared = prepare_queries(corpus, metric_config, window, table)
+    prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     _require_grades(prepared)
-    rows = list(prepared.values())
-    grades = sorted({pq.true_grade for pq in rows})
-    grade_masks = {g: np.asarray([pq.true_grade == g for pq in rows]) for g in grades}
+    grades = [float(g) for g in np.unique(prepared.true_grade)]
+    grade_masks = {g: prepared.true_grade == g for g in grades}
 
     points: dict[float, list[tuple[float, float]]] = {g: [] for g in grades}
     for p_hat in grid:
-        orders = [pq.blend_order(p_hat, metric_config) for pq in rows]
-        errs = _true_err(rows, orders, metric_config)
+        orders, _ = blend_pages(prepared, p_hat, metric_config)
+        errs = _true_err(prepared, orders, metric_config)
         for g in grades:
             points[g].append((p_hat, float(errs[grade_masks[g]].mean())))
     return [SweepCurve(g, tuple(points[g])) for g in grades]
@@ -345,9 +361,9 @@ def bucket_comparison(
     queries are split in half, each half is scored by a model trained on
     the other.
     """
-    prepared = prepare_queries(corpus, metric_config, window, table)
+    prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     _require_grades(prepared)
-    qids = list(prepared)
+    qids = list(prepared.query_ids)
     if len(qids) < 2:
         raise ValidationError("bucket comparison needs at least 2 queries")
     for qid in qids:
@@ -371,19 +387,16 @@ def bucket_comparison(
                            feature_names=corpus.features.names)
         p_hat[test_idx] = predict_batch(model, x[test_idx])
 
-    rows = [prepared[qid] for qid in qids]
     orders = {
-        "ideal_diversified": [pq.blend_order(pq.true_grade, metric_config) for pq in rows],
-        "learned_diversified": [
-            pq.blend_order(float(p_hat[i]), metric_config) for i, pq in enumerate(rows)
-        ],
-        "initial_only": [pq.initial_order for pq in rows],
-        "fresh_only": [pq.fresh_order for pq in rows],
+        "ideal_diversified": blend_pages(prepared, prepared.true_grade, metric_config)[0],
+        "learned_diversified": blend_pages(prepared, p_hat, metric_config)[0],
+        "initial_only": prepared.initial_order,
+        "fresh_only": prepared.fresh_order,
     }
-    errs = {name: _true_err(rows, strategy_orders, metric_config)
+    errs = {name: _true_err(prepared, strategy_orders, metric_config)
             for name, strategy_orders in orders.items()}
 
-    bucket_index = np.asarray([min(int(pq.true_grade * 10), 9) for pq in rows])
+    bucket_index = np.minimum((prepared.true_grade * 10).astype(np.int64), 9)
     report_rows = []
     for b in range(10):
         mask = bucket_index == b
@@ -488,13 +501,11 @@ def ab_test(
     """
     if n_queries < 2:
         raise ValidationError(f"n_queries must be >= 2, got {n_queries}")
-    prepared = prepare_queries(corpus, metric_config, window, table)
+    prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     _require_grades(prepared)
-    rows = list(prepared.values())
     depth = metric_config.depth
-    grades = np.asarray([pq.true_grade for pq in rows])
-    volumes = np.asarray([pq.volume for pq in rows], dtype=np.float64)
-    weights = volumes / volumes.sum()
+    grades = prepared.true_grade
+    weights = prepared.volume / prepared.volume.sum()
 
     children = np.random.SeedSequence(seed).spawn(2)
     samples: dict[Bucket, dict[str, np.ndarray]] = {}
@@ -502,10 +513,9 @@ def ab_test(
         (Bucket.CONTROL, control_policy, children[0]),
         (Bucket.TREATMENT, treatment_policy, children[1]),
     ):
-        orders = [policy(pq, metric_config) for pq in rows]
-        pages_fresh, pages_any = _page_matrices(rows, orders, depth)
+        pages_fresh, pages_any = _page_matrices(prepared, policy(prepared, metric_config), depth)
         rng = np.random.default_rng(child)
-        qidx = rng.choice(len(rows), size=n_queries, p=weights)
+        qidx = rng.choice(len(prepared.query_ids), size=n_queries, p=weights)
         u_intent = rng.random(n_queries)
         u_cont = rng.random((n_queries, depth))
         u_click = rng.random((n_queries, depth))

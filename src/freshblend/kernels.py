@@ -1,104 +1,60 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels in vectorized numpy.
 
-Each kernel exists in two interchangeable forms: a vectorized numpy
-implementation and a scalar-loop implementation compiled with numba's
-``@njit``.  The active form is picked once at import time; setting
-``FRESHBLEND_DISABLE_NUMBA=1`` forces the numpy path, which is also used
-automatically when numba is not installed.  Both forms execute the same
-sequence of float64 operations per element, so their outputs are
-bit-for-bit identical (asserted in tests/test_kernels.py);
-benchmarks/bench_kernels.py compares their speed.
+Each kernel works on a whole batch at once (pools, pages, impressions,
+feature rows) and loops in Python only over the short axis: page depth,
+tree depth, or nothing.  tests/test_kernels.py checks every kernel
+bit-for-bit against a scalar-loop reference that performs the same
+float64 operations one element at a time.
 
 Kernels draw no randomness and read no global state: callers pass any
-required uniform variates in as arrays, which keeps results reproducible
-and independent of the selected backend.
+required uniform variates in as arrays, which keeps results reproducible.
 
 The ``shift`` argument selects the position discount: 0 discounts position
 r by p_break**r, 1 by p_break**(r-1).
 """
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("FRESHBLEND_DISABLE_NUMBA", "").strip().lower()
-if _flag not in ("", "0", "false", "no"):
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# greedy blend: place candidates one position at a time, always taking the
-# largest marginal gain.  Ties on the gain fall back to the precomputed
-# tie_rank permutation (smaller wins).  The argmax uses the undiscounted
-# gain; the positive per-position discount cannot change the argmax.
+# greedy blend: for each of B pools, place candidates one position at a
+# time, always taking the largest marginal gain.  Row b holds sizes[b]
+# candidates in its leading columns, already sorted in tie-break order, so
+# np.argmax's first-maximum rule breaks gain ties; the remaining columns
+# are padding and never placed.  The argmax uses the undiscounted gain; the
+# positive per-position discount cannot change it.  Returns (order, gains),
+# both (B, min(depth, M)): order holds the placed column per position, -1
+# once a row's pool is exhausted, where its gain is 0.
 # ---------------------------------------------------------------------------
 
 
-def _greedy_blend_numpy(r_fresh, r_any, tie_rank, p_fresh, p_any, p_break, shift, depth):
-    m = r_fresh.shape[0]
+def greedy_blend(r_fresh, r_any, sizes, p_fresh, p_any, p_break, shift, depth):
+    b, m = r_fresh.shape
     k = depth if depth < m else m
-    order = np.empty(k, dtype=np.int64)
-    gains = np.empty(k, dtype=np.float64)
-    placed = np.zeros(m, dtype=np.bool_)
-    sf = 1.0
-    sa = 1.0
+    rows = np.arange(b)
+    order = np.full((b, k), -1, dtype=np.int64)
+    gains = np.zeros((b, k), dtype=np.float64)
+    placed = np.arange(m)[None, :] >= sizes[:, None]
+    sf = np.ones(b, dtype=np.float64)
+    sa = np.ones(b, dtype=np.float64)
     disc = 1.0 if shift == 1 else p_break
     for pos in range(k):
         wf = p_fresh * sf
         wa = p_any * sa
-        u = wf * r_fresh + wa * r_any
+        u = wf[:, None] * r_fresh + wa[:, None] * r_any
         u[placed] = -1.0
-        ties = np.flatnonzero(u == np.max(u))
-        pick = int(ties[np.argmin(tie_rank[ties])])
-        order[pos] = pick
-        gains[pos] = disc * u[pick]
-        placed[pick] = True
-        sf = sf * (1.0 - r_fresh[pick])
-        sa = sa * (1.0 - r_any[pick])
-        disc = disc * p_break
-    return order, gains
-
-
-def _greedy_blend_loop(r_fresh, r_any, tie_rank, p_fresh, p_any, p_break, shift, depth):
-    m = r_fresh.shape[0]
-    k = depth if depth < m else m
-    order = np.empty(k, dtype=np.int64)
-    gains = np.empty(k, dtype=np.float64)
-    placed = np.zeros(m, dtype=np.bool_)
-    sf = 1.0
-    sa = 1.0
-    disc = 1.0 if shift == 1 else p_break
-    for pos in range(k):
-        wf = p_fresh * sf
-        wa = p_any * sa
-        best_u = -1.0
-        best_i = -1
-        best_tie = 0
-        for i in range(m):
-            if placed[i]:
-                continue
-            u = wf * r_fresh[i] + wa * r_any[i]
-            if u > best_u or (u == best_u and tie_rank[i] < best_tie):
-                best_u = u
-                best_i = i
-                best_tie = tie_rank[i]
-        order[pos] = best_i
-        gains[pos] = disc * best_u
-        placed[best_i] = True
-        sf = sf * (1.0 - r_fresh[best_i])
-        sa = sa * (1.0 - r_any[best_i])
+        pick = np.argmax(u, axis=1)
+        live = pos < sizes
+        order[live, pos] = pick[live]
+        gains[live, pos] = disc * u[rows[live], pick[live]]
+        placed[rows, pick] = True
+        sf = sf * (1.0 - r_fresh[rows, pick])
+        sa = sa * (1.0 - r_any[rows, pick])
         disc = disc * p_break
     return order, gains
 
@@ -111,7 +67,7 @@ def _greedy_blend_loop(r_fresh, r_any, tie_rank, p_fresh, p_any, p_break, shift,
 # ---------------------------------------------------------------------------
 
 
-def _err_iaa_batch_numpy(r_fresh, r_any, p_fresh, p_any, p_break, shift):
+def err_iaa_batch(r_fresh, r_any, p_fresh, p_any, p_break, shift):
     b, d = r_fresh.shape
     total = np.zeros(b, dtype=np.float64)
     sf = np.ones(b, dtype=np.float64)
@@ -127,25 +83,6 @@ def _err_iaa_batch_numpy(r_fresh, r_any, p_fresh, p_any, p_break, shift):
     return total
 
 
-def _err_iaa_batch_loop(r_fresh, r_any, p_fresh, p_any, p_break, shift):
-    b, d = r_fresh.shape
-    total = np.zeros(b, dtype=np.float64)
-    for i in range(b):
-        sf = 1.0
-        sa = 1.0
-        disc = 1.0 if shift == 1 else p_break
-        acc = 0.0
-        for j in range(d):
-            rf = r_fresh[i, j]
-            ra = r_any[i, j]
-            acc += disc * (p_fresh[i] * sf * rf + p_any[i] * sa * ra)
-            sf = sf * (1.0 - rf)
-            sa = sa * (1.0 - ra)
-            disc = disc * p_break
-        total[i] = acc
-    return total
-
-
 # ---------------------------------------------------------------------------
 # cascade click scan.  One row per simulated impression: before examining a
 # position (every position for shift=0, every position after the first for
@@ -156,7 +93,7 @@ def _err_iaa_batch_loop(r_fresh, r_any, p_fresh, p_any, p_break, shift):
 # ---------------------------------------------------------------------------
 
 
-def _simulate_clicks_numpy(r_user, u_cont, u_click, p_break, shift):
+def simulate_clicks_batch(r_user, u_cont, u_click, p_break, shift):
     b, d = r_user.shape
     pos = np.zeros(b, dtype=np.int64)
     alive = np.ones(b, dtype=np.bool_)
@@ -169,22 +106,6 @@ def _simulate_clicks_numpy(r_user, u_cont, u_click, p_break, shift):
     return pos
 
 
-def _simulate_clicks_loop(r_user, u_cont, u_click, p_break, shift):
-    b, d = r_user.shape
-    pos = np.zeros(b, dtype=np.int64)
-    for i in range(b):
-        p = 0
-        for j in range(d):
-            if not (shift == 1 and j == 0):
-                if u_cont[i, j] >= p_break:
-                    break
-            if u_click[i, j] < r_user[i, j]:
-                p = j + 1
-                break
-        pos[i] = p
-    return pos
-
-
 # ---------------------------------------------------------------------------
 # best axis-aligned split of a pre-sorted feature column by variance
 # reduction.  Returns (gain, cut) where the split puts values[:cut] left and
@@ -193,7 +114,7 @@ def _simulate_clicks_loop(r_user, u_cont, u_click, p_break, shift):
 # ---------------------------------------------------------------------------
 
 
-def _best_split_numpy(values, targets):
+def best_split(values, targets):
     n = values.shape[0]
     if n < 2:
         return 0.0, -1
@@ -214,32 +135,6 @@ def _best_split_numpy(values, targets):
     return gain, cut
 
 
-def _best_split_loop(values, targets):
-    n = values.shape[0]
-    if n < 2:
-        return 0.0, -1
-    total = 0.0
-    for i in range(n):
-        total += targets[i]
-    parent = total * total / n
-    best_gain = 0.0
-    best_cut = -1
-    s = 0.0
-    for i in range(1, n):
-        s += targets[i - 1]
-        if values[i] == values[i - 1]:
-            continue
-        nl = float(i)
-        sr = total - s
-        gain = s * s / nl + sr * sr / (n - nl) - parent
-        if gain > best_gain:
-            best_gain = gain
-            best_cut = i
-    if best_cut == -1:
-        return 0.0, -1
-    return best_gain, best_cut
-
-
 # ---------------------------------------------------------------------------
 # decision-tree descent over array-coded nodes.  feature[i] == -1 marks a
 # leaf; routing is x <= threshold -> left.  Returns the leaf node index per
@@ -247,7 +142,7 @@ def _best_split_loop(values, targets):
 # ---------------------------------------------------------------------------
 
 
-def _tree_apply_numpy(x, feature, threshold, left, right):
+def tree_apply(x, feature, threshold, left, right):
     n = x.shape[0]
     node = np.zeros(n, dtype=np.int64)
     while True:
@@ -259,37 +154,3 @@ def _tree_apply_numpy(x, feature, threshold, left, right):
         xv = x[np.arange(n), col]
         nxt = np.where(xv <= threshold[node], left[node], right[node])
         node = np.where(active, nxt, node)
-
-
-def _tree_apply_loop(x, feature, threshold, left, right):
-    n = x.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        cur = 0
-        while feature[cur] >= 0:
-            if x[i, feature[cur]] <= threshold[cur]:
-                cur = left[cur]
-            else:
-                cur = right[cur]
-        node[i] = cur
-    return node
-
-
-if NUMBA_ENABLED:
-    _greedy_blend_numba = njit(cache=True)(_greedy_blend_loop)
-    _err_iaa_batch_numba = njit(cache=True)(_err_iaa_batch_loop)
-    _simulate_clicks_numba = njit(cache=True)(_simulate_clicks_loop)
-    _best_split_numba = njit(cache=True)(_best_split_loop)
-    _tree_apply_numba = njit(cache=True)(_tree_apply_loop)
-
-    greedy_blend = _greedy_blend_numba
-    err_iaa_batch = _err_iaa_batch_numba
-    simulate_clicks_batch = _simulate_clicks_numba
-    best_split = _best_split_numba
-    tree_apply = _tree_apply_numba
-else:
-    greedy_blend = _greedy_blend_numpy
-    err_iaa_batch = _err_iaa_batch_numpy
-    simulate_clicks_batch = _simulate_clicks_numpy
-    best_split = _best_split_numpy
-    tree_apply = _tree_apply_numpy

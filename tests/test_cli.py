@@ -80,6 +80,21 @@ class TestBlend:
         assert code == 1
         assert "--p-fresh or --predictions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimate, predictions, message", [
+        (["--p-fresh", "1.5"], "", "intent probabilities out of [0,1]"),
+        (["--predictions", "p.tsv"], "q1\t-0.25\n", "intent probabilities out of [0,1]"),
+        (["--predictions", "p.tsv"], "q1\t0.5\nq1\t0.25\n", "p.tsv:2: duplicate query_id 'q1'"),
+    ])
+    def test_bad_estimate_exits_one(self, tmp_path, capsys, monkeypatch, estimate,
+                                    predictions, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.tsv").write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        (tmp_path / "p.tsv").write_text(predictions, encoding="utf-8")
+        code = run(["blend", "--rankings", "r.tsv", "--query-time", "10",
+                    "--out", "o", *estimate])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults_and_flags_override_config(
@@ -108,6 +123,16 @@ class TestConfigPrecedence:
         config = tmp_path / "config.json"
         config.write_text('{"pbreak": 0.5}', encoding="utf-8")
         assert run(["eval", "--rankings", str(rankings), "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("document", ["[{}]", "5"])
+    def test_config_top_level_must_be_an_object(self, tmp_path, capsys, document):
+        rankings = tmp_path / "r.tsv"
+        rankings.write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(document, encoding="utf-8")
+        assert run(["eval", "--rankings", str(rankings), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "JSON object" in err
 
     def test_bad_seed_is_a_usage_error(self, capsys):
         assert run(["generate", "--out", "x", "--seed", "-3"]) == 2

@@ -2,6 +2,7 @@
 
 import collections
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from freshblend.corpus import (
     generate_corpus,
     load_corpus,
     load_judgments,
+    load_predictions,
     load_rankings,
     write_corpus,
     write_rankings,
@@ -85,6 +87,23 @@ class TestLoadJudgments:
         path = _write(tmp_path, "j.tsv", "q1\t0.5\t0.75\t0.25\n")
         with pytest.raises(ValidationError):
             load_judgments(path)
+
+
+class TestLoadPredictions:
+    def test_rows_load_in_file_order(self, tmp_path):
+        path = _write(tmp_path, "p.tsv", "q2\t0.25\nq1\t0.5\n")
+        assert list(load_predictions(path).items()) == [("q2", 0.25), ("q1", 0.5)]
+
+    @pytest.mark.parametrize("line", ["q1\t0.5\textra", "q1\tlikely"])
+    def test_malformed_line_is_a_parse_error_naming_path_and_line(self, tmp_path, line):
+        path = _write(tmp_path, "p.tsv", "q0\t0.1\n" + line + "\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: ")):
+            load_predictions(path)
+
+    def test_repeated_query_id_rejected(self, tmp_path):
+        path = _write(tmp_path, "p.tsv", "q1\t0.5\nq2\t0.1\nq1\t0.75\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:3: duplicate query_id 'q1'")):
+            load_predictions(path)
 
 
 class TestTypes:

@@ -1,20 +1,130 @@
-"""The numba kernels and their numpy fallbacks must agree bit-for-bit."""
-
-import os
-import subprocess
-import sys
+"""Every numpy kernel must agree bit-for-bit with a scalar-loop reference
+that performs the same float64 operations one element at a time."""
 
 import numpy as np
-import pytest
 
 from freshblend import kernels
 
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED, reason="numba backend not active"
-)
+# ---------------------------------------------------------------------------
+# scalar-loop references
+# ---------------------------------------------------------------------------
 
 
-def random_case(rng, m):
+def greedy_blend_loop(r_fresh, r_any, tie_rank, p_fresh, p_any, p_break, shift, depth):
+    """One pool in any column order; ties on the gain go to the smaller
+    tie_rank."""
+    m = r_fresh.shape[0]
+    k = depth if depth < m else m
+    order = np.empty(k, dtype=np.int64)
+    gains = np.empty(k, dtype=np.float64)
+    placed = np.zeros(m, dtype=np.bool_)
+    sf = 1.0
+    sa = 1.0
+    disc = 1.0 if shift == 1 else p_break
+    for pos in range(k):
+        wf = p_fresh * sf
+        wa = p_any * sa
+        best_u = -1.0
+        best_i = -1
+        best_tie = 0
+        for i in range(m):
+            if placed[i]:
+                continue
+            u = wf * r_fresh[i] + wa * r_any[i]
+            if u > best_u or (u == best_u and tie_rank[i] < best_tie):
+                best_u = u
+                best_i = i
+                best_tie = tie_rank[i]
+        order[pos] = best_i
+        gains[pos] = disc * best_u
+        placed[best_i] = True
+        sf = sf * (1.0 - r_fresh[best_i])
+        sa = sa * (1.0 - r_any[best_i])
+        disc = disc * p_break
+    return order, gains
+
+
+def err_iaa_batch_loop(r_fresh, r_any, p_fresh, p_any, p_break, shift):
+    b, d = r_fresh.shape
+    total = np.zeros(b, dtype=np.float64)
+    for i in range(b):
+        sf = 1.0
+        sa = 1.0
+        disc = 1.0 if shift == 1 else p_break
+        acc = 0.0
+        for j in range(d):
+            rf = r_fresh[i, j]
+            ra = r_any[i, j]
+            acc += disc * (p_fresh[i] * sf * rf + p_any[i] * sa * ra)
+            sf = sf * (1.0 - rf)
+            sa = sa * (1.0 - ra)
+            disc = disc * p_break
+        total[i] = acc
+    return total
+
+
+def simulate_clicks_loop(r_user, u_cont, u_click, p_break, shift):
+    b, d = r_user.shape
+    pos = np.zeros(b, dtype=np.int64)
+    for i in range(b):
+        p = 0
+        for j in range(d):
+            if not (shift == 1 and j == 0):
+                if u_cont[i, j] >= p_break:
+                    break
+            if u_click[i, j] < r_user[i, j]:
+                p = j + 1
+                break
+        pos[i] = p
+    return pos
+
+
+def best_split_loop(values, targets):
+    n = values.shape[0]
+    if n < 2:
+        return 0.0, -1
+    total = 0.0
+    for i in range(n):
+        total += targets[i]
+    parent = total * total / n
+    best_gain = 0.0
+    best_cut = -1
+    s = 0.0
+    for i in range(1, n):
+        s += targets[i - 1]
+        if values[i] == values[i - 1]:
+            continue
+        nl = float(i)
+        sr = total - s
+        gain = s * s / nl + sr * sr / (n - nl) - parent
+        if gain > best_gain:
+            best_gain = gain
+            best_cut = i
+    if best_cut == -1:
+        return 0.0, -1
+    return best_gain, best_cut
+
+
+def tree_apply_loop(x, feature, threshold, left, right):
+    n = x.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        cur = 0
+        while feature[cur] >= 0:
+            if x[i, feature[cur]] <= threshold[cur]:
+                cur = left[cur]
+            else:
+                cur = right[cur]
+        node[i] = cur
+    return node
+
+
+# ---------------------------------------------------------------------------
+# numpy kernels against the references
+# ---------------------------------------------------------------------------
+
+
+def random_pool(rng, m):
     r_fresh = rng.random(m)
     r_any = rng.random(m)
     # engineered ties: duplicate some probabilities so tie-breaking paths run
@@ -23,24 +133,47 @@ def random_case(rng, m):
         r_any[1] = r_any[0]
         r_fresh[3] = 0.0
         r_any[3] = r_any[2]
+    if rng.random() < 0.2:  # a pool where every candidate ties
+        r_fresh[:] = r_fresh[0]
+        r_any[:] = r_any[0]
     tie_rank = rng.permutation(m).astype(np.int64)
     return r_fresh, r_any, tie_rank
 
 
-@needs_numba
-class TestBackendEquivalence:
-    def test_greedy_blend(self):
+class TestLoopOracles:
+    def test_greedy_blend_row_by_row(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = int(rng.integers(1, 25))
-            r_fresh, r_any, tie_rank = random_case(rng, m)
-            p_fresh = float(rng.random())
-            args = (r_fresh, r_any, tie_rank, p_fresh, 1.0 - p_fresh, 0.85,
-                    int(rng.integers(0, 2)), int(rng.integers(1, 12)))
-            order_a, gains_a = kernels._greedy_blend_numba(*args)
-            order_b, gains_b = kernels._greedy_blend_numpy(*args)
-            assert np.array_equal(order_a, order_b)
-            assert np.array_equal(gains_a, gains_b)
+        for _ in range(60):
+            b = int(rng.integers(1, 10))
+            sizes = rng.integers(1, 25, b)
+            m = int(sizes.max()) + int(rng.integers(0, 3))  # extra all-padding columns
+            depth = int(rng.integers(1, 30))  # both below and above m
+            shift = int(rng.integers(0, 2))
+            p_fresh = rng.random(b)
+            p_fresh[rng.random(b) < 0.2] = 0.0
+            r_fresh = np.zeros((b, m))
+            r_any = np.zeros((b, m))
+            expected = []
+            for i, size in enumerate(sizes):
+                rf, ra, tie_rank = random_pool(rng, size)
+                order_i, gains_i = greedy_blend_loop(
+                    rf, ra, tie_rank, p_fresh[i], 1.0 - p_fresh[i], 0.85, shift, depth
+                )
+                # the kernel takes each pool laid out in tie-break order
+                by_tie = np.argsort(tie_rank)
+                r_fresh[i, :size] = rf[by_tie]
+                r_any[i, :size] = ra[by_tie]
+                expected.append((by_tie, order_i, gains_i))
+            order, gains = kernels.greedy_blend(
+                r_fresh, r_any, sizes, p_fresh, 1.0 - p_fresh, 0.85, shift, depth
+            )
+            assert order.shape == gains.shape == (b, min(depth, m))
+            for i, (by_tie, order_i, gains_i) in enumerate(expected):
+                k = order_i.size
+                assert np.array_equal(by_tie[order[i, :k]], order_i)
+                assert np.array_equal(gains[i, :k], gains_i)
+                assert (order[i, k:] == -1).all()
+                assert (gains[i, k:] == 0.0).all()
 
     def test_err_iaa_batch(self):
         rng = np.random.default_rng(1)
@@ -51,8 +184,7 @@ class TestBackendEquivalence:
             r_any = rng.random((b, d))
             p_fresh = rng.random(b)
             args = (r_fresh, r_any, p_fresh, 1.0 - p_fresh, 0.85, int(rng.integers(0, 2)))
-            assert np.array_equal(kernels._err_iaa_batch_numba(*args),
-                                  kernels._err_iaa_batch_numpy(*args))
+            assert np.array_equal(kernels.err_iaa_batch(*args), err_iaa_batch_loop(*args))
 
     def test_simulate_clicks(self):
         rng = np.random.default_rng(2)
@@ -63,8 +195,8 @@ class TestBackendEquivalence:
             u_cont = rng.random((b, d))
             u_click = rng.random((b, d))
             args = (r_user, u_cont, u_click, 0.85, int(rng.integers(0, 2)))
-            assert np.array_equal(kernels._simulate_clicks_numba(*args),
-                                  kernels._simulate_clicks_numpy(*args))
+            assert np.array_equal(kernels.simulate_clicks_batch(*args),
+                                  simulate_clicks_loop(*args))
 
     def test_best_split(self):
         rng = np.random.default_rng(3)
@@ -72,8 +204,8 @@ class TestBackendEquivalence:
             n = int(rng.integers(1, 80))
             values = np.sort(rng.integers(0, 8, n).astype(np.float64))
             targets = rng.normal(0, 1, n)
-            gain_a, cut_a = kernels._best_split_numba(values, targets)
-            gain_b, cut_b = kernels._best_split_numpy(values, targets)
+            gain_a, cut_a = kernels.best_split(values, targets)
+            gain_b, cut_b = best_split_loop(values, targets)
             assert cut_a == cut_b
             assert gain_a == gain_b
 
@@ -86,30 +218,11 @@ class TestBackendEquivalence:
         right = np.array([2, -1, 4, -1, -1], dtype=np.int64)
         x = rng.random((200, 2))
         assert np.array_equal(
-            kernels._tree_apply_numba(x, feature, threshold, left, right),
-            kernels._tree_apply_numpy(x, feature, threshold, left, right),
+            kernels.tree_apply(x, feature, threshold, left, right),
+            tree_apply_loop(x, feature, threshold, left, right),
         )
 
 
 class TestBackendSelection:
     def test_active_backend_is_reported(self):
-        assert kernels.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy_fallback(self):
-        env = dict(os.environ, FRESHBLEND_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from freshblend import kernels; print(kernels.backend_name())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_fallback_blend_matches_loop_reference(self):
-        rng = np.random.default_rng(5)
-        m = 15
-        r_fresh, r_any, tie_rank = random_case(rng, m)
-        args = (r_fresh, r_any, tie_rank, 0.4, 0.6, 0.85, 0, 10)
-        order_a, gains_a = kernels._greedy_blend_numpy(*args)
-        order_b, gains_b = kernels._greedy_blend_loop(*args)
-        assert np.array_equal(order_a, order_b)
-        assert np.array_equal(gains_a, gains_b)
+        assert kernels.backend_name() == "numpy"
