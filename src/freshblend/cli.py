@@ -1,23 +1,35 @@
 """Command-line interface wiring the modules into reproducible pipelines.
 
-Shared configuration keys (p_break, break_exponent, depth, window_days,
-priors, grid, seed) resolve in order: built-in defaults, then a JSON
-config file (--config or $FRESHBLEND_CONFIG), then explicit flags.  Every
-subcommand that writes into an output directory echoes the resolved
-configuration there as effective_config.json; all file writes are atomic
-(write-then-rename).
+The shared configuration keys are the fields of `RunConfig`; each declares
+its flag, kind and help text once and takes its default from the library
+object that owns it.  A key resolves in order: that default, then a JSON
+config file (--config or $FRESHBLEND_CONFIG), then its flag.  A config
+value must already have its kind's JSON type (a bool is not a number, a
+float is not an integer, a string is neither a number nor a list, a real
+is finite); a flag's text is converted by its kind and then passes the
+same check.  Ranges are checked by the library constructors that own them.
 
-Exit codes: 0 success, 1 validation/input error (diagnostic on stderr),
-2 usage error.
+Subcommands that write into an output directory echo the resolved keys
+and their own flags there as effective_config.json; all file writes are
+atomic (write-then-rename).
+
+Exit codes: 0 success, 1 validation/input error, a wrongly typed config
+value included (one-line diagnostic on stderr), 2 usage error, a
+malformed flag value included.
 """
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
-from .calibration import DEFAULT_PRIORS, CalibratedCandidate, PositionPriorTable
+import numpy as np
+
+from .calibration import DEFAULT_PRIORS, PositionPriorTable
 from .corpus import (
     JUDGED_POOL_MIXTURE,
     TRAFFIC_MIXTURE,
@@ -48,8 +60,10 @@ from .experiments import (
     write_sweep_csv,
 )
 from .fileio import atomic_write_text, fmt
-from .freshness import FreshnessWindow, burst_profile, load_query_log, write_burst_csv
-from .metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
+from .freshness import (DEFAULT_WINDOW, FreshnessWindow, burst_profile, load_query_log,
+                        write_burst_csv)
+from .kernels import err_iaa_batch
+from .metric import BreakExponent, IntentDistribution, MetricConfig
 from .recency_classifier import (
     GbrtHyperparams,
     load_model,
@@ -59,18 +73,108 @@ from .recency_classifier import (
     train_gbrt,
 )
 
-_SHARED_KEYS = ("p_break", "break_exponent", "depth", "window_days", "priors", "grid", "seed")
+_SECONDS_PER_DAY = 86_400
 
 
-@dataclass
+# ---------------------------------------------------------------------------
+# value kinds.  `check` takes a JSON-typed value and returns the config
+# value or raises ValueError naming the value as JSON; `parse` turns a
+# flag's text into that JSON type, so a flag and a config file pass the
+# same check.
+# ---------------------------------------------------------------------------
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    if not abs(value) <= sys.float_info.max:  # exact for ints, false for nan
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _positive_real(value) -> float:
+    value = _real(value)
+    if value <= 0:
+        raise ValueError(f"expected a positive number, got {json.dumps(value)}")
+    return value
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _u64(value) -> int:
+    if not 0 <= _int(value) < 2**64:
+        raise ValueError(f"expected an unsigned 64-bit integer, got {json.dumps(value)}")
+    return value
+
+
+def _reals(value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {json.dumps(value)}")
+    return tuple(_real(item) for item in value)
+
+
+def _split_reals(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part != ""]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    parse: Callable[[str], object]
+    check: Callable[[object], object]
+    metavar: str | None = None
+
+    def from_flag(self, text: str):
+        try:
+            return self.check(self.parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _choice(values: tuple[str, ...]) -> _Kind:
+    def check(value) -> str:
+        if value not in values:
+            raise ValueError(f"expected one of {json.dumps(values)}, got {json.dumps(value)}")
+        return value
+
+    return _Kind(str, check, "{" + ",".join(values) + "}")
+
+
+_REAL = _Kind(float, _real, "REAL")
+_POSITIVE_REAL = _Kind(float, _positive_real, "REAL")
+_INT = _Kind(int, _int)
+_U64 = _Kind(int, _u64)
+_REAL_LIST = _Kind(_split_reals, _reals, "LIST")
+
+
+def _key(default, flag: str, kind: _Kind, help: str):
+    return field(default=default, metadata={"flag": flag, "kind": kind, "help": help})
+
+
+_METRIC_DEFAULTS = MetricConfig()
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    p_break: float = 0.85
-    break_exponent: str = "r"
-    depth: int = 10
-    window_days: float = 3.0
-    priors: tuple[float, ...] = DEFAULT_PRIORS
-    grid: tuple[float, ...] = DEFAULT_SWEEP_GRID
-    seed: int = 0
+    """The shared configuration keys, each with its flag, kind and help."""
+
+    p_break: float = _key(_METRIC_DEFAULTS.p_break, "--pbreak", _REAL,
+                          "per-position abandonment probability")
+    break_exponent: str = _key(_METRIC_DEFAULTS.break_exponent.value, "--break-exponent",
+                               _choice(tuple(e.value for e in BreakExponent)),
+                               "discount position r by pbreak^r or pbreak^(r-1)")
+    depth: int = _key(_METRIC_DEFAULTS.depth, "--depth", _INT, "result page depth")
+    window_days: float = _key(DEFAULT_WINDOW.window_seconds / _SECONDS_PER_DAY, "--window-days",
+                              _POSITIVE_REAL, "freshness window in days")
+    priors: tuple[float, ...] = _key(DEFAULT_PRIORS, "--priors", _REAL_LIST,
+                                     "comma list of position priors")
+    grid: tuple[float, ...] = _key(DEFAULT_SWEEP_GRID, "--grid", _REAL_LIST,
+                                   "comma list of sweep estimates")
+    seed: int = _key(inspect.signature(train_gbrt).parameters["seed"].default, "--seed", _U64,
+                     "unsigned 64-bit seed")
 
     def metric_config(self) -> MetricConfig:
         return MetricConfig(
@@ -80,39 +184,31 @@ class RunConfig:
         )
 
     def window(self) -> FreshnessWindow:
-        seconds = int(round(self.window_days * 86_400))
-        return FreshnessWindow(window_seconds=seconds)
+        seconds = self.window_days * _SECONDS_PER_DAY
+        if not math.isfinite(seconds):
+            raise ConfigError(f"window_days is too large: {self.window_days!r}")
+        return FreshnessWindow(window_seconds=int(round(seconds)))
 
     def prior_table(self) -> PositionPriorTable:
-        return PositionPriorTable(tuple(self.priors))
-
-    def as_dict(self) -> dict:
-        return {
-            "p_break": self.p_break,
-            "break_exponent": self.break_exponent,
-            "depth": self.depth,
-            "window_days": self.window_days,
-            "priors": list(self.priors),
-            "grid": list(self.grid),
-            "seed": self.seed,
-        }
+        return PositionPriorTable(self.priors)
 
 
-def _u64(token: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {token!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit value: {token}")
-    return value
+# Flags that set library fields: flag dest -> field of the owner, whose
+# default and type the flag takes.
+_GENERATOR_FLAGS = {name: name for name in ("n_queries", "ranking_depth", "fresh_base",
+                                             "fresh_slope", "feature_noise", "assessor_accuracy")}
+_GBRT_FLAGS = {"trees": "n_trees", "tree_depth": "max_depth",
+               "learning_rate": "learning_rate", "subsample": "subsample"}
 
 
-def _real_list(token: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in token.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of reals: {token!r}") from None
+def _add_owned_flags(parser: argparse.ArgumentParser, owner: type, flags: dict) -> None:
+    for dest, name in flags.items():
+        default = getattr(owner, name)
+        parser.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+
+
+def _owned_values(args: argparse.Namespace, flags: dict) -> dict:
+    return {name: getattr(args, dest) for dest, name in flags.items()}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -125,44 +221,29 @@ def _load_config_file(path: str | None) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, "
                           f"got {type(document).__name__}")
-    unknown = set(document) - set(_SHARED_KEYS)
+    unknown = set(document) - {key.name for key in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {sorted(unknown)}")
     return document
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    document = _load_config_file(getattr(args, "config", None))
-    for key in _SHARED_KEYS:
-        if key in document:
-            value = document[key]
+    document = _load_config_file(args.config)
+    values = {}
+    for key in fields(RunConfig):
+        if key.name in document:
             try:
-                if key in ("priors", "grid"):
-                    value = tuple(float(v) for v in value)
-                elif key in ("p_break", "window_days"):
-                    value = float(value)
-                elif key in ("depth", "seed"):
-                    value = int(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key!r} has a malformed value: {value!r}") from None
-            setattr(config, key, value)
-    for key in _SHARED_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    if config.break_exponent not in ("r", "r-1"):
-        raise ConfigError(f"break_exponent must be 'r' or 'r-1': {config.break_exponent!r}")
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit value: {config.seed}")
-    if config.window_days <= 0:
-        raise ConfigError(f"window_days must be positive: {config.window_days}")
-    return config
+                values[key.name] = key.metadata["kind"].check(document[key.name])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key.name!r}: {exc}") from None
+        if getattr(args, key.name) is not None:
+            values[key.name] = getattr(args, key.name)
+    return RunConfig(**values)
 
 
 def _require_file(path: str | None, what: str) -> str:
@@ -180,30 +261,24 @@ def _require_out(args: argparse.Namespace) -> str:
     return args.out
 
 
-def _echo_config(out_dir: str, config: RunConfig, command: str, extra: dict) -> None:
-    document = {"schema_version": 1, "command": command}
-    document.update(config.as_dict())
-    document.update(extra)
+def _echo_config(args: argparse.Namespace, config: RunConfig) -> None:
+    """Write the resolved shared keys, the command and the subcommand's own
+    flags to effective_config.json."""
+    document = {**vars(args), **asdict(config), "schema_version": 1}
+    for key in ("config", "out", "func"):
+        del document[key]
     atomic_write_text(
-        os.path.join(out_dir, "effective_config.json"),
+        os.path.join(args.out, "effective_config.json"),
         json.dumps(document, indent=2, sort_keys=True) + "\n",
     )
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; defaults to $FRESHBLEND_CONFIG")
-    parser.add_argument("--pbreak", dest="p_break", type=float, metavar="REAL",
-                        help="per-position abandonment probability")
-    parser.add_argument("--break-exponent", dest="break_exponent", choices=["r", "r-1"],
-                        help="discount position r by pbreak^r or pbreak^(r-1)")
-    parser.add_argument("--depth", type=int, help="result page depth")
-    parser.add_argument("--window-days", dest="window_days", type=float,
-                        help="freshness window in days")
-    parser.add_argument("--priors", type=_real_list, metavar="LIST",
-                        help="comma list of position priors")
-    parser.add_argument("--grid", type=_real_list, metavar="LIST",
-                        help="comma list of sweep estimates")
-    parser.add_argument("--seed", type=_u64, help="unsigned 64-bit seed")
+    for key in fields(RunConfig):
+        kind = key.metadata["kind"]
+        parser.add_argument(key.metadata["flag"], dest=key.name, type=kind.from_flag,
+                            metavar=kind.metavar, help=key.metadata["help"])
     parser.add_argument("--out", help="output directory")
 
 
@@ -215,36 +290,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic corpus")
-    _add_shared_flags(p)
-    p.add_argument("--n-queries", type=int, default=4000)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        _add_shared_flags(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", _cmd_generate, "write a synthetic corpus")
     p.add_argument("--mixture", choices=["traffic", "judged"], default="traffic",
                    help="grade mixture: raw-traffic shares or a judged-pool mix")
-    p.add_argument("--ranking-depth", type=int, default=30)
-    p.add_argument("--fresh-base", type=float, default=0.08)
-    p.add_argument("--fresh-slope", type=float, default=0.35)
-    p.add_argument("--feature-noise", type=float, default=0.12)
-    p.add_argument("--assessor-accuracy", type=float, default=0.85)
-    p.set_defaults(func=_cmd_generate)
+    _add_owned_flags(p, GeneratorConfig, _GENERATOR_FLAGS)
 
-    p = sub.add_parser("train", help="train the recency-need regressor")
-    _add_shared_flags(p)
+    p = command("train", _cmd_train, "train the recency-need regressor")
     p.add_argument("--features", required=True)
     p.add_argument("--judgments", required=True)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--tree-depth", type=int, default=3)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--subsample", type=float, default=1.0)
-    p.set_defaults(func=_cmd_train)
+    _add_owned_flags(p, GbrtHyperparams, _GBRT_FLAGS)
 
-    p = sub.add_parser("predict", help="score queries with a trained model")
-    _add_shared_flags(p)
+    p = command("predict", _cmd_predict, "score queries with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("blend", help="produce blended result pages")
-    _add_shared_flags(p)
+    p = command("blend", _cmd_blend, "produce blended result pages")
     p.add_argument("--rankings", required=True)
     p.add_argument("--queries", help="queries.tsv supplying per-query issue times")
     p.add_argument("--query-time", type=int,
@@ -252,42 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-fresh", dest="p_fresh", type=float,
                    help="fixed recency-need probability for every query")
     p.add_argument("--predictions", help="predictions TSV (query_id<TAB>p_fresh)")
-    p.set_defaults(func=_cmd_blend)
 
-    p = sub.add_parser("eval", help="score ranking files under the page metric")
-    _add_shared_flags(p)
+    p = command("eval", _cmd_eval, "score ranking files under the page metric")
     p.add_argument("--rankings", required=True)
     p.add_argument("--p-fresh", dest="p_fresh", type=float, default=0.0)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="score blending across an estimate grid")
-    _add_shared_flags(p)
+    p = command("sweep", _cmd_sweep, "score blending across an estimate grid")
     p.add_argument("--corpus", required=True, help="corpus directory")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("buckets", help="four-strategy comparison by true need")
-    _add_shared_flags(p)
+    p = command("buckets", _cmd_buckets, "four-strategy comparison by true need")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--tree-depth", type=int, default=3)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--subsample", type=float, default=1.0)
-    p.set_defaults(func=_cmd_buckets)
+    _add_owned_flags(p, GbrtHyperparams, _GBRT_FLAGS)
 
-    p = sub.add_parser("abtest", help="simulate a control/treatment experiment")
-    _add_shared_flags(p)
+    p = command("abtest", _cmd_abtest, "simulate a control/treatment experiment")
     p.add_argument("--corpus", required=True)
     p.add_argument("--n-queries", type=int, default=100_000)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--tree-depth", type=int, default=3)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--subsample", type=float, default=1.0)
-    p.set_defaults(func=_cmd_abtest)
+    _add_owned_flags(p, GbrtHyperparams, _GBRT_FLAGS)
 
-    p = sub.add_parser("profile", help="burst-profile a query log")
-    _add_shared_flags(p)
+    p = command("profile", _cmd_profile, "burst-profile a query log")
     p.add_argument("--query-log", dest="query_log", required=True)
-    p.set_defaults(func=_cmd_profile)
 
     return parser
 
@@ -297,33 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     mixture = TRAFFIC_MIXTURE if args.mixture == "traffic" else JUDGED_POOL_MIXTURE
     gen = GeneratorConfig(
-        n_queries=args.n_queries,
+        **_owned_values(args, _GENERATOR_FLAGS),
         grade_mixture=dict(mixture),
-        ranking_depth=args.ranking_depth,
-        fresh_base=args.fresh_base,
-        fresh_slope=args.fresh_slope,
-        feature_noise=args.feature_noise,
-        assessor_accuracy=args.assessor_accuracy,
         window_seconds=config.window().window_seconds,
         page_depth=config.depth,
-        position_priors=tuple(config.priors),
+        position_priors=config.priors,
     )
     corpus = generate_corpus(gen, config.seed)
     write_corpus(corpus, out)
-    _echo_config(out, config, "generate", {
-        "n_queries": args.n_queries,
-        "mixture": args.mixture,
-        "ranking_depth": args.ranking_depth,
-        "fresh_base": args.fresh_base,
-        "fresh_slope": args.fresh_slope,
-        "feature_noise": args.feature_noise,
-        "assessor_accuracy": args.assessor_accuracy,
-    })
+    _echo_config(args, config)
     coverage = traffic_coverage(
         (q.true_grade, q.volume) for q in corpus.queries.values()
         if q.true_grade is not None and q.volume is not None
@@ -334,40 +369,30 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _hyperparams(args: argparse.Namespace) -> GbrtHyperparams:
-    return GbrtHyperparams(
-        n_trees=args.trees,
-        max_depth=args.tree_depth,
-        learning_rate=args.learning_rate,
-        subsample=args.subsample,
-    )
+    return GbrtHyperparams(**_owned_values(args, _GBRT_FLAGS))
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    out = _require_out(args)
-    features = load_features(_require_file(args.features, "features"))
-    judgments = load_judgments(_require_file(args.judgments, "judgments"))
+def _train_model(args: argparse.Namespace, config: RunConfig, features, judgments):
+    """Fit the regressor on each featured query's consensus grade."""
     dataset = []
     for qid, vector in features.rows.items():
         if qid not in judgments:
             raise ValidationError(f"query {qid!r} has features but no judgment")
         dataset.append((vector, judgments[qid].consensus_grade))
-    model = train_gbrt(dataset, _hyperparams(args), seed=config.seed,
-                       feature_names=features.names)
-    save_model(model, os.path.join(out, "model.json"))
-    _echo_config(out, config, "train", {
-        "features": args.features,
-        "judgments": args.judgments,
-        "trees": args.trees,
-        "tree_depth": args.tree_depth,
-        "learning_rate": args.learning_rate,
-        "subsample": args.subsample,
-    })
+    return train_gbrt(dataset, _hyperparams(args), seed=config.seed,
+                      feature_names=features.names)
+
+
+def _cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
+    out = _require_out(args)
+    features = load_features(_require_file(args.features, "features"))
+    judgments = load_judgments(_require_file(args.judgments, "judgments"))
+    save_model(_train_model(args, config, features, judgments), os.path.join(out, "model.json"))
+    _echo_config(args, config)
     return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_predict(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     model = load_model(_require_file(args.model, "model"))
     features = load_features(_require_file(args.features, "features"))
@@ -376,10 +401,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     lines = [f"{qid}\t{fmt(p)}" for qid, p in zip(qids, p_hat)]
     atomic_write_text(os.path.join(out, "predictions.tsv"),
                       "".join(line + "\n" for line in lines))
-    _echo_config(out, config, "predict", {
-        "model": args.model,
-        "features": args.features,
-    })
+    _echo_config(args, config)
     return 0
 
 
@@ -397,8 +419,7 @@ def _blend_queries(args: argparse.Namespace, rankings) -> dict[str, QueryRecord]
     raise ValidationError("blend needs --queries or --query-time for freshness checks")
 
 
-def _cmd_blend(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_blend(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     rankings = load_rankings(_require_file(args.rankings, "rankings"))
     queries = _blend_queries(args, rankings)
@@ -422,80 +443,62 @@ def _cmd_blend(args: argparse.Namespace) -> int:
             lines.append(f"{qid}\t{position}\t{pool[column].doc_id}\t{fmt(gain)}")
     atomic_write_text(os.path.join(out, "blended.tsv"),
                       "".join(line + "\n" for line in lines))
-    _echo_config(out, config, "blend", {
-        "rankings": args.rankings,
-        "queries": args.queries,
-        "predictions": args.predictions,
-        "p_fresh": args.p_fresh,
-        "query_time": args.query_time,
-    })
+    _echo_config(args, config)
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     rankings = load_rankings(_require_file(args.rankings, "rankings"))
     metric_config = config.metric_config()
     dist = IntentDistribution.from_p_fresh(args.p_fresh)
-    for qid, ranking in rankings.items():
-        page = []
-        for entry in ranking.entries:
+    # Each page is its ranking cut to the depth and zero-padded, which the
+    # kernel scores exactly.
+    n = len(rankings)
+    width = min(metric_config.depth, max((len(r.entries) for r in rankings.values()), default=0))
+    r_fresh, r_any = np.zeros((2, n, width), dtype=np.float64)
+    for row, (qid, ranking) in enumerate(rankings.items()):
+        for column, entry in enumerate(ranking.entries):
             if entry.latent_rel_any is None:
                 raise ValidationError(
                     f"query {qid!r} doc {entry.doc_id!r} has no latent_rel_any; "
                     "eval scores the stored latent relevances"
                 )
-            page.append(CalibratedCandidate(
-                doc_id=entry.doc_id,
-                r_any=entry.latent_rel_any,
-                r_fresh=entry.latent_rel_fresh if entry.latent_rel_fresh is not None else 0.0,
-                ordinary_rank=entry.rank,
-            ))
-        print(f"{qid}\t{err_iaa(page, dist, metric_config):.12g}")
+            if column < width:
+                r_fresh[row, column] = entry.latent_rel_fresh or 0.0
+                r_any[row, column] = entry.latent_rel_any
+    totals = err_iaa_batch(r_fresh, r_any, np.full(n, dist.p_fresh), np.full(n, dist.p_any),
+                           metric_config.p_break, metric_config.break_exponent.shift)
+    for qid, total in zip(rankings, totals):
+        print(f"{qid}\t{total:.12g}")
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
     curves = sweep_estimate(corpus, config.grid, config.metric_config(),
                             config.window(), config.prior_table())
     write_sweep_csv(curves, os.path.join(out, "sweep.csv"))
-    _echo_config(out, config, "sweep", {"corpus": args.corpus})
+    _echo_config(args, config)
     return 0
 
 
-def _cmd_buckets(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_buckets(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
     report = bucket_comparison(corpus, _hyperparams(args), config.metric_config(),
                                config.seed, config.window(), config.prior_table())
     write_buckets_csv(report, os.path.join(out, "buckets.csv"))
-    _echo_config(out, config, "buckets", {
-        "corpus": args.corpus,
-        "trees": args.trees,
-        "tree_depth": args.tree_depth,
-        "learning_rate": args.learning_rate,
-        "subsample": args.subsample,
-    })
+    _echo_config(args, config)
     return 0
 
 
-def _cmd_abtest(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_abtest(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
     if not corpus.judgments or not corpus.features.rows:
         raise ValidationError("abtest needs judgments.tsv and features.tsv in the corpus")
-    dataset = []
-    for qid, vector in corpus.features.rows.items():
-        if qid not in corpus.judgments:
-            raise ValidationError(f"query {qid!r} has features but no judgment")
-        dataset.append((vector, corpus.judgments[qid].consensus_grade))
-    model = train_gbrt(dataset, _hyperparams(args), seed=config.seed,
-                       feature_names=corpus.features.names)
+    model = _train_model(args, config, corpus.features, corpus.judgments)
     qids = list(corpus.features.rows)
     p_hat = predict_batch(model, corpus.features.matrix(qids))
     p_by_query = {qid: float(p) for qid, p in zip(qids, p_hat)}
@@ -510,24 +513,16 @@ def _cmd_abtest(args: argparse.Namespace) -> int:
         table=config.prior_table(),
     )
     write_ab_report(report, os.path.join(out, "abreport.json"))
-    _echo_config(out, config, "abtest", {
-        "corpus": args.corpus,
-        "n_queries": args.n_queries,
-        "trees": args.trees,
-        "tree_depth": args.tree_depth,
-        "learning_rate": args.learning_rate,
-        "subsample": args.subsample,
-    })
+    _echo_config(args, config)
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def _cmd_profile(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     log = load_query_log(_require_file(args.query_log, "query log"))
     profile = burst_profile(log)
     write_burst_csv(profile, os.path.join(out, "burst.csv"))
-    _echo_config(out, config, "profile", {"query_log": args.query_log})
+    _echo_config(args, config)
     for day, share in enumerate(profile.average, start=1):
         print(f"average share on day {day}: {share:.4f}")
     return 0
@@ -540,11 +535,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
-    except FreshblendError as exc:
-        print(f"freshblend: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.func(args, _resolve_config(args))
+    except (FreshblendError, OSError) as exc:
         print(f"freshblend: error: {exc}", file=sys.stderr)
         return 1
 

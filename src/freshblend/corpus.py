@@ -452,8 +452,10 @@ class GeneratorConfig:
         for grade in self.grade_mixture:
             if grade not in GRADE_VALUES:
                 raise ConfigError(f"grade_mixture key {grade!r} not in {GRADE_VALUES}")
-        if not 0.0 <= self.fresh_base <= 1.0 or self.fresh_slope < 0.0:
-            raise ConfigError("fresh_base must be in [0,1] and fresh_slope >= 0")
+        if not 0.0 <= self.fresh_base <= 1.0 or not 0.0 <= self.fresh_slope < math.inf:
+            raise ConfigError("fresh_base must be in [0,1] and fresh_slope finite and >= 0")
+        if not 0.0 <= self.feature_noise < math.inf:
+            raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise!r}")
         if self.latent_concentration <= 0:
             raise ConfigError("latent_concentration must be positive")
         if not 0.0 <= self.assessor_accuracy <= 1.0:

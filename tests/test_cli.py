@@ -1,14 +1,28 @@
 """CLI contracts: exit codes, file outputs, config precedence."""
 
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from freshblend.calibration import CalibratedCandidate
 from freshblend.cli import run
-from freshblend.corpus import GeneratorConfig, JUDGED_POOL_MIXTURE, generate_corpus, write_corpus
+from freshblend.corpus import (
+    JUDGED_POOL_MIXTURE,
+    GeneratorConfig,
+    generate_corpus,
+    load_rankings,
+    write_corpus,
+)
+from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
 
 TWO_DOC_RANKINGS = "q1\td1\t1\t1000\t0.5\t-\nq1\td2\t2\t1000\t0.5\t-\n"
+SHARED_KEYS = ("p_break", "break_exponent", "depth", "window_days", "priors", "grid", "seed")
+GBRT_KEYS = {"trees", "tree_depth", "learning_rate", "subsample"}
 
 
 @pytest.fixture
@@ -48,6 +62,21 @@ class TestEval:
         out = capsys.readouterr().out
         assert "0.605625" in out
         assert out.startswith("q1\t")
+
+    @pytest.mark.parametrize("depth, exponent", [("5", "r"), ("40", "r-1")])
+    def test_batch_scores_equal_the_scalar_metric(self, corpus_dir, capsys, depth, exponent):
+        rankings = load_rankings(os.path.join(corpus_dir, "rankings.tsv"))
+        config = MetricConfig(break_exponent=BreakExponent(exponent), depth=int(depth))
+        dist = IntentDistribution.from_p_fresh(0.37)
+        expected = []
+        for qid, ranking in rankings.items():
+            page = [CalibratedCandidate(e.doc_id, e.latent_rel_any, e.latent_rel_fresh or 0.0,
+                                        ordinary_rank=e.rank)
+                    for e in ranking.entries]
+            expected.append(f"{qid}\t{err_iaa(page, dist, config):.12g}\n")
+        assert run(["eval", "--rankings", os.path.join(corpus_dir, "rankings.tsv"),
+                    "--p-fresh", "0.37", "--depth", depth, "--break-exponent", exponent]) == 0
+        assert capsys.readouterr().out == "".join(expected)
 
     def test_latents_are_required(self, tmp_path, capsys):
         path = tmp_path / "r.tsv"
@@ -137,6 +166,75 @@ class TestConfigPrecedence:
     def test_bad_seed_is_a_usage_error(self, capsys):
         assert run(["generate", "--out", "x", "--seed", "-3"]) == 2
 
+    @pytest.mark.parametrize("config, flags, code, message", [
+        (b'{"depth": 2.7}', [], 1, "'depth'"),
+        (b'{"seed": true}', [], 1, "'seed'"),
+        (b'{"window_days": "3"}', [], 1, "'window_days'"),
+        (b'{"depth": "10"}', [], 1, "'depth'"),
+        (b'{"grid": "05"}', [], 1, "'grid'"),
+        (b'{"seed": -1.5}', [], 1, "'seed'"),
+        (b'{"depth": 1e999}', [], 1, "'depth'"),
+        (b'{"seed": 1e999}', [], 1, "'seed'"),
+        (b'{"window_days": NaN}', [], 1, "'window_days'"),
+        (b'{"window_days": 1e305}', [], 1, "window_days"),
+        (b'{"p_break": 1e400}', [], 1, "'p_break'"),
+        (b'{"priors": [0.5, Infinity]}', [], 1, "'priors'"),
+        (b'\xff', [], 1, "not valid JSON"),
+        (None, ["--window-days", "nan"], 2, "--window-days"),
+        (None, ["--window-days", "inf"], 2, "--window-days"),
+        (None, ["--depth", "2.7"], 2, "--depth"),
+        (None, ["--priors", "0.5,nan"], 2, "--priors"),
+        (None, ["--break-exponent", "r-2"], 2, "--break-exponent"),
+    ])
+    def test_wrongly_typed_values_are_refused(self, tmp_path, capsys, config, flags, code,
+                                              message):
+        rankings = tmp_path / "r.tsv"
+        rankings.write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        argv = ["blend", "--rankings", str(rankings), "--query-time", "2000",
+                "--p-fresh", "0.5", "--out", str(tmp_path / "out"), *flags]
+        if config is not None:
+            (tmp_path / "config.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if code == 1:
+            assert err.startswith("freshblend: error: ") and err.count("\n") == 1
+            assert not (tmp_path / "out" / "blended.tsv").exists()
+
+    @given(key=st.sampled_from(SHARED_KEYS), value=st.floats() | st.integers() | st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+        max_leaves=6,
+    ))
+    @example(key="depth", value=math.inf)
+    @example(key="seed", value=-math.inf)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value_exits_zero_or_one(self, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            rankings = os.path.join(tmp, "r.tsv")
+            config = os.path.join(tmp, "config.json")
+            with open(rankings, "w", encoding="utf-8") as handle:
+                handle.write(TWO_DOC_RANKINGS)
+            with open(config, "w", encoding="utf-8") as handle:
+                json.dump({key: value}, handle)
+            assert run(["eval", "--rankings", rankings, "--config", config]) in (0, 1)
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("flags, message", [
+        (["--feature-noise", "-1"], "feature_noise"),
+        (["--feature-noise", "nan"], "feature_noise"),
+        (["--fresh-slope", "nan"], "fresh_slope"),
+    ])
+    def test_bad_generator_knob_exits_one(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "corpus"
+        assert run(["generate", "--out", str(out), "--n-queries", "20", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("freshblend: error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (out / "rankings.tsv").exists()
+
 
 class TestPipeline:
     def test_generate_train_predict_blend(self, tmp_path, corpus_dir, capsys):
@@ -197,3 +295,35 @@ class TestPipeline:
                         "--n-queries", "500", "--trees", "10", "--seed", "8"]) == 0
             outputs.append((out / "abreport.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestEffectiveConfig:
+    def test_each_subcommand_echoes_its_exact_keys(self, tmp_path, corpus_dir):
+        def corpus(name):
+            return os.path.join(corpus_dir, name)
+
+        log = tmp_path / "log.tsv"
+        log.write_text("q1\t1\t73\nq1\t2\t20\n", encoding="utf-8")
+        invocations = [
+            (["generate", "--n-queries", "20"],
+             {"n_queries", "mixture", "ranking_depth", "fresh_base", "fresh_slope",
+              "feature_noise", "assessor_accuracy"}),
+            (["train", "--features", corpus("features.tsv"),
+              "--judgments", corpus("judgments.tsv"), "--trees", "5"],
+             {"features", "judgments", *GBRT_KEYS}),
+            (["predict", "--model", str(tmp_path / "train" / "model.json"),
+              "--features", corpus("features.tsv")], {"model", "features"}),
+            (["blend", "--rankings", corpus("rankings.tsv"), "--query-time", "2000000000",
+              "--p-fresh", "0.37"],
+             {"rankings", "queries", "predictions", "p_fresh", "query_time"}),
+            (["sweep", "--corpus", corpus_dir, "--grid", "0.5"], {"corpus"}),
+            (["buckets", "--corpus", corpus_dir, "--trees", "5"], {"corpus", *GBRT_KEYS}),
+            (["abtest", "--corpus", corpus_dir, "--trees", "5", "--n-queries", "200"],
+             {"corpus", "n_queries", *GBRT_KEYS}),
+            (["profile", "--query-log", str(log)], {"query_log"}),
+        ]
+        for argv, own in invocations:
+            out = tmp_path / argv[0]
+            assert run([*argv, "--out", str(out)]) == 0
+            document = json.loads((out / "effective_config.json").read_text())
+            assert set(document) == {"schema_version", "command", *SHARED_KEYS, *own}

@@ -1,6 +1,7 @@
 """Loaders, writers, and the synthetic generator."""
 
 import collections
+import math
 import os
 import re
 
@@ -134,6 +135,17 @@ class TestGenerator:
     def test_mixture_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(grade_mixture={0.0: 0.5, 0.25: 0.4})
+
+    @pytest.mark.parametrize("knob", [
+        {"feature_noise": -1.0},
+        {"feature_noise": math.nan},
+        {"feature_noise": math.inf},
+        {"fresh_slope": math.nan},
+        {"fresh_slope": math.inf},
+    ])
+    def test_noise_and_slope_must_be_finite_and_nonnegative(self, knob):
+        with pytest.raises(ConfigError, match=next(iter(knob))):
+            GeneratorConfig(**knob)
 
     def test_requested_count_is_delivered(self):
         corpus = generate_corpus(GeneratorConfig(n_queries=50, ranking_depth=5), seed=1)
