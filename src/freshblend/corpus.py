@@ -28,7 +28,7 @@ estimates of the latent ground truth.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class QueryRecord:
     query_id: str
     issue_time: int
     true_grade: float | None = None
-    features: tuple[tuple[str, float], ...] = ()
     volume: int | None = None
 
     def __post_init__(self):
@@ -71,9 +70,6 @@ class QueryRecord:
             raise ValidationError(
                 f"true_grade {self.true_grade!r} not in {GRADE_VALUES}"
             )
-        for name, value in self.features:
-            if not math.isfinite(value):
-                raise ValidationError(f"feature {name!r} is not finite: {value!r}")
         if self.volume is not None and self.volume < 1:
             raise ValidationError(f"volume must be positive, got {self.volume}")
 
@@ -142,9 +138,6 @@ class JudgedQuery:
 class FeatureTable:
     names: tuple[str, ...]
     rows: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def vector(self, query_id: str) -> np.ndarray:
-        return self.rows[query_id]
 
     def matrix(self, query_ids) -> np.ndarray:
         return np.stack([self.rows[qid] for qid in query_ids])
@@ -298,7 +291,7 @@ def load_queries(path: str) -> dict[str, QueryRecord]:
         grade = _opt_real(fields[2], path, number, "true_grade")
         volume = None if fields[3] == "-" else _parse_int(fields[3], path, number, "volume")
         try:
-            queries[qid] = QueryRecord(qid, issue_time, grade, (), volume)
+            queries[qid] = QueryRecord(qid, issue_time, grade, volume)
         except ValidationError as exc:
             raise ValidationError(f"{path}:{number}: {exc}") from None
     return queries
@@ -324,22 +317,14 @@ def load_predictions(path: str) -> dict[str, float]:
 
 
 def load_corpus(directory: str) -> Corpus:
-    """Load the four corpus files from a directory, joining features onto
-    the query records."""
+    """Load the four corpus files from a directory.  Judgments and
+    features are optional; each file is held once, keyed by query_id."""
     queries = load_queries(os.path.join(directory, "queries.tsv"))
     rankings = load_rankings(os.path.join(directory, "rankings.tsv"))
     judgments_path = os.path.join(directory, "judgments.tsv")
     judgments = load_judgments(judgments_path) if os.path.exists(judgments_path) else {}
     features_path = os.path.join(directory, "features.tsv")
     features = load_features(features_path) if os.path.exists(features_path) else FeatureTable(())
-    if features.rows:
-        joined = {}
-        for qid, record in queries.items():
-            if qid in features.rows:
-                pairs = tuple(zip(features.names, (float(v) for v in features.rows[qid])))
-                record = replace(record, features=pairs)
-            joined[qid] = record
-        queries = joined
     return Corpus(queries, rankings, judgments, features)
 
 
@@ -510,12 +495,7 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         fresh_age = rng.integers(0, config.window_seconds, size=depth)
         stale_age = rng.integers(config.window_seconds + 1, year, size=depth)
 
-        fresh_rank = np.zeros(depth, dtype=np.int64)
-        next_fresh = 1
-        for r in range(depth):
-            if is_fresh_doc[r]:
-                fresh_rank[r] = next_fresh
-                next_fresh += 1
+        fresh_rank = np.cumsum(is_fresh_doc)  # read only at fresh positions
 
         entries = []
         for r in range(depth):
@@ -571,7 +551,6 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
             query_id=qid,
             issue_time=issue_time,
             true_grade=grade,
-            features=tuple(zip(FEATURE_NAMES, (float(v) for v in values))),
             volume=volume,
         )
 

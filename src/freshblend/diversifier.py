@@ -10,7 +10,7 @@ import numpy as np
 from . import kernels
 from .calibration import CalibratedCandidate
 from .errors import ValidationError
-from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig, err_iaa
+from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig, _check_probability
 
 _NO_RANK = 1 << 30
 
@@ -81,9 +81,10 @@ def brute_force_best(
 ) -> tuple[tuple[str, ...], float]:
     """Exhaustive maximizer over all ordered selections; a test oracle.
 
-    Guarded to |candidates| <= 8 and max_positions <= 5.  Candidates are
-    enumerated in tie-break order and only strict improvements are kept,
-    so ties resolve exactly as blend's per-position rules do.
+    Guarded to |candidates| <= 8 and max_positions <= 5.  Every ordered
+    selection, enumerated in tie-break order, is scored in one kernel
+    call; np.argmax keeps the first maximum, so ties resolve exactly as
+    blend's per-position rules do.
     """
     if not candidates:
         raise ValidationError("cannot search an empty candidate pool")
@@ -97,12 +98,17 @@ def brute_force_best(
         )
     k = min(max_positions, len(candidates), config.depth)
     ranked = sorted(candidates, key=tie_break_key)
-    best_ids: tuple[str, ...] | None = None
-    best_score = -1.0
-    for ordering in itertools.permutations(ranked, k):
-        score = err_iaa(ordering, dist, config)
-        if score > best_score:
-            best_score = score
-            best_ids = tuple(c.doc_id for c in ordering)
-    assert best_ids is not None
-    return best_ids, best_score
+    for candidate in ranked:
+        _check_probability(candidate)
+    perms = np.array(list(itertools.permutations(range(len(ranked)), k)), dtype=np.int64)
+    n = len(perms)
+    scores = kernels.err_iaa_batch(
+        np.array([c.r_fresh for c in ranked])[perms],
+        np.array([c.r_any for c in ranked])[perms],
+        np.full(n, dist.p_fresh),
+        np.full(n, dist.p_any),
+        config.p_break,
+        config.break_exponent.shift,
+    )
+    best = int(np.argmax(scores))
+    return tuple(ranked[i].doc_id for i in perms[best]), float(scores[best])

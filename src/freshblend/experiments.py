@@ -163,27 +163,25 @@ def prepare_queries(
     `queries`, in that order."""
     depth = metric_config.depth
     pools = []
-    pages = []
     for qid, record in queries.items():
         ranking = rankings.get(qid)
         if ranking is None:
             raise ValidationError(f"query {qid!r} has no ranking")
         fresh = derive_fresh_ranking(ranking, record.issue_time, window)
         pools.append(build_candidates(ranking, fresh, table, record.issue_time, window, depth))
-        pages.append((ranking.entries[:depth], fresh.entries[:depth]))
     ordered, cal_fresh, cal_any, sizes = candidate_arrays(pools)
 
+    # The fresh ranking filters the ordinary one, so every candidate has an
+    # ordinary rank, and entries[ordinary_rank - 1] is its entry.
     n = len(ordered)
     lat_fresh = np.zeros_like(cal_fresh)
     lat_any = np.zeros_like(cal_any)
     initial_order = np.full((n, depth), -1, dtype=np.int64)
     fresh_order = np.full((n, depth), -1, dtype=np.int64)
-    for b, (qid, pool, (ordinary_top, fresh_top)) in enumerate(zip(queries, ordered, pages)):
-        by_doc = {entry.doc_id: entry for entry in rankings[qid].entries}
-        column = {}
+    for b, (qid, pool) in enumerate(zip(queries, ordered)):
+        entries = rankings[qid].entries
         for j, candidate in enumerate(pool):
-            column[candidate.doc_id] = j
-            entry = by_doc[candidate.doc_id]
+            entry = entries[candidate.ordinary_rank - 1]
             if entry.latent_rel_any is None:
                 if require_latents:
                     raise ValidationError(
@@ -194,8 +192,10 @@ def prepare_queries(
                 lat_any[b, j] = entry.latent_rel_any
             if entry.latent_rel_fresh is not None:
                 lat_fresh[b, j] = entry.latent_rel_fresh
-        initial_order[b, : len(ordinary_top)] = [column[e.doc_id] for e in ordinary_top]
-        fresh_order[b, : len(fresh_top)] = [column[e.doc_id] for e in fresh_top]
+            if candidate.ordinary_rank <= depth:
+                initial_order[b, candidate.ordinary_rank - 1] = j
+            if candidate.fresh_rank is not None and candidate.fresh_rank <= depth:
+                fresh_order[b, candidate.fresh_rank - 1] = j
 
     return PreparedQueries(
         query_ids=tuple(queries),
@@ -413,14 +413,23 @@ def bucket_comparison(
 # ---------------------------------------------------------------------------
 
 
-def _page_vectors(page: Sequence[CalibratedCandidate], depth: int):
-    lat_fresh = np.zeros(depth, dtype=np.float64)
-    lat_any = np.zeros(depth, dtype=np.float64)
-    k = min(len(page), depth)
-    for i in range(k):
-        lat_fresh[i] = page[i].r_fresh
-        lat_any[i] = page[i].r_any
-    return lat_fresh, lat_any
+def _click_positions(rng, lat_fresh, lat_any, p_fresh, config: MetricConfig) -> np.ndarray:
+    """Simulate one user on each row of the (n, depth) latent pages.
+
+    Draws u_intent (n), then u_cont (n, depth), then u_click (n, depth)
+    from `rng`; a user has the fresh intent when u_intent < p_fresh (per
+    row or one for all) and scans that intent's row.  Returns the 1-based
+    click position per user, 0 when nothing was clicked.
+    """
+    n, depth = lat_fresh.shape
+    u_intent = rng.random(n)
+    u_cont = rng.random((n, depth))
+    u_click = rng.random((n, depth))
+    fresh_intent = u_intent < p_fresh
+    r_user = np.where(fresh_intent[:, None], lat_fresh, lat_any)
+    return kernels.simulate_clicks_batch(
+        r_user, u_cont, u_click, config.p_break, config.break_exponent.shift
+    )
 
 
 def simulate_clicks(
@@ -464,16 +473,11 @@ def simulate_clicks_many(
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     depth = config.depth
-    lat_fresh, lat_any = _page_vectors(page, depth)
-    rng = np.random.default_rng(seed)
-    u_intent = rng.random(n)
-    u_cont = rng.random((n, depth))
-    u_click = rng.random((n, depth))
-    fresh_intent = u_intent < dist.p_fresh
-    r_user = np.where(fresh_intent[:, None], lat_fresh[None, :], lat_any[None, :])
-    return kernels.simulate_clicks_batch(
-        r_user, u_cont, u_click, config.p_break, config.break_exponent.shift
-    )
+    top = page[:depth]
+    lat = np.zeros((2, 1, depth), dtype=np.float64)
+    lat[:, 0, : len(top)] = [[c.r_fresh for c in top], [c.r_any for c in top]]
+    lat_fresh, lat_any = np.broadcast_to(lat, (2, n, depth))
+    return _click_positions(np.random.default_rng(seed), lat_fresh, lat_any, dist.p_fresh, config)
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +520,13 @@ def ab_test(
         pages_fresh, pages_any = _page_matrices(prepared, policy(prepared, metric_config), depth)
         rng = np.random.default_rng(child)
         qidx = rng.choice(len(prepared.query_ids), size=n_queries, p=weights)
-        u_intent = rng.random(n_queries)
-        u_cont = rng.random((n_queries, depth))
-        u_click = rng.random((n_queries, depth))
+        pos = _click_positions(
+            rng, pages_fresh[qidx], pages_any[qidx], grades[qidx], metric_config
+        )
         noise = np.clip(
             rng.normal(0.0, 1.0, n_queries),
             -_CLICK_TIME_NOISE_CLIP_S,
             _CLICK_TIME_NOISE_CLIP_S,
-        )
-        fresh_intent = u_intent < grades[qidx]
-        r_user = np.where(fresh_intent[:, None], pages_fresh[qidx], pages_any[qidx])
-        pos = kernels.simulate_clicks_batch(
-            r_user, u_cont, u_click, metric_config.p_break,
-            metric_config.break_exponent.shift,
         )
         clicked = pos > 0
         samples[bucket] = {

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Ranking
+from .corpus import Ranking, _read_lines
 from .errors import ConfigError, ParseError, UnknownQueryError, ValidationError
 from .fileio import atomic_write_text, fmt
 
@@ -107,22 +107,18 @@ def burst_profile(log) -> BurstProfile:
 def load_query_log(path: str) -> list[tuple[str, int, int]]:
     """Read a query log TSV: query_id<TAB>day_index<TAB>count."""
     rows: list[tuple[str, int, int]] = []
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 fields, got {len(fields)}", path, number)
-            try:
-                day = int(fields[1])
-                count = int(fields[2])
-            except ValueError:
-                raise ParseError("day_index and count must be integers", path, number) from None
-            if count < 0:
-                raise ParseError(f"negative count {count}", path, number)
-            rows.append((fields[0], day, count))
+    for number, line in _read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}", path, number)
+        try:
+            day = int(fields[1])
+            count = int(fields[2])
+        except ValueError:
+            raise ParseError("day_index and count must be integers", path, number) from None
+        if count < 0:
+            raise ParseError(f"negative count {count}", path, number)
+        rows.append((fields[0], day, count))
     return rows
 
 

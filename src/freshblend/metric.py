@@ -12,15 +12,20 @@ second variant charges abandonment only for continuing past a position,
 so a perfect top result scores exactly 1.  The score is the probability
 that a user scanning top-down under this model is satisfied by the page.
 
+`err_iaa` scores a page with one call into `kernels.err_iaa_batch`.
 `marginal_gain` and `advance` maintain the per-intent survival masses
-incrementally so a greedy optimizer can score one appended candidate in
-O(1).
+incrementally, one appended candidate at a time: they are the scalar
+reference for one greedy step, against which the tests check the
+optimizer, `kernels.greedy_blend`.
 """
 
 import enum
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from . import kernels
 from .calibration import CalibratedCandidate
 from .errors import ValidationError
 
@@ -105,19 +110,17 @@ def err_iaa(
 ) -> float:
     """Score an ordered page; pages longer than config.depth are truncated."""
     page = ordered[: config.depth]
-    total = 0.0
-    sf = 1.0
-    sa = 1.0
-    disc = 1.0 if config.break_exponent.shift else config.p_break
     for candidate in page:
         _check_probability(candidate)
-        rf = candidate.r_fresh
-        ra = candidate.r_any
-        total += disc * (dist.p_fresh * sf * rf + dist.p_any * sa * ra)
-        sf = sf * (1.0 - rf)
-        sa = sa * (1.0 - ra)
-        disc = disc * config.p_break
-    return total
+    scores = kernels.err_iaa_batch(
+        np.array([[c.r_fresh for c in page]], dtype=np.float64),
+        np.array([[c.r_any for c in page]], dtype=np.float64),
+        np.array([dist.p_fresh]),
+        np.array([dist.p_any]),
+        config.p_break,
+        config.break_exponent.shift,
+    )
+    return float(scores[0])
 
 
 def marginal_gain(

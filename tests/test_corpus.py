@@ -223,11 +223,14 @@ class TestRoundTrip:
         write_rankings(rankings, str(path))
         assert load_rankings(str(path)) == rankings
 
-    def test_load_corpus_joins_features_onto_queries(self, tmp_path):
+    def test_load_corpus_reloads_features_and_grades(self, tmp_path):
         corpus = generate_corpus(GeneratorConfig(n_queries=5, ranking_depth=3), seed=2)
         write_corpus(corpus, str(tmp_path))
         reloaded = load_corpus(str(tmp_path))
+        assert reloaded.features.names == corpus.features.names
+        assert list(reloaded.features.rows) == list(corpus.features.rows)
+        for qid, values in corpus.features.rows.items():
+            assert np.array_equal(reloaded.features.rows[qid], values)
+        assert list(reloaded.queries) == list(corpus.queries)
         for qid, record in reloaded.queries.items():
-            names = [name for name, _ in record.features]
-            assert tuple(names) == reloaded.features.names
             assert record.true_grade == corpus.queries[qid].true_grade

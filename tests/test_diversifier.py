@@ -1,11 +1,13 @@
 """Greedy blending against hand fixtures, exhaustive per-step rechecks
 and the brute-force oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from freshblend.calibration import CalibratedCandidate
-from freshblend.diversifier import blend, brute_force_best
+from freshblend.diversifier import blend, brute_force_best, tie_break_key
 from freshblend.errors import ValidationError
 from freshblend.metric import (
     BreakExponent,
@@ -16,6 +18,7 @@ from freshblend.metric import (
     initial_state,
     marginal_gain,
 )
+from test_kernels import err_iaa_batch_loop
 
 CFG = MetricConfig()
 EVEN = IntentDistribution(0.5, 0.5)
@@ -105,7 +108,58 @@ class TestGreedyStepOptimality:
             assert result.gains[0] == pytest.approx(best_single, abs=1e-12)
 
 
+def scan_best(candidates, dist, config, max_positions):
+    """Score each ordered selection, in tie-break enumeration order, with
+    a scalar loop and keep only strict improvements."""
+    k = min(max_positions, len(candidates), config.depth)
+    ranked = sorted(candidates, key=tie_break_key)
+    best_ids, best_score = None, -1.0
+    for ordering in itertools.permutations(ranked, k):
+        score = err_iaa_batch_loop(
+            np.array([[c.r_fresh for c in ordering]]),
+            np.array([[c.r_any for c in ordering]]),
+            np.array([dist.p_fresh]),
+            np.array([dist.p_any]),
+            config.p_break,
+            config.break_exponent.shift,
+        )[0]
+        if score > best_score:
+            best_ids, best_score = tuple(c.doc_id for c in ordering), score
+    return best_ids, best_score
+
+
+def tied_pool(rng, n):
+    """A random pool with engineered ties: repeated (r_any, r_fresh) pairs
+    under different ranks, zero candidates, or one pair for all."""
+    pool = random_pool(rng, n)
+    kind = rng.integers(0, 3)
+    for i in range(1, n):
+        if kind == 0 and rng.random() < 0.5:
+            source = pool[int(rng.integers(0, i))]
+            pool[i] = cand(f"d{i}", source.r_any, source.r_fresh, rank=i + 1)
+        elif kind == 1 and rng.random() < 0.3:
+            pool[i] = cand(f"d{i}", 0.0, 0.0, rank=i + 1)
+        elif kind == 2:
+            pool[i] = cand(f"d{i}", pool[0].r_any, pool[0].r_fresh, rank=i + 1)
+    return [pool[i] for i in rng.permutation(n)]
+
+
 class TestBruteForceOracle:
+    def test_equals_a_scalar_strict_improvement_scan(self):
+        rng = np.random.default_rng(99)
+        for _ in range(150):
+            pool = tied_pool(rng, int(rng.integers(1, 9)))
+            p_fresh = float(rng.choice([0.0, 1.0, rng.random()]))
+            config = MetricConfig(
+                break_exponent=list(BreakExponent)[int(rng.integers(0, 2))],
+                depth=int(rng.integers(1, 7)),
+            )
+            max_positions = int(rng.integers(1, 6))
+            dist = IntentDistribution.from_p_fresh(p_fresh)
+            assert brute_force_best(pool, dist, config, max_positions) == scan_best(
+                pool, dist, config, max_positions
+            )
+
     def test_single_candidate(self):
         only = cand("x", 0.4, 0.2, 1)
         ids, score = brute_force_best([only], EVEN, CFG)

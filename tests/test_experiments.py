@@ -7,14 +7,21 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from freshblend.calibration import CalibratedCandidate
+from freshblend.calibration import (
+    DEFAULT_PRIOR_TABLE,
+    CalibratedCandidate,
+    PositionPriorTable,
+    build_candidates,
+)
 from freshblend.corpus import (
     DocEntry,
     GeneratorConfig,
     JUDGED_POOL_MIXTURE,
+    QueryRecord,
     Ranking,
     generate_corpus,
 )
+from freshblend.diversifier import tie_break_key
 from freshblend.errors import ValidationError
 from freshblend.experiments import (
     Bucket,
@@ -26,6 +33,7 @@ from freshblend.experiments import (
     bucket_comparison,
     initial_ranking_policy,
     mann_whitney_u,
+    prepare_queries,
     simulate_clicks,
     simulate_clicks_many,
     sweep_estimate,
@@ -33,7 +41,9 @@ from freshblend.experiments import (
     write_buckets_csv,
     write_sweep_csv,
 )
+from freshblend.freshness import FreshnessWindow, derive_fresh_ranking
 from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
+from test_kernels import simulate_clicks_loop
 
 
 def page_of(pairs):
@@ -180,6 +190,117 @@ class TestSimulateClicks:
     def test_empty_page_rejected(self):
         with pytest.raises(ValidationError):
             simulate_clicks_many([], IntentDistribution(0.5, 0.5), n=10)
+
+    @pytest.mark.parametrize("exponent", list(BreakExponent))
+    @pytest.mark.parametrize("length", [1, 3, 10, 14])
+    def test_draw_order_is_pinned(self, exponent, length):
+        # u_intent (n), then u_cont (n, depth), then u_click (n, depth),
+        # all from default_rng(seed)
+        rng = np.random.default_rng(length)
+        page = page_of(zip(rng.random(length), rng.random(length)))
+        config = MetricConfig(break_exponent=exponent, depth=10)
+        dist = IntentDistribution.from_p_fresh(0.35)
+        n, seed = 500, 31
+        draws = np.random.default_rng(seed)
+        u_intent = draws.random(n)
+        u_cont = draws.random((n, config.depth))
+        u_click = draws.random((n, config.depth))
+        r_user = np.zeros((n, config.depth))
+        for i in range(n):
+            fresh_intent = u_intent[i] < dist.p_fresh
+            for j, candidate in enumerate(page[: config.depth]):
+                r_user[i, j] = candidate.r_fresh if fresh_intent else candidate.r_any
+        expected = simulate_clicks_loop(
+            r_user, u_cont, u_click, config.p_break, exponent.shift
+        )
+        assert np.array_equal(simulate_clicks_many(page, dist, config, n=n, seed=seed), expected)
+
+
+# ---------------------------------------------------------------------------
+# per-query preparation
+# ---------------------------------------------------------------------------
+
+
+def ranking_of(timestamps, latents=True):
+    """Ranks 1..n with the given timestamps; latents are distinct per
+    rank, or all absent."""
+    return Ranking(tuple(
+        DocEntry(f"d{rank}", rank, ts,
+                 (0.9 / rank) if latents else None,
+                 (0.5 / rank) if latents else None)
+        for rank, ts in enumerate(timestamps, start=1)
+    ))
+
+
+# issue time 1000, window 100: a timestamp of 900 or later is fresh
+FRESH, STALE = 950, 10
+HAND_RANKINGS = {
+    "short": ranking_of([FRESH, STALE]),
+    "no_fresh": ranking_of([STALE] * 7),
+    "fresh_below_page": ranking_of([STALE] * 5 + [FRESH, FRESH, STALE]),
+    "mixed": ranking_of([FRESH, STALE, FRESH, STALE, STALE, FRESH, FRESH, STALE, FRESH]),
+    "all_fresh": ranking_of([FRESH] * 6),
+}
+
+
+def check_prepared_rows(queries, rankings, config, window, table, require_latents):
+    prepared = prepare_queries(queries, rankings, config, window, table, require_latents)
+    depth = config.depth
+    assert prepared.query_ids == tuple(queries)
+    for b, (qid, record) in enumerate(queries.items()):
+        ranking = rankings[qid]
+        fresh = derive_fresh_ranking(ranking, record.issue_time, window)
+        pool = sorted(
+            build_candidates(ranking, fresh, table, record.issue_time, window, depth),
+            key=tie_break_key,
+        )
+        size = len(pool)
+        assert prepared.candidates[b] == tuple(pool)
+        assert prepared.sizes[b] == size
+        assert prepared.cal_fresh[b, :size].tolist() == [c.r_fresh for c in pool]
+        assert prepared.cal_any[b, :size].tolist() == [c.r_any for c in pool]
+
+        by_doc = {entry.doc_id: entry for entry in ranking.entries}
+        column = {candidate.doc_id: j for j, candidate in enumerate(pool)}
+        lat_any = [by_doc[c.doc_id].latent_rel_any or 0.0 for c in pool]
+        lat_fresh = [by_doc[c.doc_id].latent_rel_fresh or 0.0 for c in pool]
+        assert prepared.lat_any[b, :size].tolist() == lat_any
+        assert prepared.lat_fresh[b, :size].tolist() == lat_fresh
+        assert not prepared.lat_any[b, size:].any()
+        assert not prepared.lat_fresh[b, size:].any()
+
+        initial = [column[e.doc_id] for e in ranking.entries[:depth]]
+        fresh_page = [column[e.doc_id] for e in fresh.entries[:depth]]
+        assert prepared.initial_order[b].tolist() == initial + [-1] * (depth - len(initial))
+        assert prepared.fresh_order[b].tolist() == fresh_page + [-1] * (depth - len(fresh_page))
+
+
+class TestPrepareQueries:
+    @pytest.mark.parametrize("depth", [1, 4, 10])
+    @pytest.mark.parametrize("table", [DEFAULT_PRIOR_TABLE, PositionPriorTable((0.5, 0.3))])
+    def test_hand_rows_match_a_doc_id_lookup(self, depth, table):
+        queries = {qid: QueryRecord(qid, 1000) for qid in HAND_RANKINGS}
+        check_prepared_rows(queries, HAND_RANKINGS, MetricConfig(depth=depth),
+                            FreshnessWindow(100), table, require_latents=True)
+
+    def test_rows_without_latents_pad_with_zeros(self):
+        rankings = {**HAND_RANKINGS,
+                    "bare": ranking_of([STALE, FRESH, STALE, FRESH], latents=False)}
+        queries = {qid: QueryRecord(qid, 1000) for qid in rankings}
+        check_prepared_rows(queries, rankings, MetricConfig(depth=3),
+                            FreshnessWindow(100), DEFAULT_PRIOR_TABLE, require_latents=False)
+        with pytest.raises(ValidationError, match="'bare' doc 'd1' lacks latent"):
+            prepare_queries(queries, rankings, MetricConfig(depth=3), FreshnessWindow(100))
+
+    def test_generated_rows_match_a_doc_id_lookup(self):
+        corpus = small_corpus(seed=21, n=60)
+        window = FreshnessWindow(GeneratorConfig().window_seconds)
+        check_prepared_rows(corpus.queries, corpus.rankings, MetricConfig(depth=10),
+                            window, DEFAULT_PRIOR_TABLE, require_latents=True)
+
+    def test_query_without_ranking_rejected(self):
+        with pytest.raises(ValidationError, match="has no ranking"):
+            prepare_queries({"q": QueryRecord("q", 1000)}, {})
 
 
 # ---------------------------------------------------------------------------

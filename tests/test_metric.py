@@ -8,6 +8,7 @@ no code with the implementation.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from freshblend.metric import (
     initial_state,
     marginal_gain,
 )
+from test_kernels import err_iaa_batch_loop
 
 
 def brute_err_iaa(page, dist, config):
@@ -154,6 +156,15 @@ class TestMarginalGain:
             state = advance(state, candidate)
         assert total == pytest.approx(err_iaa(page, dist, CFG), abs=1e-12)
         assert total == pytest.approx(brute_err_iaa(page, dist, CFG), abs=1e-12)
+        top = page[: CFG.depth]
+        assert err_iaa(page, dist, CFG) == err_iaa_batch_loop(
+            np.array([[c.r_fresh for c in top]]),
+            np.array([[c.r_any for c in top]]),
+            np.array([dist.p_fresh]),
+            np.array([dist.p_any]),
+            CFG.p_break,
+            CFG.break_exponent.shift,
+        )[0]
 
 
 class TestInvariants:
