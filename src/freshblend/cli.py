@@ -59,7 +59,7 @@ from .experiments import (
     write_buckets_csv,
     write_sweep_csv,
 )
-from .fileio import atomic_write_text, fmt
+from .fileio import atomic_write_text, fmt, json_int, json_real, write_lines
 from .freshness import (DEFAULT_WINDOW, FreshnessWindow, burst_profile, load_query_log,
                         write_burst_csv)
 from .kernels import err_iaa_batch
@@ -84,29 +84,15 @@ _SECONDS_PER_DAY = 86_400
 # ---------------------------------------------------------------------------
 
 
-def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {json.dumps(value)}")
-    if not abs(value) <= sys.float_info.max:  # exact for ints, false for nan
-        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
-    return float(value)
-
-
 def _positive_real(value) -> float:
-    value = _real(value)
+    value = json_real(value)
     if value <= 0:
         raise ValueError(f"expected a positive number, got {json.dumps(value)}")
     return value
 
 
-def _int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
 def _u64(value) -> int:
-    if not 0 <= _int(value) < 2**64:
+    if not 0 <= json_int(value) < 2**64:
         raise ValueError(f"expected an unsigned 64-bit integer, got {json.dumps(value)}")
     return value
 
@@ -114,7 +100,7 @@ def _u64(value) -> int:
 def _reals(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"expected a list of numbers, got {json.dumps(value)}")
-    return tuple(_real(item) for item in value)
+    return tuple(json_real(item) for item in value)
 
 
 def _split_reals(text: str) -> list[float]:
@@ -143,9 +129,9 @@ def _choice(values: tuple[str, ...]) -> _Kind:
     return _Kind(str, check, "{" + ",".join(values) + "}")
 
 
-_REAL = _Kind(float, _real, "REAL")
+_REAL = _Kind(float, json_real, "REAL")
 _POSITIVE_REAL = _Kind(float, _positive_real, "REAL")
-_INT = _Kind(int, _int)
+_INT = _Kind(int, json_int)
 _U64 = _Kind(int, _u64)
 _REAL_LIST = _Kind(_split_reals, _reals, "LIST")
 
@@ -221,7 +207,7 @@ def _load_config_file(path: str | None) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad or deep JSON, or not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, "
@@ -399,8 +385,7 @@ def _cmd_predict(args: argparse.Namespace, config: RunConfig) -> int:
     qids = list(features.rows)
     p_hat = predict_batch(model, features.matrix(qids)) if qids else ()
     lines = [f"{qid}\t{fmt(p)}" for qid, p in zip(qids, p_hat)]
-    atomic_write_text(os.path.join(out, "predictions.tsv"),
-                      "".join(line + "\n" for line in lines))
+    write_lines(os.path.join(out, "predictions.tsv"), lines)
     _echo_config(args, config)
     return 0
 
@@ -441,8 +426,7 @@ def _cmd_blend(args: argparse.Namespace, config: RunConfig) -> int:
             if column < 0:
                 break
             lines.append(f"{qid}\t{position}\t{pool[column].doc_id}\t{fmt(gain)}")
-    atomic_write_text(os.path.join(out, "blended.tsv"),
-                      "".join(line + "\n" for line in lines))
+    write_lines(os.path.join(out, "blended.tsv"), lines)
     _echo_config(args, config)
     return 0
 
@@ -469,7 +453,7 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     totals = err_iaa_batch(r_fresh, r_any, np.full(n, dist.p_fresh), np.full(n, dist.p_any),
                            metric_config.p_break, metric_config.break_exponent.shift)
     for qid, total in zip(rankings, totals):
-        print(f"{qid}\t{total:.12g}")
+        print(f"{qid}\t{fmt(total)}")
     return 0
 
 

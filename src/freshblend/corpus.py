@@ -9,8 +9,8 @@ The corpus bundles four aligned pieces of data, keyed by query_id:
 * judgments   - three assessor grades per query plus their consensus
 * features    - the numeric feature vector the classifier consumes
 
-File formats (UTF-8, '\\n' endings, '.' decimal separator, '-' for an
-absent optional value):
+File formats (read under the shared rules of `fileio`: UTF-8, '-' for an
+absent optional value, '.' decimal separator):
 
 * rankings.tsv   query_id<TAB>doc_id<TAB>rank<TAB>timestamp
                  [<TAB>latent_rel_any<TAB>latent_rel_fresh]
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .fileio import atomic_write_text, fmt
+from .fileio import TsvRows, fmt, fmt_opt, opt_real, parse_int, parse_real, write_lines
 
 GRADE_VALUES = (0.0, 0.25, 0.75, 0.95)
 
@@ -156,65 +156,19 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(path: str):
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            yield number, line
-
-
-def _parse_real(token: str, path: str, line: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"bad {what}: {token!r}", path, line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what} is not finite: {token!r}", path, line)
-    return value
-
-
-def _parse_int(token: str, path: str, line: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad {what}: {token!r}", path, line) from None
-
-
-def _opt_real(token: str, path: str, line: int, what: str) -> float | None:
-    if token == "-":
-        return None
-    return _parse_real(token, path, line, what)
-
-
 def load_rankings(path: str) -> dict[str, Ranking]:
     """Read a rankings TSV into per-query rankings sorted by rank."""
     per_query: dict[str, list[DocEntry]] = {}
-    seen: set[tuple[str, str]] = set()
-    for number, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) not in (4, 5, 6):
-            raise ParseError(
-                f"expected 4-6 tab-separated fields, got {len(fields)}", path, number
+    with TsvRows(path, (4, 6), key=("query_id", "doc_id")) as rows:
+        for fields in rows:
+            entry = DocEntry(
+                fields[1],
+                parse_int(fields[2], "rank"),
+                parse_int(fields[3], "timestamp"),
+                opt_real(fields[4], "latent_rel_any") if len(fields) > 4 else None,
+                opt_real(fields[5], "latent_rel_fresh") if len(fields) > 5 else None,
             )
-        qid, doc_id = fields[0], fields[1]
-        if not qid or not doc_id:
-            raise ParseError("empty query_id or doc_id", path, number)
-        if (qid, doc_id) in seen:
-            raise ValidationError(
-                f"{path}:{number}: duplicate (query_id, doc_id) pair ({qid!r}, {doc_id!r})"
-            )
-        seen.add((qid, doc_id))
-        rank = _parse_int(fields[2], path, number, "rank")
-        timestamp = _parse_int(fields[3], path, number, "timestamp")
-        lat_any = _opt_real(fields[4], path, number, "latent_rel_any") if len(fields) > 4 else None
-        lat_fresh = _opt_real(fields[5], path, number, "latent_rel_fresh") if len(fields) > 5 else None
-        try:
-            entry = DocEntry(doc_id, rank, timestamp, lat_any, lat_fresh)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{number}: {exc}") from None
-        per_query.setdefault(qid, []).append(entry)
+            per_query.setdefault(fields[0], []).append(entry)
 
     rankings: dict[str, Ranking] = {}
     for qid, entries in per_query.items():
@@ -222,27 +176,17 @@ def load_rankings(path: str) -> dict[str, Ranking]:
         try:
             rankings[qid] = Ranking(tuple(entries))
         except ValidationError as exc:
-            raise ValidationError(f"{path}: query {qid!r}: {exc}") from None
+            raise ParseError(f"query {qid!r}: {exc}", path) from None
     return rankings
 
 
 def load_judgments(path: str) -> dict[str, JudgedQuery]:
     """Read a judgments TSV; consensus is the mean of the three grades."""
     judgments: dict[str, JudgedQuery] = {}
-    for number, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", path, number)
-        qid = fields[0]
-        if qid in judgments:
-            raise ValidationError(f"{path}:{number}: duplicate query_id {qid!r}")
-        grades = tuple(
-            _parse_real(token, path, number, "grade") for token in fields[1:]
-        )
-        try:
+    with TsvRows(path, 4, key=("query_id",)) as rows:
+        for qid, *tokens in rows:
+            grades = tuple(parse_real(token, "grade") for token in tokens)
             judgments[qid] = JudgedQuery(qid, grades, consensus(grades))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{number}: {exc}") from None
     return judgments
 
 
@@ -254,46 +198,32 @@ def consensus(grades) -> float:
 
 def load_features(path: str) -> FeatureTable:
     """Read a features TSV (header row of names, one row per query)."""
-    lines = list(_read_lines(path))
-    if not lines:
-        return FeatureTable(names=())
-    number, header = lines[0]
-    cells = header.split("\t")
-    names = tuple(cells[1:]) if cells and cells[0] == "query_id" else tuple(cells)
-    if any(not name for name in names):
-        raise ParseError("empty feature name in header", path, number)
     rows: dict[str, np.ndarray] = {}
-    for number, line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != len(names) + 1:
-            raise ParseError(
-                f"expected {len(names) + 1} fields, got {len(fields)}", path, number
-            )
-        qid = fields[0]
-        if qid in rows:
-            raise ValidationError(f"{path}:{number}: duplicate query_id {qid!r}")
-        values = [_parse_real(tok, path, number, "feature value") for tok in fields[1:]]
-        rows[qid] = np.asarray(values, dtype=np.float64)
+    with TsvRows(path) as reader:
+        header = next(iter(reader), None)
+        if header is None:
+            return FeatureTable(names=())
+        names = tuple(header[1:]) if header[0] == "query_id" else tuple(header)
+        if not all(names):
+            raise ValidationError("empty feature name in header")
+        reader.width, reader.key = len(names) + 1, ("query_id",)
+        for qid, *tokens in reader:
+            rows[qid] = np.asarray([parse_real(token, "feature value") for token in tokens],
+                                   dtype=np.float64)
     return FeatureTable(names=names, rows=rows)
 
 
 def load_queries(path: str) -> dict[str, QueryRecord]:
     """Read a queries TSV (query_id, issue_time, true_grade, volume)."""
     queries: dict[str, QueryRecord] = {}
-    for number, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", path, number)
-        qid = fields[0]
-        if qid in queries:
-            raise ValidationError(f"{path}:{number}: duplicate query_id {qid!r}")
-        issue_time = _parse_int(fields[1], path, number, "issue_time")
-        grade = _opt_real(fields[2], path, number, "true_grade")
-        volume = None if fields[3] == "-" else _parse_int(fields[3], path, number, "volume")
-        try:
-            queries[qid] = QueryRecord(qid, issue_time, grade, volume)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{number}: {exc}") from None
+    with TsvRows(path, 4, key=("query_id",)) as rows:
+        for qid, issue_time, grade, volume in rows:
+            queries[qid] = QueryRecord(
+                qid,
+                parse_int(issue_time, "issue_time"),
+                opt_real(grade, "true_grade"),
+                None if volume == "-" else parse_int(volume, "volume"),
+            )
     return queries
 
 
@@ -301,19 +231,8 @@ def load_predictions(path: str) -> dict[str, float]:
     """Read a predictions TSV (query_id, p_fresh).  The range of p_fresh
     is checked where it is used, so that every estimate source is
     checked alike."""
-    predictions: dict[str, float] = {}
-    for number, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 fields, got {len(fields)}", path, number)
-        qid = fields[0]
-        if qid in predictions:
-            raise ParseError(f"duplicate query_id {qid!r}", path, number)
-        try:
-            predictions[qid] = float(fields[1])
-        except ValueError:
-            raise ParseError(f"bad probability {fields[1]!r}", path, number) from None
-    return predictions
+    with TsvRows(path, 2, key=("query_id",)) as rows:
+        return {qid: parse_real(p_fresh, "p_fresh") for qid, p_fresh in rows}
 
 
 def load_corpus(directory: str) -> Corpus:
@@ -333,10 +252,6 @@ def load_corpus(directory: str) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _opt(value) -> str:
-    return "-" if value is None else fmt(value)
-
-
 def write_rankings(rankings: dict[str, Ranking], path: str) -> None:
     lines = []
     for qid, ranking in rankings.items():
@@ -348,12 +263,12 @@ def write_rankings(rankings: dict[str, Ranking], path: str) -> None:
                         entry.doc_id,
                         str(entry.rank),
                         str(entry.timestamp),
-                        _opt(entry.latent_rel_any),
-                        _opt(entry.latent_rel_fresh),
+                        fmt_opt(entry.latent_rel_any),
+                        fmt_opt(entry.latent_rel_fresh),
                     )
                 )
             )
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_lines(path, lines)
 
 
 def write_judgments(judgments: dict[str, JudgedQuery], path: str) -> None:
@@ -361,23 +276,22 @@ def write_judgments(judgments: dict[str, JudgedQuery], path: str) -> None:
         "\t".join((qid, *(fmt(g) for g in judged.assessor_grades)))
         for qid, judged in judgments.items()
     ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_lines(path, lines)
 
 
 def write_features(features: FeatureTable, path: str) -> None:
     lines = ["\t".join(("query_id", *features.names))]
     for qid, values in features.rows.items():
         lines.append("\t".join((qid, *(fmt(v) for v in values))))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_lines(path, lines)
 
 
 def write_queries(queries: dict[str, QueryRecord], path: str) -> None:
     lines = []
     for qid, record in queries.items():
-        grade = "-" if record.true_grade is None else fmt(record.true_grade)
         volume = "-" if record.volume is None else str(record.volume)
-        lines.append("\t".join((qid, str(record.issue_time), grade, volume)))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+        lines.append("\t".join((qid, str(record.issue_time), fmt_opt(record.true_grade), volume)))
+    write_lines(path, lines)
 
 
 def write_corpus(corpus: Corpus, directory: str) -> None:

@@ -81,7 +81,7 @@ def brute_force_best(
 ) -> tuple[tuple[str, ...], float]:
     """Exhaustive maximizer over all ordered selections; a test oracle.
 
-    Guarded to |candidates| <= 8 and max_positions <= 5.  Every ordered
+    Guarded to |candidates| <= 8 and 1 <= max_positions <= 5.  Every ordered
     selection, enumerated in tie-break order, is scored in one kernel
     call; np.argmax keeps the first maximum, so ties resolve exactly as
     blend's per-position rules do.
@@ -92,9 +92,9 @@ def brute_force_best(
         raise ValidationError(
             f"brute force refused: {len(candidates)} candidates exceeds the guard of 8"
         )
-    if max_positions > 5:
+    if not 1 <= max_positions <= 5:
         raise ValidationError(
-            f"brute force refused: max_positions {max_positions} exceeds the guard of 5"
+            f"brute force refused: max_positions {max_positions} is outside the guard of [1, 5]"
         )
     k = min(max_positions, len(candidates), config.depth)
     ranked = sorted(candidates, key=tie_break_key)

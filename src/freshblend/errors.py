@@ -9,8 +9,9 @@ class ValidationError(FreshblendError):
     """Input data violates a documented invariant or precondition."""
 
 
-class ParseError(FreshblendError):
-    """A data file could not be parsed."""
+class ParseError(ValidationError):
+    """A data file could not be parsed, or one of its lines breaks a record
+    invariant; `path` and `line` locate the fault where they are known."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         if path is not None and line is not None:

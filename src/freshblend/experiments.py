@@ -30,7 +30,7 @@ from .calibration import (
 )
 from .corpus import Corpus, QueryRecord, Ranking
 from .errors import ValidationError
-from .fileio import atomic_write_text, fmt
+from .fileio import atomic_write_text, fmt, write_lines
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
 from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig
 from .diversifier import candidate_arrays
@@ -506,6 +506,8 @@ def ab_test(
     if n_queries < 2:
         raise ValidationError(f"n_queries must be >= 2, got {n_queries}")
     prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
+    if not prepared.query_ids:
+        raise ValidationError("the A/B test needs at least one query")
     _require_grades(prepared)
     depth = metric_config.depth
     grades = prepared.true_grade
@@ -621,7 +623,7 @@ def write_sweep_csv(curves: Sequence[SweepCurve], path: str) -> None:
     for curve in curves:
         for p_hat, value in curve.points:
             lines.append(f"{fmt(curve.true_grade)},{fmt(p_hat)},{fmt(value)}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_lines(path, lines)
 
 
 def write_buckets_csv(report: BucketReport, path: str) -> None:
@@ -631,7 +633,7 @@ def write_buckets_csv(report: BucketReport, path: str) -> None:
             mean = row.means.get(strategy)
             cell = "" if mean is None else fmt(mean)
             lines.append(f"{fmt(row.lo)},{fmt(row.hi)},{strategy},{cell},{row.n}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_lines(path, lines)
 
 
 def write_ab_report(report: AbReport, path: str) -> None:

@@ -5,12 +5,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Ranking, _read_lines
-from .errors import ConfigError, ParseError, UnknownQueryError, ValidationError
-from .fileio import atomic_write_text, fmt
+from .corpus import Ranking
+from .errors import ConfigError, UnknownQueryError, ValidationError
+from .fileio import TsvRows, fmt, parse_int, write_lines
 
 #: 3 days, in seconds.
 DEFAULT_WINDOW_SECONDS = 259_200
+
+#: The longest span of days one query's burst profile may cover (100 years);
+#: the profile holds one share per day of the span.
+MAX_PROFILE_DAYS = 36_525
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,8 @@ def burst_profile(log) -> BurstProfile:
         first = min(by_day)
         last = max(by_day)
         span = last - first + 1
+        if span > MAX_PROFILE_DAYS:
+            raise ValidationError(f"query {qid!r} spans {span} days, over {MAX_PROFILE_DAYS}")
         shares = np.zeros(span, dtype=np.float64)
         for day, count in by_day.items():
             shares[day - first] = count / total
@@ -106,20 +112,14 @@ def burst_profile(log) -> BurstProfile:
 
 def load_query_log(path: str) -> list[tuple[str, int, int]]:
     """Read a query log TSV: query_id<TAB>day_index<TAB>count."""
-    rows: list[tuple[str, int, int]] = []
-    for number, line in _read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}", path, number)
-        try:
-            day = int(fields[1])
-            count = int(fields[2])
-        except ValueError:
-            raise ParseError("day_index and count must be integers", path, number) from None
-        if count < 0:
-            raise ParseError(f"negative count {count}", path, number)
-        rows.append((fields[0], day, count))
-    return rows
+    log: list[tuple[str, int, int]] = []
+    with TsvRows(path, 3) as rows:
+        for qid, day, count in rows:
+            day, count = parse_int(day, "day_index"), parse_int(count, "count")
+            if count < 0:
+                raise ValidationError(f"negative count {count}")
+            log.append((qid, day, count))
+    return log
 
 
 def write_burst_csv(profile: BurstProfile, path: str) -> None:
@@ -128,4 +128,4 @@ def write_burst_csv(profile: BurstProfile, path: str) -> None:
     for qid, shares in profile.per_query.items():
         for day, share in enumerate(shares, start=1):
             lines.append(f"{qid},{day},{fmt(share)}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_lines(path, lines)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kernels
 from .corpus import GRADE_VALUES
-from .errors import ValidationError
-from .fileio import atomic_write_text
+from .errors import ParseError, ValidationError
+from .fileio import atomic_write_text, json_int, json_real
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -280,7 +280,7 @@ def serialize_model(model: GbrtModel) -> str:
 def deserialize_model(text: str) -> GbrtModel:
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(document, dict) or document.get("schema_version") != MODEL_SCHEMA_VERSION:
         version = document.get("schema_version") if isinstance(document, dict) else None
@@ -291,26 +291,39 @@ def deserialize_model(text: str) -> GbrtModel:
         raise ValidationError(f"malformed model document: {exc}") from None
 
 
+def _index(value, low: int, high: int, what: str) -> int:
+    if not low <= json_int(value) < high:
+        raise ValueError(f"{what} {value!r} is not in [{low}, {high})")
+    return value
+
+
+def _tree_from_nodes(nodes: list, n_features: int) -> RegressionTree:
+    """Check one serialized tree: a split names a feature of the model and
+    two children after it, so that every path ends at a leaf with a value."""
+    if not nodes:
+        raise ValueError("a tree has no nodes")
+    size = len(nodes)
+    feature, left, right = np.full((3, size), -1, dtype=np.int64)
+    threshold, leaf = np.zeros((2, size), dtype=np.float64)
+    for i, node in enumerate(nodes):
+        if node["feature"] is None:
+            leaf[i] = json_real(node["leaf"])
+        else:
+            feature[i] = _index(node["feature"], 0, n_features, "split feature")
+            threshold[i] = json_real(node["threshold"])
+            left[i] = _index(node["left"], i + 1, size, f"node {i} child")
+            right[i] = _index(node["right"], i + 1, size, f"node {i} child")
+    return RegressionTree(feature, threshold, left, right, leaf)
+
+
 def _model_from_document(document: dict) -> GbrtModel:
-    trees = []
-    for nodes in document["trees"]:
-        feature = np.asarray(
-            [-1 if n["feature"] is None else n["feature"] for n in nodes], dtype=np.int64
-        )
-        threshold = np.asarray(
-            [0.0 if n["threshold"] is None else n["threshold"] for n in nodes],
-            dtype=np.float64,
-        )
-        left = np.asarray([-1 if n["left"] is None else n["left"] for n in nodes], dtype=np.int64)
-        right = np.asarray([-1 if n["right"] is None else n["right"] for n in nodes], dtype=np.int64)
-        leaf = np.asarray([0.0 if n["leaf"] is None else n["leaf"] for n in nodes], dtype=np.float64)
-        trees.append(RegressionTree(feature, threshold, left, right, leaf))
+    names = tuple(document["feature_names"])
     return GbrtModel(
-        feature_names=tuple(document["feature_names"]),
-        base_prediction=float(document["base_prediction"]),
-        learning_rate=float(document["learning_rate"]),
-        max_depth=int(document["max_depth"]),
-        trees=tuple(trees),
+        feature_names=names,
+        base_prediction=json_real(document["base_prediction"]),
+        learning_rate=json_real(document["learning_rate"]),
+        max_depth=json_int(document["max_depth"]),
+        trees=tuple(_tree_from_nodes(nodes, len(names)) for nodes in document["trees"]),
     )
 
 
@@ -319,8 +332,12 @@ def save_model(model: GbrtModel, path: str) -> None:
 
 
 def load_model(path: str) -> GbrtModel:
-    with open(path, encoding="utf-8") as handle:
-        return deserialize_model(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return deserialize_model(data.decode("utf-8"))
+    except (UnicodeDecodeError, ValidationError) as exc:
+        raise ParseError(str(exc), path) from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import pytest
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 from freshblend.calibration import CalibratedCandidate
 from freshblend.cli import run
 from freshblend.corpus import (
+    FEATURE_NAMES,
     JUDGED_POOL_MIXTURE,
     GeneratorConfig,
     generate_corpus,
     load_rankings,
     write_corpus,
 )
+from freshblend.fileio import fmt
 from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
 
 TWO_DOC_RANKINGS = "q1\td1\t1\t1000\t0.5\t-\nq1\td2\t2\t1000\t0.5\t-\n"
@@ -73,7 +76,7 @@ class TestEval:
             page = [CalibratedCandidate(e.doc_id, e.latent_rel_any, e.latent_rel_fresh or 0.0,
                                         ordinary_rank=e.rank)
                     for e in ranking.entries]
-            expected.append(f"{qid}\t{err_iaa(page, dist, config):.12g}\n")
+            expected.append(f"{qid}\t{fmt(err_iaa(page, dist, config))}\n")
         assert run(["eval", "--rankings", os.path.join(corpus_dir, "rankings.tsv"),
                     "--p-fresh", "0.37", "--depth", depth, "--break-exponent", exponent]) == 0
         assert capsys.readouterr().out == "".join(expected)
@@ -327,3 +330,109 @@ class TestEffectiveConfig:
             assert run([*argv, "--out", str(out)]) == 0
             document = json.loads((out / "effective_config.json").read_text())
             assert set(document) == {"schema_version", "command", *SHARED_KEYS, *own}
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs: one input of one subcommand is replaced by arbitrary bytes
+# or by a mix of its own valid lines and arbitrary fields; the others stay
+# valid.  Whatever the input, run() returns 0, 1 or 2 and raises nothing.
+# ---------------------------------------------------------------------------
+
+CORPUS_FILES = ("queries.tsv", "rankings.tsv", "judgments.tsv", "features.tsv")
+FUZZ_ARGV = {
+    "eval": ("--rankings", "rankings.tsv", "--config", "config.json"),
+    "blend": ("--rankings", "rankings.tsv", "--queries", "queries.tsv",
+              "--predictions", "predictions.tsv", "--config", "config.json"),
+    "train": ("--features", "features.tsv", "--judgments", "judgments.tsv", "--trees", "2"),
+    "predict": ("--model", "model.json", "--features", "features.tsv"),
+    "sweep": ("--corpus", "corpus", "--grid", "0.5"),
+    "buckets": ("--corpus", "corpus", "--trees", "2"),
+    "abtest": ("--corpus", "corpus", "--trees", "2", "--n-queries", "50"),
+    "profile": ("--query-log", "log.tsv"),
+}
+FUZZ_TARGETS = [(command, name) for command, argv in FUZZ_ARGV.items()
+                for name in (CORPUS_FILES if "corpus" in argv else argv[1::2])
+                if name.endswith((".tsv", ".json"))]
+TOKENS = (st.sampled_from(["", "-", "0", "1", "2", "-1", "0.25", "0.5", "0.95", "1.5", "nan",
+                           "inf", "1e999", "9" * 25, "q000000", "q000001", "query_id", "\r"])
+          | st.integers().map(str) | st.floats().map(repr)
+          | st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+# A line mix: each line is line i (mod the count) of the valid input or
+# arbitrary fields, with one of the two accepted line endings.  A field
+# swap: the valid input with field j of line i (mod the counts) replaced.
+LINE_MIXES = st.tuples(st.lists(st.integers(0, 63) | st.lists(TOKENS, max_size=7), max_size=10),
+                       st.sampled_from(["\n", "\r\n"]))
+FIELD_SWAPS = st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 9), TOKENS),
+                       min_size=1, max_size=3)
+
+
+def fuzzed(valid: str, content) -> bytes:
+    if isinstance(content, bytes):
+        return content
+    lines = valid.splitlines()
+    if isinstance(content, tuple):
+        picks, ending = content
+        return "".join((lines[pick % len(lines)] if isinstance(pick, int) else "\t".join(pick))
+                       + ending for pick in picks).encode()
+    rows = [line.split("\t") for line in lines]
+    for i, j, token in content:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = token
+    return "".join("\t".join(row) + "\n" for row in rows).encode()
+
+
+def model_bytes(root: dict) -> bytes:
+    """A one-tree model over the corpus's six features whose root split is
+    `root`; feature 6 is one past the last."""
+    leaf = {"feature": None, "threshold": None, "left": None, "right": None, "leaf": 0.5}
+    return json.dumps({"schema_version": 1, "feature_names": list(FEATURE_NAMES),
+                       "base_prediction": 0.25, "learning_rate": 0.1, "max_depth": 1,
+                       "n_trees": 1, "trees": [[{"leaf": None, **root}, leaf, leaf]]}).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Every input the fuzzed subcommands read, all valid."""
+    root = tmp_path_factory.mktemp("valid")
+    config = GeneratorConfig(n_queries=12, ranking_depth=6, grade_mixture=dict(JUDGED_POOL_MIXTURE))
+    write_corpus(generate_corpus(config, seed=5), str(root / "corpus"))
+    for name in CORPUS_FILES:
+        shutil.copy(root / "corpus" / name, root / name)
+    assert run(["train", "--features", str(root / "features.tsv"), "--judgments",
+                str(root / "judgments.tsv"), "--trees", "2", "--out", str(root)]) == 0
+    assert run(["predict", "--model", str(root / "model.json"), "--features",
+                str(root / "features.tsv"), "--out", str(root)]) == 0
+    (root / "log.tsv").write_text("q1\t1\t73\nq1\t2\t20\nq2\t5\t4\n", encoding="utf-8")
+    (root / "config.json").write_text('{\n  "depth": 5,\n  "p_break": 0.7\n}\n',
+                                      encoding="utf-8")
+    return root
+
+
+class TestFuzzedInputs:
+    @given(target=st.sampled_from(FUZZ_TARGETS),
+           content=st.binary(max_size=300) | LINE_MIXES | FIELD_SWAPS)
+    @example(target=("eval", "rankings.tsv"),
+             content=b"q1\td1\t1\t1000\t0.5\t-\nq1\t\xff\t2\t1000\t0.5\t-\n")
+    @example(target=("predict", "model.json"),
+             content=model_bytes({"feature": 0, "threshold": 0.5, "left": 0, "right": 0}))
+    @example(target=("predict", "model.json"),
+             content=model_bytes({"feature": 6, "threshold": 0.5, "left": 1, "right": 2}))
+    @example(target=("predict", "model.json"),
+             content=b"\xff" + model_bytes({"feature": 0, "threshold": 0.5, "left": 1, "right": 2}))
+    @example(target=("abtest", "queries.tsv"), content=b"")
+    @settings(max_examples=120, deadline=None)
+    def test_any_input_exits_zero_one_or_two(self, valid_inputs, target, content):
+        command, name = target
+        argv = FUZZ_ARGV[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            if "corpus" in argv:
+                shutil.copytree(valid_inputs / "corpus", os.path.join(tmp, "corpus"))
+                path = os.path.join(tmp, "corpus", name)
+            else:
+                path = os.path.join(tmp, name)
+            with open(path, "wb") as handle:
+                handle.write(fuzzed((valid_inputs / name).read_text(encoding="utf-8"), content))
+            paths = [os.path.join(tmp, item) if item in (name, "corpus")
+                     else str(valid_inputs / item) if item.endswith((".tsv", ".json")) else item
+                     for item in argv]
+            assert run([command, *paths, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)

@@ -19,14 +19,16 @@ from freshblend.corpus import (
     Ranking,
     generate_corpus,
     load_corpus,
+    load_features,
     load_judgments,
     load_predictions,
+    load_queries,
     load_rankings,
     write_corpus,
     write_rankings,
 )
 from freshblend.errors import ConfigError, ParseError, ValidationError
-from freshblend.freshness import FreshnessWindow, is_fresh
+from freshblend.freshness import FreshnessWindow, is_fresh, load_query_log
 
 
 def _write(tmp_path, name, text):
@@ -105,6 +107,47 @@ class TestLoadPredictions:
         path = _write(tmp_path, "p.tsv", "q1\t0.5\nq2\t0.1\nq1\t0.75\n")
         with pytest.raises(ParseError, match="^" + re.escape(f"{path}:3: duplicate query_id 'q1'")):
             load_predictions(path)
+
+
+class TestLineFormat:
+    """The reading rules every loader shares."""
+
+    @pytest.mark.parametrize("loader, data, line, message", [
+        (load_rankings, b"q1\td1\t1\t100\nq1\t\xffd\t2\t90\n", 2, "line is not valid UTF-8"),
+        (load_rankings, b"q1\td1\t1\n", 1, "expected 4-6 fields, got 3"),
+        (load_rankings, b"q1\t\t1\t100\n", 1, "empty query_id or doc_id"),
+        (load_rankings, b"q1\td1\t1\t100\n\nq1\td1\t2\t90\n", 3,
+         "duplicate query_id/doc_id ('q1', 'd1')"),
+        (load_rankings, b"q1\td1\t1\t99999999999999999999\n", 1,
+         "timestamp does not fit in 64 bits"),
+        (load_rankings, b"q1\td1\t1\t100\t1.5\n", 1, "latent_rel_any out of [0,1]: 1.5"),
+        (load_judgments, b"q1\t0.25\t0.25\t0.25\nq1\t0\t0\t0\n", 2, "duplicate query_id 'q1'"),
+        (load_judgments, b"q1\t0.5\t0.75\t0.25\n", 1, "assessor grade 0.5 not in"),
+        (load_queries, b"\t100\t-\t-\n", 1, "empty query_id"),
+        (load_queries, b"q1\t100\t-\tmany\n", 1, "bad volume: 'many'"),
+        (load_queries, b"q1\t100\t0.5\t3\n", 1, "true_grade 0.5 not in"),
+        (load_features, b"query_id\ta\tb\nq1\t0.5\n", 2, "expected 3 fields, got 2"),
+        (load_features, b"query_id\ta\nq1\tinf\n", 2, "feature value is not finite: 'inf'"),
+        (load_predictions, b"q1\tnan\n", 1, "p_fresh is not finite: 'nan'"),
+        (load_query_log, b"q1\t1\tmany\n", 1, "bad count: 'many'"),
+        (load_query_log, b"q1\t1\t3\r\nq1\t2\t-3\r\n", 2, "negative count -3"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_fault_is_a_parse_error_at_its_line(self, tmp_path, loader, data, line, message):
+        path = tmp_path / "input.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:{line}: {message}")):
+            loader(str(path))
+
+    def test_crlf_endings_and_blank_lines_are_accepted(self, tmp_path):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(b"\r\nq1\td1\t1\t100\t-\t-\r\n\n\r\nq1\td2\t2\t90\t0.5\t0.25\r\n")
+        entries = load_rankings(str(path))["q1"].entries
+        assert entries == (DocEntry("d1", 1, 100), DocEntry("d2", 2, 90, 0.5, 0.25))
+
+    def test_a_fault_without_a_line_names_the_file(self, tmp_path):
+        path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq1\td3\t3\t90\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: query 'q1': ")):
+            load_rankings(path)
 
 
 class TestTypes:

@@ -182,8 +182,9 @@ class TestBruteForceOracle:
         pool = random_pool(np.random.default_rng(1), 9)
         with pytest.raises(ValidationError):
             brute_force_best(pool, EVEN, CFG)
-        with pytest.raises(ValidationError):
-            brute_force_best(pool[:4], EVEN, CFG, max_positions=6)
+        for max_positions in (6, 0, -1):
+            with pytest.raises(ValidationError):
+                brute_force_best(pool[:4], EVEN, CFG, max_positions=max_positions)
 
     def test_greedy_stays_within_5_percent_of_oracle(self):
         rng = np.random.default_rng(2024)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshblend.corpus import DocEntry, Ranking
-from freshblend.errors import ConfigError, ParseError, UnknownQueryError
+from freshblend.errors import ConfigError, ParseError, UnknownQueryError, ValidationError
 from freshblend.freshness import (
     DEFAULT_WINDOW,
+    MAX_PROFILE_DAYS,
     FreshnessWindow,
     burst_profile,
     derive_fresh_ranking,
@@ -129,6 +130,12 @@ class TestBurstProfile:
         profile = burst_profile([])
         assert profile.per_query == {}
         assert profile.average.size == 0
+
+    def test_span_over_the_limit_is_refused(self):
+        longest = burst_profile([("q1", 0, 1), ("q1", MAX_PROFILE_DAYS - 1, 1)])
+        assert longest.shares("q1").size == MAX_PROFILE_DAYS
+        with pytest.raises(ValidationError, match="spans"):
+            burst_profile([("q1", 0, 1), ("q1", MAX_PROFILE_DAYS, 1)])
 
 
 class TestQueryLogIO:

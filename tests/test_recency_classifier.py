@@ -1,6 +1,9 @@
 """Boosted-tree training, prediction, serialization, and the
 assessment statistics (preselection, kappa, traffic coverage)."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from freshblend.recency_classifier import (
     average_pairwise_kappa,
     cohen_kappa,
     deserialize_model,
+    load_model,
     predict,
     predict_batch,
     preselect,
@@ -140,6 +144,29 @@ class TestSerialization:
     def test_unknown_schema_version_rejected(self):
         with pytest.raises(ValidationError):
             deserialize_model('{"schema_version": 99, "trees": []}')
+
+
+def one_feature_model_bytes(**split) -> bytes:
+    """A one-feature, one-tree model whose root split is overridden."""
+    model = train_gbrt(dataset_of([[0.0], [1.0]], [0.0, 0.95]),
+                       GbrtHyperparams(n_trees=1, max_depth=1))
+    document = json.loads(serialize_model(model))
+    document["trees"][0][0].update(split)
+    return json.dumps(document).encode("utf-8")
+
+
+class TestLoadModel:
+    @pytest.mark.parametrize("data, message", [
+        (one_feature_model_bytes(left=0, right=0), "child"),  # predict would never end
+        (one_feature_model_bytes(feature=5), "split feature"),  # indexed past the row
+        (b"\xff" + one_feature_model_bytes(), "utf-8"),
+    ], ids=["child-loop", "feature-out-of-range", "not-utf-8"])
+    def test_malformed_model_is_a_validation_error_naming_the_file(self, tmp_path, data,
+                                                                   message):
+        path = tmp_path / "model.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: ") + f".*{message}"):
+            load_model(str(path))
 
 
 class TestPreselect:
