@@ -14,8 +14,8 @@ and their own flags there as effective_config.json; all file writes are
 atomic (write-then-rename).
 
 Exit codes: 0 success, 1 validation/input error, a wrongly typed config
-value included (one-line diagnostic on stderr), 2 usage error, a
-malformed flag value included.
+value or running out of memory included (one-line diagnostic on stderr),
+2 usage error, a malformed flag value included.
 """
 
 import argparse
@@ -522,6 +522,9 @@ def run(argv) -> int:
         return args.func(args, _resolve_config(args))
     except (FreshblendError, OSError) as exc:
         print(f"freshblend: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"freshblend: error: {args.command}: out of memory", file=sys.stderr)
         return 1
 
 

@@ -9,8 +9,9 @@ given.  That separation is what the estimate sweep measures: how much
 quality survives when the blending probability is wrong.
 
 Every experiment is deterministic given (corpus seed, experiment seed).
-Randomness is pre-drawn into arrays before entering the kernels, one
-block per simulated impression, so per-query simulations are independent.
+Randomness is drawn into arrays before entering the kernels, a block of
+impressions at a time, from fixed offsets of each seed's stream, so the
+results do not depend on the block size.
 """
 
 import enum
@@ -130,8 +131,9 @@ class PreparedQueries:
     ``candidates[b][j]``, and the rest of the row is zero padding.
     cal_* hold the calibrated probabilities the blender sees; lat_* hold
     the latent ground truth used for evaluation and click simulation.
-    initial_order / fresh_order are (B, depth) column indices of the
-    unmodified ordinary page and the fresh-only page, -1 past a page's end.
+    initial_order / fresh_order are (B, K) column indices of the
+    unmodified ordinary page and the fresh-only page, -1 past a page's end,
+    with K = min(depth, M): no page is longer than the longest pool.
     true_grade is NaN where a query has none.
     """
 
@@ -174,10 +176,11 @@ def prepare_queries(
     # The fresh ranking filters the ordinary one, so every candidate has an
     # ordinary rank, and entries[ordinary_rank - 1] is its entry.
     n = len(ordered)
+    width = min(depth, cal_fresh.shape[1])
     lat_fresh = np.zeros_like(cal_fresh)
     lat_any = np.zeros_like(cal_any)
-    initial_order = np.full((n, depth), -1, dtype=np.int64)
-    fresh_order = np.full((n, depth), -1, dtype=np.int64)
+    initial_order = np.full((n, width), -1, dtype=np.int64)
+    fresh_order = np.full((n, width), -1, dtype=np.int64)
     for b, (qid, pool) in enumerate(zip(queries, ordered)):
         entries = rankings[qid].entries
         for j, candidate in enumerate(pool):
@@ -192,9 +195,9 @@ def prepare_queries(
                 lat_any[b, j] = entry.latent_rel_any
             if entry.latent_rel_fresh is not None:
                 lat_fresh[b, j] = entry.latent_rel_fresh
-            if candidate.ordinary_rank <= depth:
+            if candidate.ordinary_rank <= width:
                 initial_order[b, candidate.ordinary_rank - 1] = j
-            if candidate.fresh_rank is not None and candidate.fresh_rank <= depth:
+            if candidate.fresh_rank is not None and candidate.fresh_rank <= width:
                 fresh_order[b, candidate.fresh_rank - 1] = j
 
     return PreparedQueries(
@@ -269,19 +272,16 @@ def blend_policy(p_fresh_by_query: Mapping[str, float]) -> Policy:
     return policy
 
 
-def _page_matrices(
-    prepared: PreparedQueries, orders: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Latent relevances of the pages `orders` selects, zero-padded to
-    `depth` columns."""
-    n, k = orders.shape
-    rows = np.arange(n)[:, None]
+def _page_matrices(prepared: PreparedQueries, orders: np.ndarray) -> np.ndarray:
+    """Latent relevances of the (B, K) pages `orders` selects, stacked as
+    (2, B, K): [0] under the fresh intent, [1] under any intent, zero past
+    a page's end.  Zero scores nothing and is never clicked, so this equals
+    padding every page to the full depth."""
+    rows = np.arange(orders.shape[0])[:, None]
     cols = np.maximum(orders, 0)
-    lat_fresh = np.zeros((n, depth), dtype=np.float64)
-    lat_any = np.zeros((n, depth), dtype=np.float64)
-    lat_fresh[:, :k] = np.where(orders >= 0, prepared.lat_fresh[rows, cols], 0.0)
-    lat_any[:, :k] = np.where(orders >= 0, prepared.lat_any[rows, cols], 0.0)
-    return lat_fresh, lat_any
+    live = orders >= 0
+    return np.stack([np.where(live, prepared.lat_fresh[rows, cols], 0.0),
+                     np.where(live, prepared.lat_any[rows, cols], 0.0)])
 
 
 def _true_err(
@@ -289,7 +289,7 @@ def _true_err(
     orders: np.ndarray,
     config: MetricConfig,
 ) -> np.ndarray:
-    lat_fresh, lat_any = _page_matrices(prepared, orders, config.depth)
+    lat_fresh, lat_any = _page_matrices(prepared, orders)
     p_fresh = prepared.true_grade
     return kernels.err_iaa_batch(
         lat_fresh, lat_any, p_fresh, 1.0 - p_fresh, config.p_break,
@@ -412,24 +412,65 @@ def bucket_comparison(
 # cascade click simulation
 # ---------------------------------------------------------------------------
 
+# Uniform draws per simulated block: 65,536 impressions at the default
+# depth of 10.  Blocks shrink as the depth grows, so the block arrays stay
+# near 5 MB each whatever the depth and the impression count.
+_BLOCK_DRAWS = 655_360
 
-def _click_positions(rng, lat_fresh, lat_any, p_fresh, config: MetricConfig) -> np.ndarray:
-    """Simulate one user on each row of the (n, depth) latent pages.
 
-    Draws u_intent (n), then u_cont (n, depth), then u_click (n, depth)
-    from `rng`; a user has the fresh intent when u_intent < p_fresh (per
-    row or one for all) and scans that intent's row.  Returns the 1-based
-    click position per user, 0 when nothing was clicked.
+def _stream(seed, offset: int) -> np.random.Generator:
+    """A generator over PCG64(seed)'s stream, `offset` 64-bit outputs in;
+    a double from `random` or `choice` takes one output."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(offset)
+    return np.random.Generator(bit_generator)
+
+
+def _click_blocks(seed, pages, p_fresh, n, config: MetricConfig, weights=None, block=None):
+    """Simulate `n` users on the stacked (2, Q, K) latent pages, K <= depth
+    ([0] fresh intent, [1] any intent, as `_page_matrices` builds them),
+    `block` users at a time; yields each block's 1-based click positions,
+    0 where nothing was clicked.
+
+    PCG64(seed)'s stream is read as consecutive segments, each by its own
+    generator:
+      1. choice: n doubles, only when `weights` is given; a user sees page
+         ``cdf.searchsorted(u, side="right")``, as ``Generator.choice(Q,
+         p=weights)`` draws it, and page 0 otherwise;
+      2. u_intent: n doubles; the user has the fresh intent when u_intent <
+         p_fresh of the page, and scans that intent's row;
+      3. u_cont: n x depth doubles;
+      4. u_click: n x depth doubles.
+    So the results do not depend on the block size.  u_cont and u_click are
+    drawn at the full depth to keep that layout; the columns past K meet
+    zero relevance, which is never clicked, and are not scanned.
     """
-    n, depth = lat_fresh.shape
-    u_intent = rng.random(n)
-    u_cont = rng.random((n, depth))
-    u_click = rng.random((n, depth))
-    fresh_intent = u_intent < p_fresh
-    r_user = np.where(fresh_intent[:, None], lat_fresh, lat_any)
-    return kernels.simulate_clicks_batch(
-        r_user, u_cont, u_click, config.p_break, config.break_exponent.shift
-    )
+    depth = config.depth
+    if block is None:
+        block = max(1, _BLOCK_DRAWS // depth)
+    head = 0
+    if weights is not None:
+        head = n
+        choice = _stream(seed, 0)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+    intent = _stream(seed, head)
+    cont = _stream(seed, head + n)
+    click = _stream(seed, head + n + n * depth)
+    width = pages.shape[2]
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        if weights is None:
+            qidx = np.zeros(m, dtype=np.intp)
+        else:
+            qidx = cdf.searchsorted(choice.random(m), side="right")
+        any_intent = ~(intent.random(m) < p_fresh[qidx])
+        u_cont = cont.random((m, depth))[:, :width]
+        u_click = click.random((m, depth))[:, :width]
+        yield kernels.simulate_clicks_batch(
+            pages[any_intent.astype(np.intp), qidx], u_cont, u_click,
+            config.p_break, config.break_exponent.shift,
+        )
 
 
 def simulate_clicks(
@@ -467,22 +508,58 @@ def simulate_clicks_many(
     seed: int = 0,
 ) -> np.ndarray:
     """Vectorized repetition of simulate_clicks; returns the 1-based click
-    position per trial, 0 when the trial ended unclicked."""
+    position per trial, 0 when the trial ended unclicked.  Draws u_intent
+    (n), u_cont (n, depth) and u_click (n, depth) from default_rng(seed)."""
     if not page:
         raise ValidationError("page must be non-empty")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    depth = config.depth
-    top = page[:depth]
-    lat = np.zeros((2, 1, depth), dtype=np.float64)
-    lat[:, 0, : len(top)] = [[c.r_fresh for c in top], [c.r_any for c in top]]
-    lat_fresh, lat_any = np.broadcast_to(lat, (2, n, depth))
-    return _click_positions(np.random.default_rng(seed), lat_fresh, lat_any, dist.p_fresh, config)
+    top = page[: config.depth]
+    pages = np.array([[[c.r_fresh for c in top]], [[c.r_any for c in top]]], dtype=np.float64)
+    p_fresh = np.array([dist.p_fresh], dtype=np.float64)
+    return np.concatenate(list(_click_blocks(seed, pages, p_fresh, n, config)))
 
 
 # ---------------------------------------------------------------------------
 # A/B simulation
 # ---------------------------------------------------------------------------
+
+
+def _simulate_bucket(seed, pages, p_fresh, weights, n, config: MetricConfig, levels: int,
+                     block=None) -> tuple[np.ndarray, np.ndarray]:
+    """One A/B bucket of `n` impressions on the (2, Q, K) pages, drawn by
+    `_click_blocks`.  The click-time noise is a fifth segment of the seed's
+    stream, normal variates from offset 2n + 2n * depth on, one per
+    impression.  Returns the count of impressions per click position
+    (`levels` >= K + 1 entries, position 0 for no click) and the click
+    times of the clicked impressions, in impression order."""
+    noise = _stream(seed, 2 * n + 2 * n * config.depth)
+    counts = np.zeros(levels, dtype=np.int64)
+    times = []
+    for pos in _click_blocks(seed, pages, p_fresh, n, config, weights, block):
+        counts += np.bincount(pos, minlength=levels)
+        clicked = pos > 0
+        jitter = np.clip(noise.normal(0.0, 1.0, pos.size),
+                         -_CLICK_TIME_NOISE_CLIP_S, _CLICK_TIME_NOISE_CLIP_S)
+        times.append(_CLICK_TIME_BASE_S + _CLICK_TIME_PER_POSITION_S * (pos[clicked] - 1.0)
+                     + jitter[clicked])
+    return counts, np.concatenate(times)
+
+
+def _level_comparison(counts_a, counts_b, first_level: int, scale: float) -> MetricComparison:
+    """Compare two samples of the integer levels first_level,
+    first_level + 1, ... given as counts per level."""
+    values = np.arange(first_level, first_level + counts_a.size)
+    means = [int(values @ c) / int(c.sum()) * scale if c.any() else None
+             for c in (counts_a, counts_b)]
+    u, p = (None, None) if None in means else mann_whitney_counts(counts_a, counts_b)
+    return MetricComparison(means[0], means[1], u, p)
+
+
+def _sample_comparison(a: np.ndarray, b: np.ndarray) -> MetricComparison:
+    means = [float(x.mean()) if x.size else None for x in (a, b)]
+    u, p = (None, None) if None in means else mann_whitney_u(a, b)
+    return MetricComparison(means[0], means[1], u, p)
 
 
 def ab_test(
@@ -502,6 +579,16 @@ def ab_test(
     Impressions sample queries from the corpus proportionally to their
     volume; each bucket uses an independent child seed stream.  User
     intent is drawn from the query's true grade.
+
+    Each bucket's PCG64 stream holds five consecutive segments: the query
+    choice (n doubles), u_intent (n), u_cont (n x depth), u_click
+    (n x depth), then the click-time normals.  Impressions are simulated
+    in fixed blocks, each segment read from its own offset, so the report
+    equals drawing each segment whole.  A bucket keeps only its count of
+    impressions per click position, from which the four discrete metrics
+    and their tests follow without a sort, and the click times of its
+    clicked impressions.  Those times, and the one sort of both buckets'
+    times in their test, are the memory that still grows with n.
     """
     if n_queries < 2:
         raise ValidationError(f"n_queries must be >= 2, got {n_queries}")
@@ -509,58 +596,27 @@ def ab_test(
     if not prepared.query_ids:
         raise ValidationError("the A/B test needs at least one query")
     _require_grades(prepared)
-    depth = metric_config.depth
-    grades = prepared.true_grade
     weights = prepared.volume / prepared.volume.sum()
+    pages = [_page_matrices(prepared, policy(prepared, metric_config))
+             for policy in (control_policy, treatment_policy)]
+    # click positions 0..K, and at least 0..2, which the CTR@2 sample reads
+    levels = max(3, 1 + max(bucket_pages.shape[2] for bucket_pages in pages))
+    (counts_c, times_c), (counts_t, times_t) = (
+        _simulate_bucket(child, bucket_pages, prepared.true_grade, weights, n_queries,
+                         metric_config, levels)
+        for bucket_pages, child in zip(pages, np.random.SeedSequence(seed).spawn(2))
+    )
 
-    children = np.random.SeedSequence(seed).spawn(2)
-    samples: dict[Bucket, dict[str, np.ndarray]] = {}
-    for bucket, policy, child in (
-        (Bucket.CONTROL, control_policy, children[0]),
-        (Bucket.TREATMENT, treatment_policy, children[1]),
-    ):
-        pages_fresh, pages_any = _page_matrices(prepared, policy(prepared, metric_config), depth)
-        rng = np.random.default_rng(child)
-        qidx = rng.choice(len(prepared.query_ids), size=n_queries, p=weights)
-        pos = _click_positions(
-            rng, pages_fresh[qidx], pages_any[qidx], grades[qidx], metric_config
-        )
-        noise = np.clip(
-            rng.normal(0.0, 1.0, n_queries),
-            -_CLICK_TIME_NOISE_CLIP_S,
-            _CLICK_TIME_NOISE_CLIP_S,
-        )
-        clicked = pos > 0
-        samples[bucket] = {
-            "abandoned": (~clicked).astype(np.float64),
-            "ctr1": (pos == 1).astype(np.float64),
-            "ctr2": (pos == 2).astype(np.float64),
-            "positions": pos[clicked].astype(np.float64),
-            "times": _CLICK_TIME_BASE_S
-            + _CLICK_TIME_PER_POSITION_S * (pos[clicked] - 1.0)
-            + noise[clicked],
-        }
-
-    def compare(key: str, percent: bool) -> MetricComparison:
-        a = samples[Bucket.CONTROL][key]
-        b = samples[Bucket.TREATMENT][key]
-        if a.size == 0 or b.size == 0:
-            return MetricComparison(
-                control=float(a.mean()) if a.size else None,
-                treatment=float(b.mean()) if b.size else None,
-                u_statistic=None,
-                p_value=None,
-            )
-        scale = 100.0 if percent else 1.0
-        u, p = mann_whitney_u(a, b)
-        return MetricComparison(float(a.mean() * scale), float(b.mean() * scale), u, p)
+    def indicator(position: int) -> list[np.ndarray]:
+        """Both buckets' counts of the 0/1 sample `click position == position`."""
+        return [np.array([n_queries - c[position], c[position]]) for c in (counts_c, counts_t)]
 
     metrics = {
-        "abandonment_rate": compare("abandoned", percent=True),
-        "time_to_first_click": compare("times", percent=False),
-        "ctr_position_1": compare("ctr1", percent=True),
-        "ctr_position_2": compare("ctr2", percent=True),
-        "first_click_position": compare("positions", percent=False),
+        "abandonment_rate": _level_comparison(*indicator(0), 0, 100.0),
+        "time_to_first_click": _sample_comparison(times_c, times_t),
+        "ctr_position_1": _level_comparison(*indicator(1), 0, 100.0),
+        "ctr_position_2": _level_comparison(*indicator(2), 0, 100.0),
+        "first_click_position": _level_comparison(counts_c[1:], counts_t[1:], 1, 1.0),
     }
     return AbReport(n_queries=n_queries, metrics=metrics)
 
@@ -570,47 +626,77 @@ def ab_test(
 # ---------------------------------------------------------------------------
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    n = values.size
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_values[1:] != sorted_values[:-1]
-    run_id = np.cumsum(boundary) - 1
-    run_start = np.flatnonzero(boundary)
-    run_end = np.append(run_start[1:], n)
-    midrank = 0.5 * (run_start + run_end - 1) + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = midrank[run_id]
-    return ranks
+def _mann_whitney_runs(run_a: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mann-Whitney U over tie runs in ascending order: run i holds
+    counts[i] > 0 tied observations, run_a[i] of them from the first
+    sample.  Returns the U statistic of the first sample and a two-sided
+    p-value from the normal approximation with tie and continuity
+    corrections.
 
-
-def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
-    """U statistic of the first sample and a two-sided p-value from the
-    normal approximation with tie and continuity corrections."""
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
+    Each run's members share the midrank of its ranks, so the first
+    sample's rank sum is a sum of half-integers.  It is summed exactly, as
+    an integer count of halves; a float sum in any order gives the same
+    value while it stays below 2**52, which holds whenever n(n + 1) / 2 <
+    2**52, n the two samples' total: up to about 9 x 10**7 observations.
+    """
+    n_a = int(run_a.sum())
+    n = int(counts.sum())
+    n_b = n - n_a
+    if n_a == 0 or n_b == 0:
         raise ValidationError("both samples must be non-empty")
-    n_a, n_b = a.size, b.size
-    n = n_a + n_b
-    combined = np.concatenate([a, b])
-    ranks = _midranks(combined)
-    rank_sum_a = float(ranks[:n_a].sum())
-    u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
+    # twice each run's midrank is 2 * run_end - counts + 1
+    halves = np.cumsum(counts)
+    halves *= 2
+    halves -= counts
+    halves += 1
+    halves *= run_a
+    u_a = int(halves.sum()) / 2.0 - n_a * (n_a + 1) / 2.0
+    del halves
 
     mean = n_a * n_b / 2.0
-    _, counts = np.unique(combined, return_counts=True)
-    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-    if n < 2:
-        variance = 0.0
-    else:
-        variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    ties = counts.astype(np.float64)
+    ties **= 3
+    ties -= counts
+    tie_term = float(ties.sum())
+    variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0.0:
         return u_a, 1.0
     z = max(0.0, abs(u_a - mean) - 0.5) / math.sqrt(variance)
     return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+def mann_whitney_counts(counts_a, counts_b) -> tuple[float, float]:
+    """`mann_whitney_u` of two samples given as counts per level:
+    counts_a[i] and counts_b[i] observations take the i-th smallest level.
+    Levels that no observation takes are skipped, so the result equals
+    `mann_whitney_u` on the expanded samples bit for bit, without a sort."""
+    counts_a = np.asarray(counts_a, dtype=np.int64)
+    counts = counts_a + np.asarray(counts_b, dtype=np.int64)
+    taken = counts > 0
+    return _mann_whitney_runs(counts_a[taken], counts[taken])
+
+
+def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
+    """U statistic of the first sample and a two-sided p-value from the
+    normal approximation with tie and continuity corrections.  One stable
+    sort of the pooled values yields the tie runs."""
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        raise ValidationError("both samples must be non-empty")
+    # Arrays are dropped as soon as they are used: with a million clicks per
+    # A/B bucket, this sort is the A/B test's memory peak.
+    pooled = np.concatenate([a, b])
+    order = np.argsort(pooled, kind="mergesort")
+    from_a = order < a.size
+    pooled = pooled[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], pooled[1:] != pooled[:-1])))
+    del pooled
+    run_a = np.add.reduceat(from_a, starts, dtype=np.int64)
+    counts = np.diff(starts, append=from_a.size)
+    del from_a, starts
+    return _mann_whitney_runs(run_a, counts)
 
 
 # ---------------------------------------------------------------------------

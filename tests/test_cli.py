@@ -3,13 +3,17 @@
 import json
 import math
 import os
+import resource
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import freshblend
 from freshblend.calibration import CalibratedCandidate
 from freshblend.cli import run
 from freshblend.corpus import (
@@ -126,6 +130,42 @@ class TestBlend:
                     "--out", "o", *estimate])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    def test_depth_beyond_the_pools_is_sized_by_the_data(self, tmp_path, capsys, monkeypatch):
+        # pages were once allocated queries x depth: 72.8 TiB here
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.tsv").write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        pages = {}
+        for depth in ("10000000000000", "2"):
+            code = run(["blend", "--rankings", "r.tsv", "--query-time", "2000",
+                        "--p-fresh", "0.5", "--depth", depth, "--out", depth])
+            assert code == 0, capsys.readouterr().err
+            pages[depth] = (tmp_path / depth / "blended.tsv").read_bytes()
+        assert pages["10000000000000"] == pages["2"]
+        assert len(pages["2"].splitlines()) == 2
+
+
+class TestOutOfMemory:
+    def test_memory_error_exits_one_with_one_line(self, tmp_path):
+        # u_cont alone would take 800 GB per drawn row at this depth
+        limit = 1536 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(freshblend.__file__)))
+        corpus = generate_corpus(GeneratorConfig(n_queries=50, ranking_depth=12,
+                                                 grade_mixture=dict(JUDGED_POOL_MIXTURE)), seed=7)
+        write_corpus(corpus, str(tmp_path / "c50"))
+        result = subprocess.run(
+            [sys.executable, "-m", "freshblend.cli", "abtest", "--corpus", "c50",
+             "--depth", "100000000000", "--n-queries", "1000", "--out", "ab"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == ["freshblend: error: abtest: out of memory"]
 
 
 class TestConfigPrecedence:

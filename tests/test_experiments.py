@@ -2,11 +2,15 @@
 A/B test, and the Mann-Whitney implementation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freshblend import experiments
 from freshblend.calibration import (
     DEFAULT_PRIOR_TABLE,
     CalibratedCandidate,
@@ -28,10 +32,12 @@ from freshblend.experiments import (
     ClickLogRecord,
     DEFAULT_SWEEP_GRID,
     STRATEGIES,
+    MetricComparison,
     ab_test,
     blend_policy,
     bucket_comparison,
     initial_ranking_policy,
+    mann_whitney_counts,
     mann_whitney_u,
     prepare_queries,
     simulate_clicks,
@@ -129,6 +135,97 @@ class TestMannWhitney:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError):
             mann_whitney_u([], [1.0])
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank in a stable sort, tied values sharing the mean
+    rank of their run."""
+    n = values.size
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = sorted_values[1:] != sorted_values[:-1]
+    run_id = np.cumsum(boundary) - 1
+    run_start = np.flatnonzero(boundary)
+    run_end = np.append(run_start[1:], n)
+    midrank = 0.5 * (run_start + run_end - 1) + 1.0
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = midrank[run_id]
+    return ranks
+
+
+def midrank_mann_whitney(sample_a, sample_b) -> tuple[float, float]:
+    """Oracle: rank every observation, sum the first sample's ranks, and
+    take the tie counts from np.unique."""
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    n_a, n_b = a.size, b.size
+    n = n_a + n_b
+    combined = np.concatenate([a, b])
+    u_a = float(midranks(combined)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
+    mean = n_a * n_b / 2.0
+    _, counts = np.unique(combined, return_counts=True)
+    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
+    variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if variance <= 0.0:
+        return u_a, 1.0
+    z = max(0.0, abs(u_a - mean) - 0.5) / math.sqrt(variance)
+    return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+def level_counts(levels: np.ndarray, sample) -> np.ndarray:
+    return np.bincount(np.searchsorted(levels, sample), minlength=levels.size)
+
+
+# heavily tied observations: 0/1, the levels 1..10, continuous values, and
+# all three mixed
+OBSERVATIONS = {
+    "binary": st.integers(0, 1).map(float),
+    "levels": st.integers(1, 10).map(float),
+    "continuous": st.floats(-1e3, 1e3, allow_nan=False),
+}
+OBSERVATIONS["mixed"] = st.one_of(*OBSERVATIONS.values())
+
+
+@st.composite
+def tied_samples(draw):
+    element = draw(st.sampled_from(list(OBSERVATIONS.values())))
+    samples = [draw(st.lists(element, min_size=1, max_size=500)) for _ in range(2)]
+    unused = draw(st.lists(element, max_size=5))
+    return samples[0], samples[1], unused
+
+
+class TestMannWhitneyAgainstMidranks:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_samples())
+    def test_both_entry_points_equal_the_midrank_oracle_bit_for_bit(self, samples):
+        a, b, unused = samples
+        expected = midrank_mann_whitney(a, b)
+        assert mann_whitney_u(a, b) == expected
+        # levels that no observation takes must not matter
+        levels = np.unique(np.asarray(a + b + unused, dtype=np.float64))
+        assert mann_whitney_counts(level_counts(levels, a), level_counts(levels, b)) == expected
+
+    @pytest.mark.parametrize("counts_a, counts_b", [
+        ([700_000, 300_001], [650_000, 350_000]),
+        # summed over all nine levels, the tie term rounds to another p-value
+        ([164_464, 0, 0, 0, 0, 0, 110_250, 125_025, 0],
+         [164_296, 0, 0, 0, 0, 0, 110_396, 126_355, 0]),
+    ])
+    def test_counts_whose_cubes_round_equal_the_oracle(self, counts_a, counts_b):
+        # runs of more than 2**(53/3) ~ 208k ties make the tie term inexact,
+        # so it must be summed over the same runs in the same order
+        levels = np.arange(len(counts_a), dtype=np.float64)
+        a = np.repeat(levels, counts_a)
+        b = np.repeat(levels, counts_b)
+        expected = midrank_mann_whitney(a, b)
+        assert mann_whitney_counts(counts_a, counts_b) == expected
+        assert mann_whitney_u(a, b) == expected
+
+    def test_counts_need_both_samples(self):
+        with pytest.raises(ValidationError):
+            mann_whitney_counts([0, 0], [3, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +343,8 @@ HAND_RANKINGS = {
 def check_prepared_rows(queries, rankings, config, window, table, require_latents):
     prepared = prepare_queries(queries, rankings, config, window, table, require_latents)
     depth = config.depth
+    # pages are as wide as the longest pool allows, never wider than the depth
+    width = min(depth, int(prepared.sizes.max()))
     assert prepared.query_ids == tuple(queries)
     for b, (qid, record) in enumerate(queries.items()):
         ranking = rankings[qid]
@@ -271,8 +370,8 @@ def check_prepared_rows(queries, rankings, config, window, table, require_latent
 
         initial = [column[e.doc_id] for e in ranking.entries[:depth]]
         fresh_page = [column[e.doc_id] for e in fresh.entries[:depth]]
-        assert prepared.initial_order[b].tolist() == initial + [-1] * (depth - len(initial))
-        assert prepared.fresh_order[b].tolist() == fresh_page + [-1] * (depth - len(fresh_page))
+        assert prepared.initial_order[b].tolist() == initial + [-1] * (width - len(initial))
+        assert prepared.fresh_order[b].tolist() == fresh_page + [-1] * (width - len(fresh_page))
 
 
 class TestPrepareQueries:
@@ -455,3 +554,136 @@ class TestAbTest:
             "abandonment_rate", "time_to_first_click", "ctr_position_1",
             "ctr_position_2", "first_click_position",
         }
+
+
+# ---------------------------------------------------------------------------
+# streamed A/B simulation against the one-shot draw
+# ---------------------------------------------------------------------------
+
+
+def one_shot_bucket(seed, pages, p_fresh, weights, n, config):
+    """Oracle: one A/B bucket drawn whole from default_rng(seed), in the
+    order query choice, u_intent (n), u_cont (n, depth), u_click (n, depth),
+    then the click-time normals (n); the (2, Q, K) pages are zero-padded to
+    the depth.  Returns every impression's click position and the click
+    times of the clicked ones."""
+    depth = config.depth
+    padded = np.zeros((2, pages.shape[1], depth))
+    padded[:, :, : pages.shape[2]] = pages
+    rng = np.random.default_rng(seed)
+    qidx = rng.choice(pages.shape[1], size=n, p=weights)
+    u_intent = rng.random(n)
+    u_cont = rng.random((n, depth))
+    u_click = rng.random((n, depth))
+    fresh_intent = u_intent < p_fresh[qidx]
+    r_user = np.where(fresh_intent[:, None], padded[0][qidx], padded[1][qidx])
+    pos = simulate_clicks_loop(r_user, u_cont, u_click, config.p_break,
+                               config.break_exponent.shift)
+    noise = np.clip(rng.normal(0.0, 1.0, n), -experiments._CLICK_TIME_NOISE_CLIP_S,
+                    experiments._CLICK_TIME_NOISE_CLIP_S)
+    clicked = pos > 0
+    times = (experiments._CLICK_TIME_BASE_S
+             + experiments._CLICK_TIME_PER_POSITION_S * (pos[clicked] - 1.0) + noise[clicked])
+    return pos, times
+
+
+def one_shot_ab_report(corpus, control_policy, treatment_policy, n, seed, config):
+    """Oracle: the A/B report from whole-sample draws and midrank tests,
+    one 0/1 or float observation per impression."""
+    prepared = prepare_queries(corpus.queries, corpus.rankings, config)
+    weights = prepared.volume / prepared.volume.sum()
+    samples = []
+    for policy, child in zip((control_policy, treatment_policy),
+                             np.random.SeedSequence(seed).spawn(2)):
+        pages = experiments._page_matrices(prepared, policy(prepared, config))
+        pos, times = one_shot_bucket(child, pages, prepared.true_grade, weights, n, config)
+        clicked = pos > 0
+        samples.append({
+            "abandonment_rate": (~clicked).astype(np.float64),
+            "time_to_first_click": times,
+            "ctr_position_1": (pos == 1).astype(np.float64),
+            "ctr_position_2": (pos == 2).astype(np.float64),
+            "first_click_position": pos[clicked].astype(np.float64),
+        })
+    metrics = {}
+    for name, scale in (("abandonment_rate", 100.0), ("time_to_first_click", 1.0),
+                        ("ctr_position_1", 100.0), ("ctr_position_2", 100.0),
+                        ("first_click_position", 1.0)):
+        a, b = samples[0][name], samples[1][name]
+        if a.size == 0 or b.size == 0:
+            metrics[name] = MetricComparison(float(a.mean()) if a.size else None,
+                                             float(b.mean()) if b.size else None, None, None)
+        else:
+            u, p = midrank_mann_whitney(a, b)
+            metrics[name] = MetricComparison(float(a.mean() * scale), float(b.mean() * scale),
+                                             u, p)
+    return experiments.AbReport(n_queries=n, metrics=metrics)
+
+
+def latent_pages(rng, n_pages, width):
+    """(2, Q, K) latent pages, each zero past its own random length."""
+    pages = rng.random((2, n_pages, width))
+    lengths = rng.integers(1, width + 1, n_pages)
+    pages[:, np.arange(width)[None, :] >= lengths[:, None]] = 0.0
+    return pages
+
+
+BLOCK = 16
+VOLUMES = {
+    "spread": np.array([3.0, 1.0, 7.0, 2.0, 5.0, 1.0]),
+    "one_heavy_query": np.array([1.0, 1.0, 9_400.0, 1.0, 2.0, 1.0]),
+}
+
+
+class TestStreamedSimulation:
+    @pytest.mark.parametrize("volume", VOLUMES.values(), ids=VOLUMES.keys())
+    def test_choice_is_a_cdf_search_over_one_double_per_draw(self, volume):
+        weights = volume / volume.sum()
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        for size in (1, 7, 1000):
+            rng = np.random.default_rng(size)
+            chosen = rng.choice(len(weights), size=size, p=weights)
+            uniforms = np.random.default_rng(size).random(size + 1)
+            assert np.array_equal(cdf.searchsorted(uniforms[:size], side="right"), chosen)
+            assert rng.random() == uniforms[size]
+
+    @pytest.mark.parametrize("volume", VOLUMES.values(), ids=VOLUMES.keys())
+    @pytest.mark.parametrize("depth", [1, 7, 10])
+    @pytest.mark.parametrize("exponent", list(BreakExponent))
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocks_equal_the_one_shot_draw(self, n, exponent, depth, volume):
+        rng = np.random.default_rng([n, depth])
+        config = MetricConfig(p_break=0.8, break_exponent=exponent, depth=depth)
+        weights = volume / volume.sum()
+        p_fresh = rng.random(volume.size)
+        child = np.random.SeedSequence(n).spawn(2)[1]
+        for width in sorted({depth, max(1, depth - 3)}):
+            pages = latent_pages(rng, volume.size, width)
+            counts, times = experiments._simulate_bucket(child, pages, p_fresh, weights, n,
+                                                         config, width + 1, block=BLOCK)
+            pos, expected_times = one_shot_bucket(child, pages, p_fresh, weights, n, config)
+            assert np.array_equal(counts, np.bincount(pos, minlength=width + 1))
+            assert np.array_equal(times, expected_times)
+
+    @pytest.mark.parametrize("config", [
+        MetricConfig(),
+        MetricConfig(p_break=0.8, break_exponent=BreakExponent.POSITION_MINUS_ONE, depth=7),
+        MetricConfig(depth=1),
+    ])
+    @pytest.mark.parametrize("treatment", ["blend", "empty_pages"])
+    def test_ab_report_equals_the_one_shot_oracle(self, monkeypatch, config, treatment):
+        corpus = small_corpus(seed=23, n=90)
+        grades = {qid: q.true_grade for qid, q in corpus.queries.items()}
+        if treatment == "blend":
+            treatment_policy = blend_policy(grades)
+        else:
+            def treatment_policy(prepared, metric_config):
+                return np.full((len(prepared.query_ids), min(3, metric_config.depth)), -1)
+        expected = one_shot_ab_report(corpus, initial_ranking_policy(), treatment_policy,
+                                      3000, 29, config)
+        # blocks of 7 or 10 impressions
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 70)
+        report = ab_test(corpus, initial_ranking_policy(), treatment_policy,
+                         n_queries=3000, seed=29, metric_config=config)
+        assert report == expected
