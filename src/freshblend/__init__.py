@@ -27,7 +27,7 @@ from .corpus import (
     load_rankings,
     write_corpus,
 )
-from .diversifier import BlendedResult, blend, brute_force_best
+from .diversifier import BlendedResult, blend
 from .errors import (
     ConfigError,
     FreshblendError,
@@ -37,14 +37,12 @@ from .errors import (
 )
 from .experiments import (
     AbReport,
-    Bucket,
     BucketReport,
-    ClickLogRecord,
     SweepCurve,
     ab_test,
     bucket_comparison,
     mann_whitney_u,
-    simulate_clicks,
+    simulate_clicks_many,
     sweep_estimate,
 )
 from .freshness import (
@@ -58,17 +56,14 @@ from .metric import (
     BreakExponent,
     IntentDistribution,
     MetricConfig,
-    PrefixState,
-    advance,
     err_iaa,
-    marginal_gain,
 )
 from .recency_classifier import (
     GbrtHyperparams,
     GbrtModel,
     average_pairwise_kappa,
     cohen_kappa,
-    predict,
+    predict_batch,
     preselect,
     traffic_coverage,
     train_gbrt,

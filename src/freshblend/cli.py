@@ -32,6 +32,7 @@ import numpy as np
 from .calibration import DEFAULT_PRIORS, PositionPriorTable
 from .corpus import (
     JUDGED_POOL_MIXTURE,
+    MAX_GENERATED_ROWS,
     TRAFFIC_MIXTURE,
     GeneratorConfig,
     QueryRecord,
@@ -47,6 +48,7 @@ from .corpus import (
 from .errors import ConfigError, FreshblendError, ValidationError
 from .experiments import (
     DEFAULT_SWEEP_GRID,
+    MAX_AB_IMPRESSIONS,
     ab_test,
     blend_pages,
     blend_policy,
@@ -185,12 +187,16 @@ _GENERATOR_FLAGS = {name: name for name in ("n_queries", "ranking_depth", "fresh
                                              "fresh_slope", "feature_noise", "assessor_accuracy")}
 _GBRT_FLAGS = {"trees": "n_trees", "tree_depth": "max_depth",
                "learning_rate": "learning_rate", "subsample": "subsample"}
+_ROWS_LIMIT = f"n-queries x ranking-depth at most {MAX_GENERATED_ROWS:,}"
+_OWNED_FLAG_HELP = {"n_queries": f"queries to generate; {_ROWS_LIMIT}",
+                    "ranking_depth": f"ranked documents per query; {_ROWS_LIMIT}"}
 
 
 def _add_owned_flags(parser: argparse.ArgumentParser, owner: type, flags: dict) -> None:
     for dest, name in flags.items():
         default = getattr(owner, name)
-        parser.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+        parser.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                            help=_OWNED_FLAG_HELP.get(dest))
 
 
 def _owned_values(args: argparse.Namespace, flags: dict) -> dict:
@@ -318,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("abtest", _cmd_abtest, "simulate a control/treatment experiment")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--n-queries", type=int, default=100_000)
+    p.add_argument("--n-queries", type=int, default=100_000,
+                   help=f"impressions per bucket, 2 to {MAX_AB_IMPRESSIONS:,}")
     _add_owned_flags(p, GbrtHyperparams, _GBRT_FLAGS)
 
     p = command("profile", _cmd_profile, "burst-profile a query log")
@@ -478,6 +485,9 @@ def _cmd_buckets(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_abtest(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.n_queries > MAX_AB_IMPRESSIONS:
+        raise ValidationError(f"--n-queries {args.n_queries} is above the limit of "
+                              f"{MAX_AB_IMPRESSIONS} impressions per bucket")
     out = _require_out(args)
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
     if not corpus.judgments or not corpus.features.rows:

@@ -54,6 +54,7 @@ FEATURE_NAMES = (
 )
 
 _BASE_ISSUE_TIME = 1_300_000_000  # arbitrary fixed epoch for generated data
+MAX_GENERATED_ROWS = 10**8  # ranked documents, n_queries x ranking_depth
 
 
 @dataclass(frozen=True)
@@ -342,6 +343,8 @@ class GeneratorConfig:
             raise ConfigError(f"n_queries must be positive, got {self.n_queries}")
         if self.ranking_depth < 1:
             raise ConfigError(f"ranking_depth must be positive, got {self.ranking_depth}")
+        if self.n_queries * self.ranking_depth > MAX_GENERATED_ROWS:
+            raise ConfigError(f"n_queries x ranking_depth exceeds {MAX_GENERATED_ROWS} documents")
         if self.page_depth < 1:
             raise ConfigError(f"page_depth must be positive, got {self.page_depth}")
         if self.window_seconds < 1:

@@ -1,7 +1,5 @@
-"""Greedy construction of the blended result page, plus a brute-force
-oracle for small instances."""
+"""Greedy construction of the blended result page."""
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,7 +8,7 @@ import numpy as np
 from . import kernels
 from .calibration import CalibratedCandidate
 from .errors import ValidationError
-from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig, _check_probability
+from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig
 
 _NO_RANK = 1 << 30
 
@@ -72,43 +70,3 @@ def blend(
     gain_list = tuple(float(g) for g in gains[0])
     return BlendedResult(doc_ids, gain_list, float(gains[0].sum()), dist)
 
-
-def brute_force_best(
-    candidates: Sequence[CalibratedCandidate],
-    dist: IntentDistribution,
-    config: MetricConfig = DEFAULT_METRIC_CONFIG,
-    max_positions: int = 5,
-) -> tuple[tuple[str, ...], float]:
-    """Exhaustive maximizer over all ordered selections; a test oracle.
-
-    Guarded to |candidates| <= 8 and 1 <= max_positions <= 5.  Every ordered
-    selection, enumerated in tie-break order, is scored in one kernel
-    call; np.argmax keeps the first maximum, so ties resolve exactly as
-    blend's per-position rules do.
-    """
-    if not candidates:
-        raise ValidationError("cannot search an empty candidate pool")
-    if len(candidates) > 8:
-        raise ValidationError(
-            f"brute force refused: {len(candidates)} candidates exceeds the guard of 8"
-        )
-    if not 1 <= max_positions <= 5:
-        raise ValidationError(
-            f"brute force refused: max_positions {max_positions} is outside the guard of [1, 5]"
-        )
-    k = min(max_positions, len(candidates), config.depth)
-    ranked = sorted(candidates, key=tie_break_key)
-    for candidate in ranked:
-        _check_probability(candidate)
-    perms = np.array(list(itertools.permutations(range(len(ranked)), k)), dtype=np.int64)
-    n = len(perms)
-    scores = kernels.err_iaa_batch(
-        np.array([c.r_fresh for c in ranked])[perms],
-        np.array([c.r_any for c in ranked])[perms],
-        np.full(n, dist.p_fresh),
-        np.full(n, dist.p_any),
-        config.p_break,
-        config.break_exponent.shift,
-    )
-    best = int(np.argmax(scores))
-    return tuple(ranked[i].doc_id for i in perms[best]), float(scores[best])

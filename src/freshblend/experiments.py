@@ -14,10 +14,9 @@ impressions at a time, from fixed offsets of each seed's stream, so the
 results do not depend on the block size.
 """
 
-import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,30 +48,13 @@ METRIC_NAMES = (
     "first_click_position",
 )
 
+# The most impressions per A/B bucket: for both buckets pooled, n(n + 1) / 2
+# stays below 2**52, within which `_mann_whitney_runs` is exact.
+MAX_AB_IMPRESSIONS = 47_453_132
+
 _CLICK_TIME_BASE_S = 2.0
 _CLICK_TIME_PER_POSITION_S = 1.5
 _CLICK_TIME_NOISE_CLIP_S = 1.5
-
-
-class Bucket(enum.Enum):
-    CONTROL = "control"
-    TREATMENT = "treatment"
-
-
-@dataclass(frozen=True)
-class ClickLogRecord:
-    bucket: Bucket
-    query_id: str
-    clicked_positions: tuple[int, ...]
-    first_click_time_s: float | None
-    abandoned: bool
-
-    def __post_init__(self):
-        if self.abandoned != (not self.clicked_positions):
-            raise ValidationError("abandoned must mirror an empty click list")
-        for pos in self.clicked_positions:
-            if pos < 1:
-                raise ValidationError(f"click position must be >= 1, got {pos}")
 
 
 @dataclass(frozen=True)
@@ -473,33 +455,6 @@ def _click_blocks(seed, pages, p_fresh, n, config: MetricConfig, weights=None, b
         )
 
 
-def simulate_clicks(
-    page: Sequence[CalibratedCandidate],
-    dist: IntentDistribution,
-    config: MetricConfig = DEFAULT_METRIC_CONFIG,
-    seed: int = 0,
-    bucket: Bucket = Bucket.CONTROL,
-    query_id: str = "",
-) -> ClickLogRecord:
-    """Simulate one user on a page whose candidates carry per-intent
-    satisfaction probabilities.
-
-    The user samples an intent from `dist`, scans top-down, may abandon
-    before examining each position (matching the discount convention) and
-    clicks-and-stops at an examined position with that position's
-    probability.  The page's satisfaction probability under this model
-    equals its metric score.
-    """
-    positions = simulate_clicks_many(page, dist, config, n=1, seed=seed)
-    pos = int(positions[0])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    noise = float(np.clip(rng.normal(0.0, 1.0), -_CLICK_TIME_NOISE_CLIP_S, _CLICK_TIME_NOISE_CLIP_S))
-    if pos == 0:
-        return ClickLogRecord(bucket, query_id, (), None, True)
-    time_s = _CLICK_TIME_BASE_S + _CLICK_TIME_PER_POSITION_S * (pos - 1) + noise
-    return ClickLogRecord(bucket, query_id, (pos,), time_s, False)
-
-
 def simulate_clicks_many(
     page: Sequence[CalibratedCandidate],
     dist: IntentDistribution,
@@ -507,9 +462,10 @@ def simulate_clicks_many(
     n: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Vectorized repetition of simulate_clicks; returns the 1-based click
-    position per trial, 0 when the trial ended unclicked.  Draws u_intent
-    (n), u_cont (n, depth) and u_click (n, depth) from default_rng(seed)."""
+    """Simulate `n` users of the cascade click model on one page; returns
+    each user's 1-based click position, 0 for no click.  The share of users
+    who click equals the page's metric score.  Draws u_intent (n), u_cont
+    (n, depth) and u_click (n, depth) from default_rng(seed)."""
     if not page:
         raise ValidationError("page must be non-empty")
     if n < 1:
@@ -590,15 +546,23 @@ def ab_test(
     clicked impressions.  Those times, and the one sort of both buckets'
     times in their test, are the memory that still grows with n.
     """
-    if n_queries < 2:
-        raise ValidationError(f"n_queries must be >= 2, got {n_queries}")
+    if not 2 <= n_queries <= MAX_AB_IMPRESSIONS:
+        raise ValidationError(
+            f"n_queries must be in [2, {MAX_AB_IMPRESSIONS}], got {n_queries}")
     prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     if not prepared.query_ids:
         raise ValidationError("the A/B test needs at least one query")
     _require_grades(prepared)
     weights = prepared.volume / prepared.volume.sum()
-    pages = [_page_matrices(prepared, policy(prepared, metric_config))
-             for policy in (control_policy, treatment_policy)]
+    pages = []
+    for bucket, policy in (("control", control_policy), ("treatment", treatment_policy)):
+        orders = np.asarray(policy(prepared, metric_config))
+        if (orders.ndim != 2 or orders.shape[0] != len(prepared.query_ids)
+                or orders.shape[1] > metric_config.depth):
+            raise ValidationError(f"the {bucket} policy returned pages of shape {orders.shape}, "
+                                  f"not one row per query at most {metric_config.depth} wide "
+                                  "(the depth)")
+        pages.append(_page_matrices(prepared, orders))
     # click positions 0..K, and at least 0..2, which the CTR@2 sample reads
     levels = max(3, 1 + max(bucket_pages.shape[2] for bucket_pages in pages))
     (counts_c, times_c), (counts_t, times_t) = (
@@ -723,18 +687,6 @@ def write_buckets_csv(report: BucketReport, path: str) -> None:
 
 
 def write_ab_report(report: AbReport, path: str) -> None:
-    metrics = {}
-    for name in METRIC_NAMES:
-        comparison = report.metrics[name]
-        metrics[name] = {
-            "control": comparison.control,
-            "treatment": comparison.treatment,
-            "u_statistic": comparison.u_statistic,
-            "p_value": comparison.p_value,
-        }
-    document = {
-        "schema_version": 1,
-        "n_queries": report.n_queries,
-        "metrics": metrics,
-    }
+    metrics = {name: asdict(report.metrics[name]) for name in METRIC_NAMES}
+    document = {"schema_version": 1, "n_queries": report.n_queries, "metrics": metrics}
     atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")

@@ -3,8 +3,8 @@
 Each kernel works on a whole batch at once (pools, pages, impressions,
 feature rows) and loops in Python only over the short axis: page depth,
 tree depth, or nothing.  tests/test_kernels.py checks every kernel
-bit-for-bit against a scalar-loop reference that performs the same
-float64 operations one element at a time.
+bit-for-bit against a scalar-loop reference in tests/oracles.py that
+performs the same float64 operations one element at a time.
 
 Kernels draw no randomness and read no global state: callers pass any
 required uniform variates in as arrays, which keeps results reproducible.

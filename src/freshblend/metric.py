@@ -12,11 +12,10 @@ second variant charges abandonment only for continuing past a position,
 so a perfect top result scores exactly 1.  The score is the probability
 that a user scanning top-down under this model is satisfied by the page.
 
-`err_iaa` scores a page with one call into `kernels.err_iaa_batch`.
-`marginal_gain` and `advance` maintain the per-intent survival masses
-incrementally, one appended candidate at a time: they are the scalar
-reference for one greedy step, against which the tests check the
-optimizer, `kernels.greedy_blend`.
+`err_iaa` scores a page with one call into `kernels.err_iaa_batch`; the
+optimizer is `kernels.greedy_blend`.  Their scalar references (one greedy
+step folded into the per-intent survival masses, and a from-scratch
+evaluation of the whole page) live in tests/oracles.py.
 """
 
 import enum
@@ -76,33 +75,6 @@ class MetricConfig:
 DEFAULT_METRIC_CONFIG = MetricConfig()
 
 
-@dataclass(frozen=True)
-class PrefixState:
-    """Survival masses of both intents after a placed prefix."""
-
-    survive_fresh: float = 1.0
-    survive_any: float = 1.0
-    next_position: int = 1
-
-
-def initial_state() -> PrefixState:
-    return PrefixState()
-
-
-def discount(position: int, config: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
-    if position < 1:
-        raise ValidationError(f"position must be >= 1, got {position}")
-    exponent = position - config.break_exponent.shift
-    return config.p_break**exponent
-
-
-def _check_probability(candidate: CalibratedCandidate) -> None:
-    if not 0.0 <= candidate.r_fresh <= 1.0 or not 0.0 <= candidate.r_any <= 1.0:
-        raise ValidationError(
-            f"candidate {candidate.doc_id!r} has probabilities out of [0,1]"
-        )
-
-
 def err_iaa(
     ordered: Sequence[CalibratedCandidate],
     dist: IntentDistribution,
@@ -111,7 +83,10 @@ def err_iaa(
     """Score an ordered page; pages longer than config.depth are truncated."""
     page = ordered[: config.depth]
     for candidate in page:
-        _check_probability(candidate)
+        if not 0.0 <= candidate.r_fresh <= 1.0 or not 0.0 <= candidate.r_any <= 1.0:
+            raise ValidationError(
+                f"candidate {candidate.doc_id!r} has probabilities out of [0,1]"
+            )
     scores = kernels.err_iaa_batch(
         np.array([[c.r_fresh for c in page]], dtype=np.float64),
         np.array([[c.r_any for c in page]], dtype=np.float64),
@@ -122,27 +97,3 @@ def err_iaa(
     )
     return float(scores[0])
 
-
-def marginal_gain(
-    state: PrefixState,
-    candidate: CalibratedCandidate,
-    dist: IntentDistribution,
-    config: MetricConfig = DEFAULT_METRIC_CONFIG,
-) -> float:
-    """Increase of the objective from placing `candidate` next."""
-    _check_probability(candidate)
-    disc = discount(state.next_position, config)
-    return disc * (
-        dist.p_fresh * state.survive_fresh * candidate.r_fresh
-        + dist.p_any * state.survive_any * candidate.r_any
-    )
-
-
-def advance(state: PrefixState, candidate: CalibratedCandidate) -> PrefixState:
-    """Fold one placed candidate into the survival masses."""
-    _check_probability(candidate)
-    return PrefixState(
-        survive_fresh=state.survive_fresh * (1.0 - candidate.r_fresh),
-        survive_any=state.survive_any * (1.0 - candidate.r_any),
-        next_position=state.next_position + 1,
-    )

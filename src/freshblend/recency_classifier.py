@@ -194,33 +194,6 @@ def train_gbrt(
     return GbrtModel(names, base, hyperparams.learning_rate, hyperparams.max_depth, tuple(trees))
 
 
-def _vector_for(model: GbrtModel, features) -> np.ndarray:
-    if isinstance(features, Mapping):
-        pairs = list(features.items())
-    else:
-        items = list(features)
-        if not (items and isinstance(items[0], tuple) and len(items[0]) == 2):
-            vector = np.asarray(items, dtype=np.float64)
-            if vector.size != len(model.feature_names):
-                raise ValidationError(
-                    f"expected {len(model.feature_names)} features, got {vector.size}"
-                )
-            return vector
-        pairs = items
-    by_name = {name: float(value) for name, value in pairs}
-    missing = [name for name in model.feature_names if name not in by_name]
-    if missing:
-        raise ValidationError(f"feature vector is missing {missing}")
-    return np.asarray([by_name[name] for name in model.feature_names], dtype=np.float64)
-
-
-def predict(model: GbrtModel, features) -> float:
-    """Clipped ensemble prediction for one feature vector (bare values,
-    (name, value) pairs, or a mapping)."""
-    vector = _vector_for(model, features)
-    return float(predict_batch(model, vector[None, :])[0])
-
-
 def predict_batch(model: GbrtModel, x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.feature_names):

@@ -1,0 +1,389 @@
+"""Independent reference implementations the tests check the library
+against.
+
+The library keeps one implementation of each rule.  Its scalar
+references live here: a scalar loop per numpy kernel performing the same
+float64 operations one element at a time, the greedy step folded into
+per-intent survival masses, from-scratch evaluations of the objective,
+exhaustive searches, rank-based Mann-Whitney tests and the A/B test drawn
+whole in one shot.
+"""
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from freshblend import experiments, kernels
+from freshblend.diversifier import tie_break_key
+from freshblend.errors import ValidationError
+from freshblend.metric import DEFAULT_METRIC_CONFIG, MetricConfig
+
+# ---------------------------------------------------------------------------
+# scalar loops of the numpy kernels
+# ---------------------------------------------------------------------------
+
+
+def greedy_blend_loop(r_fresh, r_any, tie_rank, p_fresh, p_any, p_break, shift, depth):
+    """One pool in any column order; ties on the gain go to the smaller
+    tie_rank."""
+    m = r_fresh.shape[0]
+    k = depth if depth < m else m
+    order = np.empty(k, dtype=np.int64)
+    gains = np.empty(k, dtype=np.float64)
+    placed = np.zeros(m, dtype=np.bool_)
+    sf = 1.0
+    sa = 1.0
+    disc = 1.0 if shift == 1 else p_break
+    for pos in range(k):
+        wf = p_fresh * sf
+        wa = p_any * sa
+        best_u = -1.0
+        best_i = -1
+        best_tie = 0
+        for i in range(m):
+            if placed[i]:
+                continue
+            u = wf * r_fresh[i] + wa * r_any[i]
+            if u > best_u or (u == best_u and tie_rank[i] < best_tie):
+                best_u = u
+                best_i = i
+                best_tie = tie_rank[i]
+        order[pos] = best_i
+        gains[pos] = disc * best_u
+        placed[best_i] = True
+        sf = sf * (1.0 - r_fresh[best_i])
+        sa = sa * (1.0 - r_any[best_i])
+        disc = disc * p_break
+    return order, gains
+
+
+def err_iaa_batch_loop(r_fresh, r_any, p_fresh, p_any, p_break, shift):
+    b, d = r_fresh.shape
+    total = np.zeros(b, dtype=np.float64)
+    for i in range(b):
+        sf = 1.0
+        sa = 1.0
+        disc = 1.0 if shift == 1 else p_break
+        acc = 0.0
+        for j in range(d):
+            rf = r_fresh[i, j]
+            ra = r_any[i, j]
+            acc += disc * (p_fresh[i] * sf * rf + p_any[i] * sa * ra)
+            sf = sf * (1.0 - rf)
+            sa = sa * (1.0 - ra)
+            disc = disc * p_break
+        total[i] = acc
+    return total
+
+
+def simulate_clicks_loop(r_user, u_cont, u_click, p_break, shift):
+    b, d = r_user.shape
+    pos = np.zeros(b, dtype=np.int64)
+    for i in range(b):
+        p = 0
+        for j in range(d):
+            if not (shift == 1 and j == 0):
+                if u_cont[i, j] >= p_break:
+                    break
+            if u_click[i, j] < r_user[i, j]:
+                p = j + 1
+                break
+        pos[i] = p
+    return pos
+
+
+def best_split_loop(values, targets):
+    n = values.shape[0]
+    if n < 2:
+        return 0.0, -1
+    total = 0.0
+    for i in range(n):
+        total += targets[i]
+    parent = total * total / n
+    best_gain = 0.0
+    best_cut = -1
+    s = 0.0
+    for i in range(1, n):
+        s += targets[i - 1]
+        if values[i] == values[i - 1]:
+            continue
+        nl = float(i)
+        sr = total - s
+        gain = s * s / nl + sr * sr / (n - nl) - parent
+        if gain > best_gain:
+            best_gain = gain
+            best_cut = i
+    if best_cut == -1:
+        return 0.0, -1
+    return best_gain, best_cut
+
+
+def tree_apply_loop(x, feature, threshold, left, right):
+    n = x.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        cur = 0
+        while feature[cur] >= 0:
+            if x[i, feature[cur]] <= threshold[cur]:
+                cur = left[cur]
+            else:
+                cur = right[cur]
+        node[i] = cur
+    return node
+
+
+# ---------------------------------------------------------------------------
+# the objective, one appended candidate at a time and from scratch
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PrefixState:
+    """Survival masses of both intents after a placed prefix."""
+
+    survive_fresh: float = 1.0
+    survive_any: float = 1.0
+    next_position: int = 1
+
+
+def initial_state() -> PrefixState:
+    return PrefixState()
+
+
+def discount(position: int, config: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
+    if position < 1:
+        raise ValidationError(f"position must be >= 1, got {position}")
+    exponent = position - config.break_exponent.shift
+    return config.p_break**exponent
+
+
+def marginal_gain(state: PrefixState, candidate, dist,
+                  config: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
+    """Increase of the objective from placing `candidate` next."""
+    disc = discount(state.next_position, config)
+    return disc * (
+        dist.p_fresh * state.survive_fresh * candidate.r_fresh
+        + dist.p_any * state.survive_any * candidate.r_any
+    )
+
+
+def advance(state: PrefixState, candidate) -> PrefixState:
+    """Fold one placed candidate into the survival masses."""
+    return PrefixState(
+        survive_fresh=state.survive_fresh * (1.0 - candidate.r_fresh),
+        survive_any=state.survive_any * (1.0 - candidate.r_any),
+        next_position=state.next_position + 1,
+    )
+
+
+def brute_err_iaa(page, dist, config):
+    """Independent transcription of the objective, O(n^2): discounts
+    recomputed via pow and the survival products re-multiplied from
+    scratch at every position."""
+    page = page[: config.depth]
+    total = 0.0
+    for r in range(1, len(page) + 1):
+        disc = config.p_break ** (r - config.break_exponent.shift)
+        for p_t, attr in ((dist.p_fresh, "r_fresh"), (dist.p_any, "r_any")):
+            survive = 1.0
+            for i in range(r - 1):
+                survive *= 1.0 - getattr(page[i], attr)
+            total += disc * p_t * survive * getattr(page[r - 1], attr)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# exhaustive page search
+# ---------------------------------------------------------------------------
+
+
+def brute_force_best(candidates, dist, config: MetricConfig = DEFAULT_METRIC_CONFIG,
+                     max_positions: int = 5) -> tuple[tuple[str, ...], float]:
+    """Exhaustive maximizer over all ordered selections.
+
+    Guarded to |candidates| <= 8 and 1 <= max_positions <= 5.  Every ordered
+    selection, enumerated in tie-break order, is scored in one kernel
+    call; np.argmax keeps the first maximum, so ties resolve exactly as
+    blend's per-position rules do.
+    """
+    if not candidates:
+        raise ValidationError("cannot search an empty candidate pool")
+    if len(candidates) > 8:
+        raise ValidationError(
+            f"brute force refused: {len(candidates)} candidates exceeds the guard of 8"
+        )
+    if not 1 <= max_positions <= 5:
+        raise ValidationError(
+            f"brute force refused: max_positions {max_positions} is outside the guard of [1, 5]"
+        )
+    k = min(max_positions, len(candidates), config.depth)
+    ranked = sorted(candidates, key=tie_break_key)
+    perms = np.array(list(itertools.permutations(range(len(ranked)), k)), dtype=np.int64)
+    n = len(perms)
+    scores = kernels.err_iaa_batch(
+        np.array([c.r_fresh for c in ranked])[perms],
+        np.array([c.r_any for c in ranked])[perms],
+        np.full(n, dist.p_fresh),
+        np.full(n, dist.p_any),
+        config.p_break,
+        config.break_exponent.shift,
+    )
+    best = int(np.argmax(scores))
+    return tuple(ranked[i].doc_id for i in perms[best]), float(scores[best])
+
+
+def scan_best(candidates, dist, config, max_positions):
+    """Score each ordered selection, in tie-break enumeration order, with
+    a scalar loop and keep only strict improvements."""
+    k = min(max_positions, len(candidates), config.depth)
+    ranked = sorted(candidates, key=tie_break_key)
+    best_ids, best_score = None, -1.0
+    for ordering in itertools.permutations(ranked, k):
+        score = err_iaa_batch_loop(
+            np.array([[c.r_fresh for c in ordering]]),
+            np.array([[c.r_any for c in ordering]]),
+            np.array([dist.p_fresh]),
+            np.array([dist.p_any]),
+            config.p_break,
+            config.break_exponent.shift,
+        )[0]
+        if score > best_score:
+            best_ids, best_score = tuple(c.doc_id for c in ordering), score
+    return best_ids, best_score
+
+
+# ---------------------------------------------------------------------------
+# Mann-Whitney
+# ---------------------------------------------------------------------------
+
+
+def u_of(a, b):
+    """U of the first sample by counting every pair."""
+    u = 0.0
+    for x in a:
+        for y in b:
+            if x > y:
+                u += 1.0
+            elif x == y:
+                u += 0.5
+    return u
+
+
+def exact_two_sided_p(a, b):
+    """Enumerate every assignment of the pooled values to the two groups."""
+    pooled = list(a) + list(b)
+    n_a = len(a)
+    u_obs = u_of(a, b)
+    us = []
+    for subset in itertools.combinations(range(len(pooled)), n_a):
+        chosen = set(subset)
+        group_a = [pooled[i] for i in chosen]
+        group_b = [pooled[i] for i in range(len(pooled)) if i not in chosen]
+        us.append(u_of(group_a, group_b))
+    lower = sum(1 for u in us if u <= u_obs) / len(us)
+    upper = sum(1 for u in us if u >= u_obs) / len(us)
+    return min(1.0, 2.0 * min(lower, upper))
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank in a stable sort, tied values sharing the mean
+    rank of their run."""
+    n = values.size
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    boundary = np.empty(n, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = sorted_values[1:] != sorted_values[:-1]
+    run_id = np.cumsum(boundary) - 1
+    run_start = np.flatnonzero(boundary)
+    run_end = np.append(run_start[1:], n)
+    midrank = 0.5 * (run_start + run_end - 1) + 1.0
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = midrank[run_id]
+    return ranks
+
+
+def midrank_mann_whitney(sample_a, sample_b) -> tuple[float, float]:
+    """Rank every observation, sum the first sample's ranks, and take the
+    tie counts from np.unique."""
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    n_a, n_b = a.size, b.size
+    n = n_a + n_b
+    combined = np.concatenate([a, b])
+    u_a = float(midranks(combined)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
+    mean = n_a * n_b / 2.0
+    _, counts = np.unique(combined, return_counts=True)
+    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
+    variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if variance <= 0.0:
+        return u_a, 1.0
+    z = max(0.0, abs(u_a - mean) - 0.5) / math.sqrt(variance)
+    return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# the A/B test drawn whole
+# ---------------------------------------------------------------------------
+
+
+def one_shot_bucket(seed, pages, p_fresh, weights, n, config):
+    """One A/B bucket drawn whole from default_rng(seed), in the order
+    query choice, u_intent (n), u_cont (n, depth), u_click (n, depth), then
+    the click-time normals (n); the (2, Q, K) pages are zero-padded to the
+    depth.  Returns every impression's click position and the click times
+    of the clicked ones."""
+    depth = config.depth
+    padded = np.zeros((2, pages.shape[1], depth))
+    padded[:, :, : pages.shape[2]] = pages
+    rng = np.random.default_rng(seed)
+    qidx = rng.choice(pages.shape[1], size=n, p=weights)
+    u_intent = rng.random(n)
+    u_cont = rng.random((n, depth))
+    u_click = rng.random((n, depth))
+    fresh_intent = u_intent < p_fresh[qidx]
+    r_user = np.where(fresh_intent[:, None], padded[0][qidx], padded[1][qidx])
+    pos = simulate_clicks_loop(r_user, u_cont, u_click, config.p_break,
+                               config.break_exponent.shift)
+    noise = np.clip(rng.normal(0.0, 1.0, n), -experiments._CLICK_TIME_NOISE_CLIP_S,
+                    experiments._CLICK_TIME_NOISE_CLIP_S)
+    clicked = pos > 0
+    times = (experiments._CLICK_TIME_BASE_S
+             + experiments._CLICK_TIME_PER_POSITION_S * (pos[clicked] - 1.0) + noise[clicked])
+    return pos, times
+
+
+def one_shot_ab_report(corpus, control_policy, treatment_policy, n, seed, config):
+    """The A/B report from whole-sample draws and midrank tests, one 0/1
+    or float observation per impression."""
+    prepared = experiments.prepare_queries(corpus.queries, corpus.rankings, config)
+    weights = prepared.volume / prepared.volume.sum()
+    samples = []
+    for policy, child in zip((control_policy, treatment_policy),
+                             np.random.SeedSequence(seed).spawn(2)):
+        pages = experiments._page_matrices(prepared, policy(prepared, config))
+        pos, times = one_shot_bucket(child, pages, prepared.true_grade, weights, n, config)
+        clicked = pos > 0
+        samples.append({
+            "abandonment_rate": (~clicked).astype(np.float64),
+            "time_to_first_click": times,
+            "ctr_position_1": (pos == 1).astype(np.float64),
+            "ctr_position_2": (pos == 2).astype(np.float64),
+            "first_click_position": pos[clicked].astype(np.float64),
+        })
+    metrics = {}
+    for name, scale in (("abandonment_rate", 100.0), ("time_to_first_click", 1.0),
+                        ("ctr_position_1", 100.0), ("ctr_position_2", 100.0),
+                        ("first_click_position", 1.0)):
+        a, b = samples[0][name], samples[1][name]
+        if a.size == 0 or b.size == 0:
+            metrics[name] = experiments.MetricComparison(
+                float(a.mean()) if a.size else None, float(b.mean()) if b.size else None,
+                None, None)
+        else:
+            u, p = midrank_mann_whitney(a, b)
+            metrics[name] = experiments.MetricComparison(float(a.mean() * scale),
+                                                         float(b.mean() * scale), u, p)
+    return experiments.AbReport(n_queries=n, metrics=metrics)

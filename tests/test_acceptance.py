@@ -6,7 +6,6 @@ fixtures, independently recomputed oracles (brute evaluation, exhaustive
 enumeration), or direction checks on seeded synthetic corpora.
 """
 
-import itertools
 import json
 import os
 import time
@@ -23,7 +22,7 @@ from freshblend.corpus import (
     Ranking,
     generate_corpus,
 )
-from freshblend.diversifier import blend, brute_force_best
+from freshblend.diversifier import blend
 from freshblend.experiments import (
     ab_test,
     blend_policy,
@@ -34,20 +33,21 @@ from freshblend.experiments import (
     sweep_estimate,
 )
 from freshblend.freshness import DEFAULT_WINDOW, derive_fresh_ranking
-from freshblend.metric import (
-    IntentDistribution,
-    MetricConfig,
-    advance,
-    err_iaa,
-    initial_state,
-    marginal_gain,
-)
+from freshblend.metric import IntentDistribution, MetricConfig, err_iaa
 from freshblend.recency_classifier import (
     GbrtHyperparams,
     cohen_kappa,
     predict_batch,
     train_gbrt,
     training_loss_curve,
+)
+from oracles import (
+    advance,
+    brute_err_iaa,
+    brute_force_best,
+    exact_two_sided_p,
+    initial_state,
+    marginal_gain,
 )
 
 _SUITE_START = time.monotonic()
@@ -75,18 +75,6 @@ def _cand(doc_id, r_any, r_fresh, rank=1):
 
 def test_criterion_01_metric_oracle():
     t0 = time.perf_counter()
-
-    def brute(page, dist, config):
-        total = 0.0
-        for r in range(1, min(len(page), config.depth) + 1):
-            disc = config.p_break ** (r - config.break_exponent.shift)
-            for p_t, attr in ((dist.p_fresh, "r_fresh"), (dist.p_any, "r_any")):
-                survive = 1.0
-                for i in range(r - 1):
-                    survive *= 1.0 - getattr(page[i], attr)
-                total += disc * p_t * survive * getattr(page[r - 1], attr)
-        return total
-
     fixtures = [
         ([_cand("a", 1.0, 0.0)], IntentDistribution(0.0, 1.0), 0.85),
         ([_cand("a", 0.5, 0.0), _cand("b", 0.5, 0.0, 2)], IntentDistribution(0.0, 1.0), 0.605625),
@@ -95,7 +83,7 @@ def test_criterion_01_metric_oracle():
     worst = 0.0
     for page, dist, expected in fixtures:
         value = err_iaa(page, dist, CFG)
-        worst = max(worst, abs(value - expected), abs(value - brute(page, dist, CFG)))
+        worst = max(worst, abs(value - expected), abs(value - brute_err_iaa(page, dist, CFG)))
     elapsed = time.perf_counter() - t0
     _report(1, "metric oracle", worst <= 1e-12 and elapsed < 1.0,
             f"max deviation {worst:.2e}, {elapsed:.2f}s < 1s")
@@ -285,21 +273,7 @@ def test_criterion_09_statistics_oracles():
 
     a, b = (1.0, 2.0, 3.0), (4.0, 5.0, 6.0)
     u, _ = mann_whitney_u(a, b)
-
-    def u_of(xs, ys):
-        return sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in xs for y in ys)
-
-    pooled = a + b
-    us = []
-    for subset in itertools.combinations(range(6), 3):
-        chosen = set(subset)
-        xs = [pooled[i] for i in chosen]
-        ys = [pooled[i] for i in range(6) if i not in chosen]
-        us.append(u_of(xs, ys))
-    u_obs = u_of(a, b)
-    lower = sum(1 for v in us if v <= u_obs) / len(us)
-    upper = sum(1 for v in us if v >= u_obs) / len(us)
-    exact_p = min(1.0, 2.0 * min(lower, upper))
+    exact_p = exact_two_sided_p(a, b)
     mw_ok = u == 0.0 and abs(exact_p - 0.1) <= 1e-12
     _report(9, "statistics oracles", kappa_ok and mw_ok,
             f"kappa = {kappa} (exactly 0.5), U_a = {u}, exact p = {exact_p}")

@@ -145,27 +145,71 @@ class TestBlend:
         assert len(pages["2"].splitlines()) == 2
 
 
+_ADDRESS_SPACE = 1536 * 2**20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def _run_capped(cwd, argv):
+    """Run the CLI in a subprocess limited to 1.5 GB of address space."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freshblend.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "freshblend.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture
+def c50(tmp_path):
+    """A directory holding a 50-query corpus as c50/."""
+    corpus = generate_corpus(GeneratorConfig(n_queries=50, ranking_depth=12,
+                                             grade_mixture=dict(JUDGED_POOL_MIXTURE)), seed=7)
+    write_corpus(corpus, str(tmp_path / "c50"))
+    return tmp_path
+
+
 class TestOutOfMemory:
-    def test_memory_error_exits_one_with_one_line(self, tmp_path):
+    def test_memory_error_exits_one_with_one_line(self, c50):
         # u_cont alone would take 800 GB per drawn row at this depth
-        limit = 1536 * 2**20
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(freshblend.__file__)))
-        corpus = generate_corpus(GeneratorConfig(n_queries=50, ranking_depth=12,
-                                                 grade_mixture=dict(JUDGED_POOL_MIXTURE)), seed=7)
-        write_corpus(corpus, str(tmp_path / "c50"))
-        result = subprocess.run(
-            [sys.executable, "-m", "freshblend.cli", "abtest", "--corpus", "c50",
-             "--depth", "100000000000", "--n-queries", "1000", "--out", "ab"],
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
-            preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
-        )
+        result = _run_capped(c50, ["abtest", "--corpus", "c50", "--depth", "100000000000",
+                                   "--n-queries", "1000", "--out", "ab"])
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines() == ["freshblend: error: abtest: out of memory"]
+
+
+class TestOversizedFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["abtest", "--corpus", "c50", "--n-queries", "200000000", "--out", "ab"],
+         "--n-queries 200000000 is above the limit of 47453132 impressions per bucket"),
+        (["generate", "--ranking-depth", "1000000000000", "--out", "g"],
+         "n_queries x ranking_depth exceeds 100000000 documents"),
+    ])
+    def test_oversized_flag_exits_one_with_one_line(self, c50, argv, message):
+        result = _run_capped(c50, argv)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [f"freshblend: error: {message}"]
+
+    def test_sweep_depth_beyond_the_pools_is_sized_by_the_data(self, c50):
+        # a (50, 1e11) int64 page array once took 36.4 TiB
+        sweeps = {}
+        for depth in ("100000000000", "12"):
+            result = _run_capped(c50, ["sweep", "--corpus", "c50", "--depth", depth,
+                                       "--out", depth])
+            assert result.returncode == 0
+            assert result.stderr == ""
+            sweeps[depth] = (c50 / depth / "sweep.csv").read_bytes()
+        assert sweeps["100000000000"] == sweeps["12"]
+
+    @pytest.mark.parametrize("command, limit", [("abtest", "47,453,132"),
+                                                ("generate", "100,000,000")])
+    def test_help_states_the_limit(self, capsys, command, limit):
+        assert run([command, "--help"]) == 0
+        assert limit in " ".join(capsys.readouterr().out.split())
 
 
 class TestConfigPrecedence:

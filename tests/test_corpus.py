@@ -175,6 +175,11 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             GeneratorConfig(n_queries=0)
 
+    def test_ranked_documents_are_capped_at_one_hundred_million(self):
+        GeneratorConfig(n_queries=10_000, ranking_depth=10_000)
+        with pytest.raises(ConfigError, match="n_queries x ranking_depth exceeds 100000000"):
+            GeneratorConfig(n_queries=10_000, ranking_depth=10_001)
+
     def test_mixture_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(grade_mixture={0.0: 0.5, 0.25: 0.4})

@@ -1,24 +1,14 @@
 """Greedy blending against hand fixtures, exhaustive per-step rechecks
 and the brute-force oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from freshblend.calibration import CalibratedCandidate
-from freshblend.diversifier import blend, brute_force_best, tie_break_key
+from freshblend.diversifier import blend
 from freshblend.errors import ValidationError
-from freshblend.metric import (
-    BreakExponent,
-    IntentDistribution,
-    MetricConfig,
-    advance,
-    err_iaa,
-    initial_state,
-    marginal_gain,
-)
-from test_kernels import err_iaa_batch_loop
+from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
+from oracles import advance, brute_force_best, initial_state, marginal_gain, scan_best
 
 CFG = MetricConfig()
 EVEN = IntentDistribution(0.5, 0.5)
@@ -106,26 +96,6 @@ class TestGreedyStepOptimality:
             result = blend(pool, dist, CFG)
             best_single = max(err_iaa([c], dist, CFG) for c in pool)
             assert result.gains[0] == pytest.approx(best_single, abs=1e-12)
-
-
-def scan_best(candidates, dist, config, max_positions):
-    """Score each ordered selection, in tie-break enumeration order, with
-    a scalar loop and keep only strict improvements."""
-    k = min(max_positions, len(candidates), config.depth)
-    ranked = sorted(candidates, key=tie_break_key)
-    best_ids, best_score = None, -1.0
-    for ordering in itertools.permutations(ranked, k):
-        score = err_iaa_batch_loop(
-            np.array([[c.r_fresh for c in ordering]]),
-            np.array([[c.r_any for c in ordering]]),
-            np.array([dist.p_fresh]),
-            np.array([dist.p_any]),
-            config.p_break,
-            config.break_exponent.shift,
-        )[0]
-        if score > best_score:
-            best_ids, best_score = tuple(c.doc_id for c in ordering), score
-    return best_ids, best_score
 
 
 def tied_pool(rng, n):

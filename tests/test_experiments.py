@@ -1,8 +1,7 @@
 """Experiment harness: sweep, bucket comparison, click simulation,
 A/B test, and the Mann-Whitney implementation."""
 
-import itertools
-import math
+import re
 
 import numpy as np
 import pytest
@@ -28,11 +27,8 @@ from freshblend.corpus import (
 from freshblend.diversifier import tie_break_key
 from freshblend.errors import ValidationError
 from freshblend.experiments import (
-    Bucket,
-    ClickLogRecord,
     DEFAULT_SWEEP_GRID,
     STRATEGIES,
-    MetricComparison,
     ab_test,
     blend_policy,
     bucket_comparison,
@@ -40,7 +36,6 @@ from freshblend.experiments import (
     mann_whitney_counts,
     mann_whitney_u,
     prepare_queries,
-    simulate_clicks,
     simulate_clicks_many,
     sweep_estimate,
     write_ab_report,
@@ -49,7 +44,13 @@ from freshblend.experiments import (
 )
 from freshblend.freshness import FreshnessWindow, derive_fresh_ranking
 from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
-from test_kernels import simulate_clicks_loop
+from oracles import (
+    exact_two_sided_p,
+    midrank_mann_whitney,
+    one_shot_ab_report,
+    one_shot_bucket,
+    simulate_clicks_loop,
+)
 
 
 def page_of(pairs):
@@ -71,33 +72,6 @@ def small_corpus(seed=0, n=120, mixture=None):
 # ---------------------------------------------------------------------------
 # Mann-Whitney
 # ---------------------------------------------------------------------------
-
-
-def _u_of(a, b):
-    u = 0.0
-    for x in a:
-        for y in b:
-            if x > y:
-                u += 1.0
-            elif x == y:
-                u += 0.5
-    return u
-
-
-def exact_two_sided_p(a, b):
-    """Enumerate every assignment of the pooled values to the two groups."""
-    pooled = list(a) + list(b)
-    n_a = len(a)
-    u_obs = _u_of(a, b)
-    us = []
-    for subset in itertools.combinations(range(len(pooled)), n_a):
-        chosen = set(subset)
-        group_a = [pooled[i] for i in chosen]
-        group_b = [pooled[i] for i in range(len(pooled)) if i not in chosen]
-        us.append(_u_of(group_a, group_b))
-    lower = sum(1 for u in us if u <= u_obs) / len(us)
-    upper = sum(1 for u in us if u >= u_obs) / len(us)
-    return min(1.0, 2.0 * min(lower, upper))
 
 
 class TestMannWhitney:
@@ -135,43 +109,6 @@ class TestMannWhitney:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError):
             mann_whitney_u([], [1.0])
-
-
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Each value's rank in a stable sort, tied values sharing the mean
-    rank of their run."""
-    n = values.size
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_values[1:] != sorted_values[:-1]
-    run_id = np.cumsum(boundary) - 1
-    run_start = np.flatnonzero(boundary)
-    run_end = np.append(run_start[1:], n)
-    midrank = 0.5 * (run_start + run_end - 1) + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = midrank[run_id]
-    return ranks
-
-
-def midrank_mann_whitney(sample_a, sample_b) -> tuple[float, float]:
-    """Oracle: rank every observation, sum the first sample's ranks, and
-    take the tie counts from np.unique."""
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    n_a, n_b = a.size, b.size
-    n = n_a + n_b
-    combined = np.concatenate([a, b])
-    u_a = float(midranks(combined)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
-    mean = n_a * n_b / 2.0
-    _, counts = np.unique(combined, return_counts=True)
-    tie_term = float((counts.astype(np.float64) ** 3 - counts).sum())
-    variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if variance <= 0.0:
-        return u_a, 1.0
-    z = max(0.0, abs(u_a - mean) - 0.5) / math.sqrt(variance)
-    return u_a, min(1.0, math.erfc(z / math.sqrt(2.0)))
 
 
 def level_counts(levels: np.ndarray, sample) -> np.ndarray:
@@ -236,31 +173,44 @@ class TestMannWhitneyAgainstMidranks:
 class TestSimulateClicks:
     def test_unsatisfiable_page_is_abandoned(self):
         page = page_of([(0.0, 0.0)] * 5)
-        record = simulate_clicks(page, IntentDistribution(0.5, 0.5), seed=3)
-        assert record.abandoned
-        assert record.clicked_positions == ()
-        assert record.first_click_time_s is None
+        positions = simulate_clicks_many(page, IntentDistribution(0.5, 0.5), n=200, seed=3)
+        assert positions.shape == (200,)
+        assert not positions.any()
 
     def test_certain_top_result_clicks_immediately_under_shifted_exponent(self):
         page = page_of([(1.0, 1.0), (0.5, 0.5)])
         config = MetricConfig(break_exponent=BreakExponent.POSITION_MINUS_ONE)
         for seed in range(25):
-            record = simulate_clicks(page, IntentDistribution(0.5, 0.5), config, seed=seed)
-            assert record.clicked_positions == (1,)
-            assert record.first_click_time_s is not None
-            assert record.first_click_time_s >= 0.5
+            positions = simulate_clicks_many(page, IntentDistribution(0.5, 0.5), config,
+                                             n=40, seed=seed)
+            assert (positions == 1).all()
 
-    def test_record_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            ClickLogRecord(Bucket.CONTROL, "q", (), 1.0, abandoned=False)
-        with pytest.raises(ValidationError):
-            ClickLogRecord(Bucket.CONTROL, "q", (0,), 1.0, abandoned=False)
-
-    def test_same_seed_reproduces_the_record(self):
+    def test_same_seed_reproduces_the_positions(self):
         page = page_of([(0.5, 0.2), (0.4, 0.4), (0.1, 0.0)])
-        a = simulate_clicks(page, IntentDistribution(0.3, 0.7), seed=11)
-        b = simulate_clicks(page, IntentDistribution(0.3, 0.7), seed=11)
-        assert a == b
+        dist = IntentDistribution(0.3, 0.7)
+        a = simulate_clicks_many(page, dist, n=500, seed=11)
+        assert np.array_equal(a, simulate_clicks_many(page, dist, n=500, seed=11))
+        assert not np.array_equal(a, simulate_clicks_many(page, dist, n=500, seed=12))
+
+    @pytest.mark.parametrize("exponent", list(BreakExponent))
+    @pytest.mark.parametrize("position", [1, 2, 5])
+    def test_click_time_is_two_seconds_plus_one_and_a_half_per_position(
+        self, exponent, position
+    ):
+        # the page's only satisfying result sits at `position`, so every
+        # click lands there; its time is 2.0 + 1.5 (position - 1), plus
+        # normal noise clipped to +-1.5
+        config = MetricConfig(break_exponent=exponent, depth=5)
+        pages = np.zeros((2, 1, config.depth))
+        pages[:, 0, position - 1] = 1.0
+        n = 2000
+        counts, times = experiments._simulate_bucket(7, pages, np.array([0.5]), np.array([1.0]),
+                                                     n, config, config.depth + 1)
+        assert counts[0] + counts[position] == n
+        assert counts[position] == times.size > 0
+        centre = 2.0 + 1.5 * (position - 1)
+        assert (np.abs(times - centre) <= 1.5).all()
+        assert times.min() == centre - 1.5 and times.max() == centre + 1.5
 
     def test_satisfaction_frequency_tracks_the_metric(self):
         page = page_of([(0.6, 0.1), (0.3, 0.5), (0.2, 0.0), (0.1, 0.7)])
@@ -534,6 +484,38 @@ class TestAbTest:
             ab_test(corpus, initial_ranking_policy(), initial_ranking_policy(),
                     n_queries=1, seed=0)
 
+    def test_too_many_impressions_rejected(self):
+        # both buckets pooled, the limit keeps n(n + 1) / 2 below 2**52
+        n = 2 * experiments.MAX_AB_IMPRESSIONS
+        assert n * (n + 1) // 2 < 2**52 <= (n + 2) * (n + 3) // 2
+        corpus = small_corpus(seed=16, n=20)
+        with pytest.raises(ValidationError, match="47453132"):
+            ab_test(corpus, initial_ranking_policy(), initial_ranking_policy(),
+                    n_queries=experiments.MAX_AB_IMPRESSIONS + 1, seed=0)
+
+    def test_policy_wider_than_the_depth_rejected(self):
+        corpus = small_corpus(seed=16, n=20)
+
+        def three_wide(prepared, metric_config):
+            return np.zeros((len(prepared.query_ids), 3), dtype=np.int64)
+
+        message = ("control policy returned pages of shape (20, 3), not one row per query "
+                   "at most 1 wide (the depth)")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ab_test(corpus, three_wide, initial_ranking_policy(), n_queries=100, seed=0,
+                    metric_config=MetricConfig(depth=1))
+
+    @pytest.mark.parametrize("shape", [(19, 2), (20,), (20, 2, 1)])
+    def test_policy_without_one_row_per_query_rejected(self, shape):
+        corpus = small_corpus(seed=16, n=20)
+
+        def misshapen(prepared, metric_config):
+            return np.zeros(shape, dtype=np.int64)
+
+        message = f"treatment policy returned pages of shape {shape},"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ab_test(corpus, initial_ranking_policy(), misshapen, n_queries=100, seed=0)
+
     def test_missing_estimate_for_a_query_rejected(self):
         corpus = small_corpus(seed=17, n=20)
         with pytest.raises(ValidationError, match="estimate"):
@@ -559,65 +541,6 @@ class TestAbTest:
 # ---------------------------------------------------------------------------
 # streamed A/B simulation against the one-shot draw
 # ---------------------------------------------------------------------------
-
-
-def one_shot_bucket(seed, pages, p_fresh, weights, n, config):
-    """Oracle: one A/B bucket drawn whole from default_rng(seed), in the
-    order query choice, u_intent (n), u_cont (n, depth), u_click (n, depth),
-    then the click-time normals (n); the (2, Q, K) pages are zero-padded to
-    the depth.  Returns every impression's click position and the click
-    times of the clicked ones."""
-    depth = config.depth
-    padded = np.zeros((2, pages.shape[1], depth))
-    padded[:, :, : pages.shape[2]] = pages
-    rng = np.random.default_rng(seed)
-    qidx = rng.choice(pages.shape[1], size=n, p=weights)
-    u_intent = rng.random(n)
-    u_cont = rng.random((n, depth))
-    u_click = rng.random((n, depth))
-    fresh_intent = u_intent < p_fresh[qidx]
-    r_user = np.where(fresh_intent[:, None], padded[0][qidx], padded[1][qidx])
-    pos = simulate_clicks_loop(r_user, u_cont, u_click, config.p_break,
-                               config.break_exponent.shift)
-    noise = np.clip(rng.normal(0.0, 1.0, n), -experiments._CLICK_TIME_NOISE_CLIP_S,
-                    experiments._CLICK_TIME_NOISE_CLIP_S)
-    clicked = pos > 0
-    times = (experiments._CLICK_TIME_BASE_S
-             + experiments._CLICK_TIME_PER_POSITION_S * (pos[clicked] - 1.0) + noise[clicked])
-    return pos, times
-
-
-def one_shot_ab_report(corpus, control_policy, treatment_policy, n, seed, config):
-    """Oracle: the A/B report from whole-sample draws and midrank tests,
-    one 0/1 or float observation per impression."""
-    prepared = prepare_queries(corpus.queries, corpus.rankings, config)
-    weights = prepared.volume / prepared.volume.sum()
-    samples = []
-    for policy, child in zip((control_policy, treatment_policy),
-                             np.random.SeedSequence(seed).spawn(2)):
-        pages = experiments._page_matrices(prepared, policy(prepared, config))
-        pos, times = one_shot_bucket(child, pages, prepared.true_grade, weights, n, config)
-        clicked = pos > 0
-        samples.append({
-            "abandonment_rate": (~clicked).astype(np.float64),
-            "time_to_first_click": times,
-            "ctr_position_1": (pos == 1).astype(np.float64),
-            "ctr_position_2": (pos == 2).astype(np.float64),
-            "first_click_position": pos[clicked].astype(np.float64),
-        })
-    metrics = {}
-    for name, scale in (("abandonment_rate", 100.0), ("time_to_first_click", 1.0),
-                        ("ctr_position_1", 100.0), ("ctr_position_2", 100.0),
-                        ("first_click_position", 1.0)):
-        a, b = samples[0][name], samples[1][name]
-        if a.size == 0 or b.size == 0:
-            metrics[name] = MetricComparison(float(a.mean()) if a.size else None,
-                                             float(b.mean()) if b.size else None, None, None)
-        else:
-            u, p = midrank_mann_whitney(a, b)
-            metrics[name] = MetricComparison(float(a.mean() * scale), float(b.mean() * scale),
-                                             u, p)
-    return experiments.AbReport(n_queries=n, metrics=metrics)
 
 
 def latent_pages(rng, n_pages, width):

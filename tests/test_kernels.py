@@ -1,123 +1,17 @@
 """Every numpy kernel must agree bit-for-bit with a scalar-loop reference
-that performs the same float64 operations one element at a time."""
+(tests/oracles.py) that performs the same float64 operations one element
+at a time."""
 
 import numpy as np
 
 from freshblend import kernels
-
-# ---------------------------------------------------------------------------
-# scalar-loop references
-# ---------------------------------------------------------------------------
-
-
-def greedy_blend_loop(r_fresh, r_any, tie_rank, p_fresh, p_any, p_break, shift, depth):
-    """One pool in any column order; ties on the gain go to the smaller
-    tie_rank."""
-    m = r_fresh.shape[0]
-    k = depth if depth < m else m
-    order = np.empty(k, dtype=np.int64)
-    gains = np.empty(k, dtype=np.float64)
-    placed = np.zeros(m, dtype=np.bool_)
-    sf = 1.0
-    sa = 1.0
-    disc = 1.0 if shift == 1 else p_break
-    for pos in range(k):
-        wf = p_fresh * sf
-        wa = p_any * sa
-        best_u = -1.0
-        best_i = -1
-        best_tie = 0
-        for i in range(m):
-            if placed[i]:
-                continue
-            u = wf * r_fresh[i] + wa * r_any[i]
-            if u > best_u or (u == best_u and tie_rank[i] < best_tie):
-                best_u = u
-                best_i = i
-                best_tie = tie_rank[i]
-        order[pos] = best_i
-        gains[pos] = disc * best_u
-        placed[best_i] = True
-        sf = sf * (1.0 - r_fresh[best_i])
-        sa = sa * (1.0 - r_any[best_i])
-        disc = disc * p_break
-    return order, gains
-
-
-def err_iaa_batch_loop(r_fresh, r_any, p_fresh, p_any, p_break, shift):
-    b, d = r_fresh.shape
-    total = np.zeros(b, dtype=np.float64)
-    for i in range(b):
-        sf = 1.0
-        sa = 1.0
-        disc = 1.0 if shift == 1 else p_break
-        acc = 0.0
-        for j in range(d):
-            rf = r_fresh[i, j]
-            ra = r_any[i, j]
-            acc += disc * (p_fresh[i] * sf * rf + p_any[i] * sa * ra)
-            sf = sf * (1.0 - rf)
-            sa = sa * (1.0 - ra)
-            disc = disc * p_break
-        total[i] = acc
-    return total
-
-
-def simulate_clicks_loop(r_user, u_cont, u_click, p_break, shift):
-    b, d = r_user.shape
-    pos = np.zeros(b, dtype=np.int64)
-    for i in range(b):
-        p = 0
-        for j in range(d):
-            if not (shift == 1 and j == 0):
-                if u_cont[i, j] >= p_break:
-                    break
-            if u_click[i, j] < r_user[i, j]:
-                p = j + 1
-                break
-        pos[i] = p
-    return pos
-
-
-def best_split_loop(values, targets):
-    n = values.shape[0]
-    if n < 2:
-        return 0.0, -1
-    total = 0.0
-    for i in range(n):
-        total += targets[i]
-    parent = total * total / n
-    best_gain = 0.0
-    best_cut = -1
-    s = 0.0
-    for i in range(1, n):
-        s += targets[i - 1]
-        if values[i] == values[i - 1]:
-            continue
-        nl = float(i)
-        sr = total - s
-        gain = s * s / nl + sr * sr / (n - nl) - parent
-        if gain > best_gain:
-            best_gain = gain
-            best_cut = i
-    if best_cut == -1:
-        return 0.0, -1
-    return best_gain, best_cut
-
-
-def tree_apply_loop(x, feature, threshold, left, right):
-    n = x.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        cur = 0
-        while feature[cur] >= 0:
-            if x[i, feature[cur]] <= threshold[cur]:
-                cur = left[cur]
-            else:
-                cur = right[cur]
-        node[i] = cur
-    return node
-
+from oracles import (
+    best_split_loop,
+    err_iaa_batch_loop,
+    greedy_blend_loop,
+    simulate_clicks_loop,
+    tree_apply_loop,
+)
 
 # ---------------------------------------------------------------------------
 # numpy kernels against the references

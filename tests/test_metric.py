@@ -1,12 +1,10 @@
 """Metric oracles and invariants.
 
 The expected values here were frozen from an independent brute
-evaluation (`brute_err_iaa` below): discounts recomputed via pow and the
-survival products re-multiplied from scratch at every position, sharing
-no code with the implementation.
+evaluation (`oracles.brute_err_iaa`): discounts recomputed via pow and
+the survival products re-multiplied from scratch at every position,
+sharing no code with the implementation.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -19,28 +17,17 @@ from freshblend.metric import (
     BreakExponent,
     IntentDistribution,
     MetricConfig,
+    err_iaa,
+)
+from oracles import (
     PrefixState,
     advance,
+    brute_err_iaa,
     discount,
-    err_iaa,
+    err_iaa_batch_loop,
     initial_state,
     marginal_gain,
 )
-from test_kernels import err_iaa_batch_loop
-
-
-def brute_err_iaa(page, dist, config):
-    """Independent transcription of the objective, O(n^2)."""
-    page = page[: config.depth]
-    total = 0.0
-    for r in range(1, len(page) + 1):
-        disc = config.p_break ** (r - config.break_exponent.shift)
-        for p_t, attr in ((dist.p_fresh, "r_fresh"), (dist.p_any, "r_any")):
-            survive = 1.0
-            for i in range(r - 1):
-                survive *= 1.0 - getattr(page[i], attr)
-            total += disc * p_t * survive * getattr(page[r - 1], attr)
-    return total
 
 
 def cand(doc_id, r_any, r_fresh, rank=1):

@@ -17,7 +17,6 @@ from freshblend.recency_classifier import (
     cohen_kappa,
     deserialize_model,
     load_model,
-    predict,
     predict_batch,
     preselect,
     serialize_model,
@@ -25,6 +24,11 @@ from freshblend.recency_classifier import (
     train_gbrt,
     training_loss_curve,
 )
+
+
+def predict_one(model, vector):
+    """The clipped prediction for one feature vector."""
+    return float(predict_batch(model, np.asarray([vector], dtype=np.float64))[0])
 
 
 def dataset_of(x, y):
@@ -36,7 +40,7 @@ class TestTraining:
         data = dataset_of([[0.1], [0.9], [0.4]], [0.25, 0.25, 0.25])
         model = train_gbrt(data)
         for vector in ([0.0], [0.5], [123.0]):
-            assert predict(model, vector) == pytest.approx(0.25, abs=1e-12)
+            assert predict_one(model, vector) == pytest.approx(0.25, abs=1e-12)
 
     def test_perfectly_separable_binary_feature(self):
         n = 8
@@ -49,7 +53,7 @@ class TestTraining:
         remaining = (1.0 - params.learning_rate) ** params.n_trees
         for target in (0.0, 0.95):
             expected = target - remaining * (target - base)
-            got = predict(model, [target / 0.95])
+            got = predict_one(model, [target / 0.95])
             assert got == pytest.approx(expected, abs=1e-9)
             assert abs(got - target) <= 0.01
 
@@ -88,28 +92,20 @@ class TestPredict:
                          learning_rate=0.1, max_depth=3, trees=())
 
     def test_negative_raw_output_clips_to_zero(self):
-        assert predict(self._constant_model(-0.1), [0.0]) == 0.0
+        assert predict_one(self._constant_model(-0.1), [0.0]) == 0.0
 
     def test_in_range_output_passes_through(self):
-        assert predict(self._constant_model(0.5), [0.0]) == 0.5
+        assert predict_one(self._constant_model(0.5), [0.0]) == 0.5
 
     def test_empty_ensemble_returns_base(self):
-        assert predict(self._constant_model(0.7), [0.0]) == 0.7
-
-    def test_named_features_are_reordered_to_schema(self):
-        data = [(np.asarray([0.0, 1.0]), 0.0), (np.asarray([1.0, 0.0]), 0.95)]
-        model = train_gbrt(data, GbrtHyperparams(n_trees=20, max_depth=1),
-                           feature_names=("a", "b"))
-        by_vector = predict(model, [1.0, 0.0])
-        by_pairs = predict(model, [("b", 0.0), ("a", 1.0)])
-        assert by_vector == by_pairs
+        assert predict_one(self._constant_model(0.7), [0.0]) == 0.7
 
     def test_schema_mismatch_rejected(self):
         model = self._constant_model(0.5)
         with pytest.raises(ValidationError):
-            predict(model, [0.0, 1.0])
+            predict_one(model, [0.0, 1.0])
         with pytest.raises(ValidationError):
-            predict(model, [("other", 1.0)])
+            predict_batch(model, np.zeros(1))
 
     def test_predictions_always_land_in_unit_interval(self):
         rng = np.random.default_rng(10)
