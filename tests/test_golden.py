@@ -1,8 +1,8 @@
 """Golden digests: the byte-identity contract as a test.
 
 Runs the acceptance suite's criterion-10 pipeline once (generate, train,
-predict, blend, sweep, buckets, abtest, profile, plus `eval` stdout) in a
-scratch directory with relative paths, and compares the sha256 of every
+predict, blend, sweep, buckets, abtest, profile, plus `eval` stdout), with
+one more train of deep trees on row subsamples, in a scratch directory with relative paths, and compares the sha256 of every
 output with tests/golden_digests.json.  A change that moves any output
 byte fails here, with every differing file named.
 
@@ -30,6 +30,10 @@ PIPELINE = (
     ("corpus", ["generate", "--n-queries", "300", "--mixture", "judged", "--seed", "5"]),
     ("model", ["train", "--features", "corpus/features.tsv",
                "--judgments", "corpus/judgments.tsv", "--trees", "30", "--seed", "5"]),
+    # deeper trees on row subsamples: the fit paths the default train leaves out
+    ("model_sub", ["train", "--features", "corpus/features.tsv",
+                   "--judgments", "corpus/judgments.tsv", "--trees", "20", "--tree-depth", "6",
+                   "--subsample", "0.7", "--seed", "9"]),
     ("pred", ["predict", "--model", "model/model.json", "--features", "corpus/features.tsv"]),
     ("blended", ["blend", "--rankings", "corpus/rankings.tsv", "--queries", "corpus/queries.tsv",
                  "--predictions", "pred/predictions.tsv"]),
