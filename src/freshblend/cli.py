@@ -20,6 +20,7 @@ value or running out of memory included (one-line diagnostic on stderr),
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import os
@@ -45,7 +46,7 @@ from .corpus import (
     load_queries,
     write_corpus,
 )
-from .errors import ConfigError, FreshblendError, ValidationError
+from .errors import ConfigError, FreshblendError, ParseError, ValidationError
 from .experiments import (
     DEFAULT_SWEEP_GRID,
     MAX_AB_IMPRESSIONS,
@@ -385,11 +386,29 @@ def _cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+def _check_feature_header(path: str, names: tuple[str, ...], model_names: tuple[str, ...]):
+    """The model reads feature columns by position, so the header must name
+    the model's features in the model's order."""
+    for number, (name, expected) in enumerate(itertools.zip_longest(names, model_names), 1):
+        if name is None:
+            raise ParseError(f"header feature {number} is missing; the model's feature "
+                             f"{number} is {expected!r}", path)
+        if expected is None:
+            raise ParseError(f"header feature {number} {name!r} is not in the model, which "
+                             f"has {len(model_names)} features", path)
+        if name != expected:
+            raise ParseError(f"header feature {number} is {name!r}, but the model's feature "
+                             f"{number} is {expected!r}", path)
+
+
 def _cmd_predict(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     model = load_model(_require_file(args.model, "model"))
-    features = load_features(_require_file(args.features, "features"))
+    path = _require_file(args.features, "features")
+    features = load_features(path)
     qids = list(features.rows)
+    if features.names or qids:  # an empty file has no header to check
+        _check_feature_header(path, features.names, model.feature_names)
     p_hat = predict_batch(model, features.matrix(qids)) if qids else ()
     lines = [f"{qid}\t{fmt(p)}" for qid, p in zip(qids, p_hat)]
     write_lines(os.path.join(out, "predictions.tsv"), lines)

@@ -1,10 +1,13 @@
 """Hot numeric kernels in vectorized numpy.
 
-Each kernel works on a whole batch at once (pools, pages, impressions,
-feature rows) and loops in Python only over the short axis: page depth,
-tree depth, or nothing.  tests/test_kernels.py checks every kernel
-bit-for-bit against a scalar-loop reference in tests/oracles.py that
-performs the same float64 operations one element at a time.
+Each kernel works on a whole batch at once and loops in Python only over
+the short axis, or not at all: pools or pages by page position
+(`greedy_blend`, `err_iaa_batch`), impressions by position
+(`simulate_clicks_batch`), every feature row of one tree node at once
+(`best_split`), and rows by tree depth (`tree_apply`).
+tests/test_kernels.py checks every kernel bit-for-bit against a
+scalar-loop reference in tests/oracles.py that performs the same float64
+operations one element at a time; `best_split` row by row.
 
 Kernels draw no randomness and read no global state: callers pass any
 required uniform variates in as arrays, which keeps results reproducible.
@@ -107,32 +110,43 @@ def simulate_clicks_batch(r_user, u_cont, u_click, p_break, shift):
 
 
 # ---------------------------------------------------------------------------
-# best axis-aligned split of a pre-sorted feature column by variance
-# reduction.  Returns (gain, cut) where the split puts values[:cut] left and
-# values[cut:] right; cut = -1 when no split has positive gain.  Cuts are
-# only considered between distinct values.
+# best axis-aligned split by variance reduction, for each row of an (R, n)
+# pair of matrices: row r holds one feature's n values in ascending order
+# and the targets in the same order.  Returns (gains, cuts), both (R,):
+# the best split of row r puts values[r, :cut] left and values[r, cut:]
+# right; cuts[r] = -1 and gains[r] = 0 when no split has positive gain.
+# Cuts are only considered between distinct values, and a gain tie within
+# a row goes to the smallest cut.  np.cumsum(axis=1) adds each row in
+# sequence, so every row's sums are those of a one-row scan.
 # ---------------------------------------------------------------------------
 
 
 def best_split(values, targets):
-    n = values.shape[0]
+    r, n = values.shape
+    gains = np.zeros(r, dtype=np.float64)
+    cuts = np.full(r, -1, dtype=np.int64)
     if n < 2:
-        return 0.0, -1
-    csum = np.cumsum(targets)
-    total = csum[-1]
-    valid = values[1:] != values[:-1]
-    if not valid.any():
-        return 0.0, -1
+        return gains, cuts
+    csum = np.cumsum(targets, axis=1)
+    total = csum[:, -1:]
     nl = np.arange(1, n, dtype=np.float64)
-    sl = csum[:-1]
+    sl = csum[:, :-1]
+    # the gain of every cut, sl * sl / nl + sr * sr / (n - nl) - total * total / n:
+    # the same operations in the same order, in place to save temporaries
+    scan = sl * sl
+    scan /= nl
     sr = total - sl
-    gains = sl * sl / nl + sr * sr / (n - nl) - total * total / n
-    gains = np.where(valid, gains, -np.inf)
-    cut = int(np.argmax(gains)) + 1
-    gain = float(gains[cut - 1])
-    if gain <= 0.0:
-        return 0.0, -1
-    return gain, cut
+    sr *= sr
+    sr /= n - nl
+    scan += sr
+    scan -= total * total / n
+    scan[values[:, 1:] == values[:, :-1]] = -np.inf
+    best = np.argmax(scan, axis=1)
+    gain = scan[np.arange(r), best]
+    positive = gain > 0.0
+    gains[positive] = gain[positive]
+    cuts[positive] = best[positive] + 1
+    return gains, cuts
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,16 @@ reduction over axis-aligned splits, and each tree's contribution is
 shrunk by the learning rate.  Raw ensemble output is clipped into [0,1]
 at prediction time, since the regression itself is unbounded while the
 target is a probability.
+
+The fit argsorts each feature column once.  A tree grows one depth level
+at a time over that presorted (features x rows) index, cut down to the
+tree's row sample: one stable sort of the index by node id puts each
+node's rows in one slice, still in value order, and one
+`kernels.best_split` call scans every feature of a node.  A node splits on
+the first feature with the largest positive gain, a leaf holds the mean
+residual of its rows summed in ascending row order, and nodes are
+numbered in depth-first preorder, so the model is the one a recursive
+per-node fit gives, bit for bit.
 """
 
 import json
@@ -97,61 +107,99 @@ def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(rows), np.asarray(targets, dtype=np.float64)
 
 
-class _TreeBuilder:
-    def __init__(self, x: np.ndarray, residual: np.ndarray, max_depth: int):
-        self.x = x
-        self.residual = residual
-        self.max_depth = max_depth
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.leaf: list[float] = []
+def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[f, index[f]] for every row f, as np.take_along_axis(table,
+    index, axis=1) gives it, through one flat gather, which is about three
+    times faster."""
+    offsets = np.arange(table.shape[0])[:, None] * table.shape[1]
+    return table.ravel().take(index + offsets)
 
-    def build(self, idx: np.ndarray, depth: int) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.leaf.append(0.0)
 
-        y = self.residual[idx]
-        split = self._best_split(idx) if depth < self.max_depth and idx.size >= 2 else None
-        if split is None:
-            self.leaf[node] = float(y.sum() / y.size)
-            return node
+def _group_by_node(rows: np.ndarray, node_of: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sort every row of the index stably by the node its entries belong
+    to, so that each node's entries form one slice, still in value order.
+    The key is the narrowest unsigned type that holds every node id: numpy
+    radix-sorts keys of up to 16 bits, about ten times faster than int64."""
+    key = node_of.astype(np.min_scalar_type(n_nodes - 1))[rows]
+    return _take_rows(rows, np.argsort(key, axis=1, kind="stable"))
 
-        feature, threshold = split
-        mask = self.x[idx, feature] <= threshold
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = self.build(idx[mask], depth + 1)
-        self.right[node] = self.build(idx[~mask], depth + 1)
-        return node
 
-    def _best_split(self, idx: np.ndarray):
-        best_gain = 0.0
-        best = None
-        y = self.residual[idx]
-        for feature in range(self.x.shape[1]):
-            column = self.x[idx, feature]
-            order = np.argsort(column, kind="stable")
-            gain, cut = kernels.best_split(column[order], y[order])
-            if cut >= 0 and gain > best_gain:
-                best_gain = gain
-                # threshold is the left boundary value; routing is <=
-                best = (feature, float(column[order][cut - 1]))
-        return best
+def _fit_tree(x_t: np.ndarray, rows: np.ndarray, sample: np.ndarray, residual: np.ndarray,
+              max_depth: int) -> RegressionTree:
+    """Grow one tree a depth level at a time.
 
-    def tree(self) -> RegressionTree:
-        return RegressionTree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            leaf=np.asarray(self.leaf, dtype=np.float64),
-        )
+    x_t is the (features, n) transposed design matrix, sample the tree's
+    rows in ascending order, and rows its presorted index: row f lists the
+    sample ordered by feature f's value, ties by row.  Nodes get ids in the
+    order they are made (breadth-first); the finished tree is renumbered
+    in depth-first preorder.
+    """
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    node_of = np.zeros(x_t.shape[1], dtype=np.int64)
+    level = [(0, 0, sample.size)]  # (node, start, stop): its slice of every index row
+    for _ in range(max_depth if x_t.shape[0] else 0):  # no feature column: one leaf
+        values = _take_rows(x_t, rows)
+        targets = residual[rows]
+        # columns of this level's leaves: their ids are below every child's,
+        # so they sort first and are cut off
+        dropped = 0
+        children = []
+        for node, start, stop in level:
+            gains, cuts = kernels.best_split(values[:, start:stop], targets[:, start:stop])
+            best = int(np.argmax(gains))  # a gain tie goes to the lowest feature
+            if gains[best] <= 0.0:
+                dropped += stop - start
+                continue
+            cut = start + int(cuts[best])
+            # threshold is the left boundary value; routing is <=
+            feature[node], threshold[node] = best, float(values[best, cut - 1])
+            left[node], right[node] = len(feature), len(feature) + 1
+            for child, lo, hi in ((left[node], start, cut), (right[node], cut, stop)):
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                node_of[rows[best, lo:hi]] = child
+                children.append((child, hi - lo))
+        if not children:
+            break
+        rows = _group_by_node(rows, node_of, len(feature))[:, dropped:]
+        level, start = [], 0
+        for child, size in children:
+            level.append((child, start, start + size))
+            start += size
+
+    # a leaf's value is the mean residual over its rows in ascending order
+    owner = node_of[sample]
+    leaf = np.zeros(len(feature), dtype=np.float64)
+    for node in range(len(feature)):
+        if feature[node] < 0:
+            y = residual[sample[owner == node]]
+            leaf[node] = float(y.sum() / y.size)
+    return _preorder(feature, threshold, left, right, leaf)
+
+
+def _preorder(feature, threshold, left, right, leaf) -> RegressionTree:
+    """The tree with its nodes renumbered in depth-first preorder, left
+    subtree first."""
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if feature[node] >= 0:
+            stack += (right[node], left[node])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    feature = np.asarray(feature, dtype=np.int64)[order]
+    split = feature >= 0
+    return RegressionTree(
+        feature=feature,
+        threshold=np.asarray(threshold, dtype=np.float64)[order],
+        left=np.where(split, rank[np.asarray(left)[order]], -1),
+        right=np.where(split, rank[np.asarray(right)[order]], -1),
+        leaf=leaf[order],
+    )
 
 
 def train_gbrt(
@@ -178,17 +226,21 @@ def train_gbrt(
     rng = np.random.default_rng(seed)
     base = float(y.sum() / y.size)
     prediction = np.full(y.size, base, dtype=np.float64)
+    x_t = np.ascontiguousarray(x.T)
+    presorted = np.argsort(x_t, axis=1, kind="stable")
     trees = []
     for _ in range(hyperparams.n_trees):
         residual = y - prediction
         if hyperparams.subsample < 1.0:
             take = max(1, int(round(y.size * hyperparams.subsample)))
             idx = np.sort(rng.permutation(y.size)[:take]).astype(np.int64)
+            in_sample = np.zeros(y.size, dtype=np.bool_)
+            in_sample[idx] = True
+            rows = presorted[in_sample[presorted]].reshape(x_t.shape[0], take)
         else:
             idx = np.arange(y.size, dtype=np.int64)
-        builder = _TreeBuilder(x, residual, hyperparams.max_depth)
-        builder.build(idx, 0)
-        tree = builder.tree()
+            rows = presorted
+        tree = _fit_tree(x_t, rows, idx, residual, hyperparams.max_depth)
         trees.append(tree)
         prediction = prediction + hyperparams.learning_rate * tree.apply(x)
     return GbrtModel(names, base, hyperparams.learning_rate, hyperparams.max_depth, tuple(trees))

@@ -3,10 +3,10 @@ against.
 
 The library keeps one implementation of each rule.  Its scalar
 references live here: a scalar loop per numpy kernel performing the same
-float64 operations one element at a time, the greedy step folded into
-per-intent survival masses, from-scratch evaluations of the objective,
-exhaustive searches, rank-based Mann-Whitney tests and the A/B test drawn
-whole in one shot.
+float64 operations one element at a time, the boosted-tree fit one node
+at a time, the greedy step folded into per-intent survival masses,
+from-scratch evaluations of the objective, exhaustive searches,
+rank-based Mann-Whitney tests and the A/B test drawn whole in one shot.
 """
 
 import itertools
@@ -19,6 +19,8 @@ from freshblend import experiments, kernels
 from freshblend.diversifier import tie_break_key
 from freshblend.errors import ValidationError
 from freshblend.metric import DEFAULT_METRIC_CONFIG, MetricConfig
+from freshblend.recency_classifier import (GbrtHyperparams, GbrtModel, RegressionTree,
+                                           _dataset_arrays)
 
 # ---------------------------------------------------------------------------
 # scalar loops of the numpy kernels
@@ -132,6 +134,97 @@ def tree_apply_loop(x, feature, threshold, left, right):
                 cur = right[cur]
         node[i] = cur
     return node
+
+
+# ---------------------------------------------------------------------------
+# the boosted ensemble fit one node at a time: every node argsorts each
+# feature over its own rows and scans them with the scalar split loop, and
+# the recursion numbers nodes in depth-first preorder
+# ---------------------------------------------------------------------------
+
+
+class TreeBuilder:
+    def __init__(self, x: np.ndarray, residual: np.ndarray, max_depth: int):
+        self.x = x
+        self.residual = residual
+        self.max_depth = max_depth
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.leaf: list[float] = []
+
+    def build(self, idx: np.ndarray, depth: int) -> int:
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.leaf.append(0.0)
+
+        y = self.residual[idx]
+        split = self._best_split(idx) if depth < self.max_depth and idx.size >= 2 else None
+        if split is None:
+            self.leaf[node] = float(y.sum() / y.size)
+            return node
+
+        feature, threshold = split
+        mask = self.x[idx, feature] <= threshold
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = self.build(idx[mask], depth + 1)
+        self.right[node] = self.build(idx[~mask], depth + 1)
+        return node
+
+    def _best_split(self, idx: np.ndarray):
+        best_gain = 0.0
+        best = None
+        y = self.residual[idx]
+        for feature in range(self.x.shape[1]):
+            column = self.x[idx, feature]
+            order = np.argsort(column, kind="stable")
+            gain, cut = best_split_loop(column[order], y[order])
+            if cut >= 0 and gain > best_gain:
+                best_gain = gain
+                # threshold is the left boundary value; routing is <=
+                best = (feature, float(column[order][cut - 1]))
+        return best
+
+    def tree(self) -> RegressionTree:
+        return RegressionTree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            leaf=np.asarray(self.leaf, dtype=np.float64),
+        )
+
+
+def train_gbrt_per_node(dataset, hyperparams: GbrtHyperparams = GbrtHyperparams(),
+                        seed: int = 0, feature_names=None) -> GbrtModel:
+    """train_gbrt's ensemble, each tree grown by TreeBuilder."""
+    x, y = _dataset_arrays(dataset)
+    if feature_names is None:
+        names = tuple(f"f{i}" for i in range(x.shape[1]))
+    else:
+        names = tuple(feature_names)
+    rng = np.random.default_rng(seed)
+    base = float(y.sum() / y.size)
+    prediction = np.full(y.size, base, dtype=np.float64)
+    trees = []
+    for _ in range(hyperparams.n_trees):
+        residual = y - prediction
+        if hyperparams.subsample < 1.0:
+            take = max(1, int(round(y.size * hyperparams.subsample)))
+            idx = np.sort(rng.permutation(y.size)[:take]).astype(np.int64)
+        else:
+            idx = np.arange(y.size, dtype=np.int64)
+        builder = TreeBuilder(x, residual, hyperparams.max_depth)
+        builder.build(idx, 0)
+        tree = builder.tree()
+        trees.append(tree)
+        prediction = prediction + hyperparams.learning_rate * tree.apply(x)
+    return GbrtModel(names, base, hyperparams.learning_rate, hyperparams.max_depth, tuple(trees))
 
 
 # ---------------------------------------------------------------------------

@@ -50,3 +50,6 @@ def test_worker_runs_every_stage(tmp_path, trace):
         for name, _ in STAGES:
             assert stats[f"cli.{name}"][0] == 1
         assert stats["kernels.greedy_blend"][0] >= 1
+        # only the train stage fits trees
+        assert stats["recency_classifier.train_gbrt"][0] == 1
+        assert stats["kernels.best_split"][0] >= 1

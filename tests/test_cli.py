@@ -21,11 +21,13 @@ from freshblend.corpus import (
     JUDGED_POOL_MIXTURE,
     GeneratorConfig,
     generate_corpus,
+    load_features,
     load_rankings,
     write_corpus,
 )
 from freshblend.fileio import fmt
 from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
+from freshblend.recency_classifier import load_model, predict_batch
 
 TWO_DOC_RANKINGS = "q1\td1\t1\t1000\t0.5\t-\nq1\td2\t2\t1000\t0.5\t-\n"
 SHARED_KEYS = ("p_break", "break_exponent", "depth", "window_days", "priors", "grid", "seed")
@@ -321,6 +323,61 @@ class TestGenerate:
         assert err.startswith("freshblend: error: ") and err.count("\n") == 1
         assert message in err
         assert not (out / "rankings.tsv").exists()
+
+
+class TestPredictFeatureHeader:
+    """predict reads feature columns by position, so it refuses a header
+    that does not name the model's features in the model's order."""
+
+    @pytest.fixture
+    def model_path(self, tmp_path, corpus_dir):
+        assert run(["train", "--features", os.path.join(corpus_dir, "features.tsv"),
+                    "--judgments", os.path.join(corpus_dir, "judgments.tsv"),
+                    "--trees", "3", "--out", str(tmp_path / "model")]) == 0
+        return str(tmp_path / "model" / "model.json")
+
+    def _predict(self, tmp_path, model_path, features: str):
+        path = tmp_path / "features.tsv"
+        path.write_text(features, encoding="utf-8")
+        code = run(["predict", "--model", model_path, "--features", str(path),
+                    "--out", str(tmp_path / "pred")])
+        return code, path, tmp_path / "pred" / "predictions.tsv"
+
+    def test_swapped_columns_are_refused(self, tmp_path, corpus_dir, model_path, capsys):
+        with open(os.path.join(corpus_dir, "features.tsv"), encoding="utf-8") as handle:
+            rows = [line.split("\t") for line in handle.read().splitlines()]
+        swapped = "".join("\t".join([row[0], row[2], row[1], *row[3:]]) + "\n" for row in rows)
+        code, path, predictions = self._predict(tmp_path, model_path, swapped)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}: header feature 1 is {FEATURE_NAMES[1]!r}" in err
+        assert not predictions.exists()
+
+    def test_renamed_columns_are_refused(self, tmp_path, corpus_dir, model_path, capsys):
+        with open(os.path.join(corpus_dir, "features.tsv"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        header = "\t".join(["query_id", *(f"x{i}" for i in range(len(FEATURE_NAMES)))]) + "\n"
+        code, path, predictions = self._predict(tmp_path, model_path, header + "".join(lines[1:]))
+        assert code == 1
+        assert f"{path}: header feature 1 is 'x0'" in capsys.readouterr().err
+        assert not predictions.exists()
+
+    def test_matching_header_predicts_every_row(self, tmp_path, corpus_dir, model_path):
+        with open(os.path.join(corpus_dir, "features.tsv"), encoding="utf-8") as handle:
+            features = handle.read()
+        code, _, predictions = self._predict(tmp_path, model_path, features)
+        assert code == 0
+        table = load_features(os.path.join(corpus_dir, "features.tsv"))
+        qids = list(table.rows)
+        expected = predict_batch(load_model(model_path), table.matrix(qids))
+        assert predictions.read_text(encoding="utf-8") == "".join(
+            f"{qid}\t{fmt(p)}\n" for qid, p in zip(qids, expected))
+
+    def test_empty_file_writes_empty_predictions(self, tmp_path, model_path):
+        code, _, predictions = self._predict(tmp_path, model_path, "")
+        assert code == 0
+        assert predictions.read_bytes() == b""
 
 
 class TestPipeline:

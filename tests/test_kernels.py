@@ -96,12 +96,36 @@ class TestLoopOracles:
         rng = np.random.default_rng(3)
         for _ in range(60):
             n = int(rng.integers(1, 80))
-            values = np.sort(rng.integers(0, 8, n).astype(np.float64))
-            targets = rng.normal(0, 1, n)
-            gain_a, cut_a = kernels.best_split(values, targets)
-            gain_b, cut_b = best_split_loop(values, targets)
-            assert cut_a == cut_b
-            assert gain_a == gain_b
+            r = int(rng.integers(1, 8))
+            values = np.sort(rng.integers(0, 8, (r, n)).astype(np.float64), axis=1)
+            values[rng.random(r) < 0.2] = 3.0  # rows where every value ties
+            targets = rng.normal(0, 1, (r, n))
+            # the fit scans a column slice of a wider matrix
+            pad = int(rng.integers(0, 3))
+            wide_values = np.zeros((r, n + 2 * pad))
+            wide_targets = np.zeros((r, n + 2 * pad))
+            wide_values[:, pad:pad + n] = values
+            wide_targets[:, pad:pad + n] = targets
+            gains, cuts = kernels.best_split(wide_values[:, pad:pad + n],
+                                             wide_targets[:, pad:pad + n])
+            assert gains.shape == cuts.shape == (r,)
+            for row in range(r):
+                gain, cut = best_split_loop(values[row], targets[row])
+                assert cuts[row] == cut
+                assert gains[row] == gain
+
+    def test_best_split_short_rows(self):
+        # two values: a gain, no gain, and two equal values
+        values = np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 4.0]])
+        targets = np.array([[0.5, -0.5], [0.25, 0.25], [1.0, 0.0]])
+        gains, cuts = kernels.best_split(values, targets)
+        assert list(cuts) == [1, -1, -1]
+        for row in range(3):
+            assert (gains[row], cuts[row]) == best_split_loop(values[row], targets[row])
+        # one value per row: nothing to split
+        gains, cuts = kernels.best_split(np.zeros((4, 1)), np.ones((4, 1)))
+        assert (gains == 0.0).all() and (cuts == -1).all()
+        assert best_split_loop(np.zeros(1), np.ones(1)) == (0.0, -1)
 
     def test_tree_apply(self):
         rng = np.random.default_rng(4)

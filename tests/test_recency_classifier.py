@@ -6,8 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freshblend.corpus import GeneratorConfig, JUDGED_POOL_MIXTURE, generate_corpus
+from freshblend.corpus import GRADE_VALUES, GeneratorConfig, JUDGED_POOL_MIXTURE, generate_corpus
 from freshblend.errors import ValidationError
 from freshblend.recency_classifier import (
     GbrtHyperparams,
@@ -24,6 +26,8 @@ from freshblend.recency_classifier import (
     train_gbrt,
     training_loss_curve,
 )
+from freshblend.recency_classifier import _group_by_node  # the fit's node-id sort
+from oracles import train_gbrt_per_node
 
 
 def predict_one(model, vector):
@@ -84,6 +88,55 @@ class TestTraining:
         b = train_gbrt(data, params, seed=3)
         grid = rng.random((20, 3))
         assert np.array_equal(predict_batch(a, grid), predict_batch(b, grid))
+
+
+@st.composite
+def fit_cases(draw):
+    """A dataset with engineered ties, hyperparameters and a seed."""
+    n = draw(st.integers(1, 300))
+    width = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, width))
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:  # few distinct values per column
+        x = np.round(x, decimals)
+    constant = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    if constant is not None:
+        x[:, constant] = 0.5
+    y = rng.choice(GRADE_VALUES, n) if draw(st.booleans()) else rng.random(n)
+    params = GbrtHyperparams(n_trees=draw(st.integers(0, 8)), max_depth=draw(st.integers(1, 8)),
+                             subsample=draw(st.sampled_from([1.0, 0.9, 0.5])))
+    return dataset_of(x, y), params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestLevelWiseFit:
+    """The presorted, level-by-level fit against the per-node oracle."""
+
+    @given(fit_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_model_bytes_equal_the_per_node_fit(self, case):
+        data, params, seed = case
+        assert serialize_model(train_gbrt(data, params, seed)) == serialize_model(
+            train_gbrt_per_node(data, params, seed))
+
+    def test_no_feature_columns_fit_single_leaf_trees(self):
+        data = dataset_of(np.zeros((5, 0)), [0.0, 0.25, 0.25, 0.75, 0.95])
+        params = GbrtHyperparams(n_trees=3, subsample=0.5)
+        model = train_gbrt(data, params, seed=1)
+        assert [tree.feature.tolist() for tree in model.trees] == [[-1]] * 3
+        assert serialize_model(model) == serialize_model(train_gbrt_per_node(data, params, 1))
+
+    @pytest.mark.parametrize("n_nodes", [2, 256, 257, 40_000, 70_000])
+    def test_grouping_keeps_node_ids_past_every_key_width(self, n_nodes):
+        # 255 and 65,535 ids fit 8 and 16 unsigned bits; a signed 16-bit
+        # key would wrap past 32,767
+        rng = np.random.default_rng(n_nodes)
+        node_of = rng.integers(0, n_nodes, 70_000)
+        node_of[:2] = (0, n_nodes - 1)
+        rows = np.stack([rng.permutation(node_of.size) for _ in range(2)])
+        expected = np.take_along_axis(
+            rows, np.argsort(node_of[rows], axis=1, kind="stable"), axis=1)
+        assert np.array_equal(_group_by_node(rows, node_of, n_nodes), expected)
 
 
 class TestPredict:
