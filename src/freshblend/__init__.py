@@ -25,6 +25,7 @@ from .corpus import (
     load_corpus,
     load_judgments,
     load_rankings,
+    training_set,
     write_corpus,
 )
 from .diversifier import BlendedResult, blend

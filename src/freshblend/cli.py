@@ -44,6 +44,7 @@ from .corpus import (
     load_predictions,
     load_rankings,
     load_queries,
+    training_set,
     write_corpus,
 )
 from .errors import ConfigError, FreshblendError, ParseError, ValidationError
@@ -239,9 +240,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _require_file(path: str | None, what: str) -> str:
-    if path is None:
-        raise ValidationError(f"missing required {what} path")
+def _require_file(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise ValidationError(f"{what} path does not exist: {path}")
     return path
@@ -366,22 +365,13 @@ def _hyperparams(args: argparse.Namespace) -> GbrtHyperparams:
     return GbrtHyperparams(**_owned_values(args, _GBRT_FLAGS))
 
 
-def _train_model(args: argparse.Namespace, config: RunConfig, features, judgments):
-    """Fit the regressor on each featured query's consensus grade."""
-    dataset = []
-    for qid, vector in features.rows.items():
-        if qid not in judgments:
-            raise ValidationError(f"query {qid!r} has features but no judgment")
-        dataset.append((vector, judgments[qid].consensus_grade))
-    return train_gbrt(dataset, _hyperparams(args), seed=config.seed,
-                      feature_names=features.names)
-
-
 def _cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     features = load_features(_require_file(args.features, "features"))
     judgments = load_judgments(_require_file(args.judgments, "judgments"))
-    save_model(_train_model(args, config, features, judgments), os.path.join(out, "model.json"))
+    x, y = training_set(features, judgments, list(features.rows))
+    model = train_gbrt(x, y, _hyperparams(args), seed=config.seed, feature_names=features.names)
+    save_model(model, os.path.join(out, "model.json"))
     _echo_config(args, config)
     return 0
 
@@ -511,9 +501,11 @@ def _cmd_abtest(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
     if not corpus.judgments or not corpus.features.rows:
         raise ValidationError("abtest needs judgments.tsv and features.tsv in the corpus")
-    model = _train_model(args, config, corpus.features, corpus.judgments)
     qids = list(corpus.features.rows)
-    p_hat = predict_batch(model, corpus.features.matrix(qids))
+    x, y = training_set(corpus.features, corpus.judgments, qids)
+    model = train_gbrt(x, y, _hyperparams(args), seed=config.seed,
+                       feature_names=corpus.features.names)
+    p_hat = predict_batch(model, x)
     p_by_query = {qid: float(p) for qid, p in zip(qids, p_hat)}
     report = ab_test(
         corpus,

@@ -6,7 +6,8 @@ The corpus bundles four aligned pieces of data, keyed by query_id:
 * rankings    - the initial (ordinary) document ranking per query,
                 optionally carrying latent per-intent relevances used as
                 simulation ground truth
-* judgments   - three assessor grades per query plus their consensus
+* judgments   - three assessor grades per query; their mean is the
+                consensus the classifier trains on
 * features    - the numeric feature vector the classifier consumes
 
 File formats (read under the shared rules of `fileio`: UTF-8, '-' for an
@@ -119,7 +120,6 @@ class Ranking:
 class JudgedQuery:
     query_id: str
     assessor_grades: tuple[float, float, float]
-    consensus_grade: float
 
     def __post_init__(self):
         if len(self.assessor_grades) != 3:
@@ -129,10 +129,11 @@ class JudgedQuery:
         for grade in self.assessor_grades:
             if grade not in GRADE_VALUES:
                 raise ValidationError(f"assessor grade {grade!r} not in {GRADE_VALUES}")
-        if not 0.0 <= self.consensus_grade <= 1.0:
-            raise ValidationError(
-                f"consensus_grade out of [0,1]: {self.consensus_grade!r}"
-            )
+
+    @property
+    def consensus_grade(self) -> float:
+        """Consensus label: arithmetic mean of the assessor grades."""
+        return sum(self.assessor_grades) / len(self.assessor_grades)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ class FeatureTable:
     rows: dict[str, np.ndarray] = field(default_factory=dict)
 
     def matrix(self, query_ids) -> np.ndarray:
-        return np.stack([self.rows[qid] for qid in query_ids])
+        rows = [self.rows[qid] for qid in query_ids]
+        return np.stack(rows) if rows else np.empty((0, len(self.names)))
 
 
 @dataclass(frozen=True)
@@ -182,29 +184,25 @@ def load_rankings(path: str) -> dict[str, Ranking]:
 
 
 def load_judgments(path: str) -> dict[str, JudgedQuery]:
-    """Read a judgments TSV; consensus is the mean of the three grades."""
+    """Read a judgments TSV of three assessor grades per query."""
     judgments: dict[str, JudgedQuery] = {}
     with TsvRows(path, 4, key=("query_id",)) as rows:
         for qid, *tokens in rows:
-            grades = tuple(parse_real(token, "grade") for token in tokens)
-            judgments[qid] = JudgedQuery(qid, grades, consensus(grades))
+            judgments[qid] = JudgedQuery(qid, tuple(parse_real(t, "grade") for t in tokens))
     return judgments
 
 
-def consensus(grades) -> float:
-    """Consensus label: arithmetic mean of the assessor grades."""
-    grades = tuple(grades)
-    return sum(grades) / len(grades)
-
-
 def load_features(path: str) -> FeatureTable:
-    """Read a features TSV (header row of names, one row per query)."""
+    """Read a features TSV (header `query_id` and the names, one row per
+    query)."""
     rows: dict[str, np.ndarray] = {}
     with TsvRows(path) as reader:
         header = next(iter(reader), None)
         if header is None:
             return FeatureTable(names=())
-        names = tuple(header[1:]) if header[0] == "query_id" else tuple(header)
+        if header[0] != "query_id":
+            raise ValidationError(f"header must start with 'query_id', got {header[0]!r}")
+        names = tuple(header[1:])
         if not all(names):
             raise ValidationError("empty feature name in header")
         reader.width, reader.key = len(names) + 1, ("query_id",)
@@ -212,6 +210,20 @@ def load_features(path: str) -> FeatureTable:
             rows[qid] = np.asarray([parse_real(token, "feature value") for token in tokens],
                                    dtype=np.float64)
     return FeatureTable(names=names, rows=rows)
+
+
+def training_set(features: FeatureTable, judgments: dict[str, JudgedQuery],
+                 query_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The classifier's training data for `query_ids`, in order: their
+    feature matrix and consensus grades.  Names the first query that has
+    no feature vector or no judgment."""
+    for qid in query_ids:
+        if qid not in features.rows:
+            raise ValidationError(f"query {qid!r} has no feature vector")
+        if qid not in judgments:
+            raise ValidationError(f"query {qid!r} has no judgment")
+    y = np.asarray([judgments[qid].consensus_grade for qid in query_ids], dtype=np.float64)
+    return features.matrix(query_ids), y
 
 
 def load_queries(path: str) -> dict[str, QueryRecord]:
@@ -462,7 +474,7 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         assessor = tuple(
             _assessor_grade(true_index, bool(keep[j]), bool(step_up[j])) for j in range(3)
         )
-        judgments[qid] = JudgedQuery(qid, assessor, consensus(assessor))
+        judgments[qid] = JudgedQuery(qid, assessor)
 
         queries[qid] = QueryRecord(
             query_id=qid,

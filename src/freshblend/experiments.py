@@ -28,7 +28,7 @@ from .calibration import (
     PositionPriorTable,
     build_candidates,
 )
-from .corpus import Corpus, QueryRecord, Ranking
+from .corpus import Corpus, QueryRecord, Ranking, training_set
 from .errors import ValidationError
 from .fileio import atomic_write_text, fmt, write_lines
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
@@ -348,24 +348,17 @@ def bucket_comparison(
     qids = list(prepared.query_ids)
     if len(qids) < 2:
         raise ValidationError("bucket comparison needs at least 2 queries")
-    for qid in qids:
-        if qid not in corpus.judgments:
-            raise ValidationError(f"query {qid!r} has no judgment to train on")
-        if qid not in corpus.features.rows:
-            raise ValidationError(f"query {qid!r} has no feature vector")
+    x, y = training_set(corpus.features, corpus.judgments, qids)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(qids))
     half = len(qids) // 2
     folds = (perm[:half], perm[half:])
 
-    x = corpus.features.matrix(qids)
-    y = np.asarray([corpus.judgments[qid].consensus_grade for qid in qids])
     p_hat = np.empty(len(qids), dtype=np.float64)
     for fold_index, test_idx in enumerate(folds):
         train_idx = folds[1 - fold_index]
-        dataset = [(x[i], float(y[i])) for i in train_idx]
-        model = train_gbrt(dataset, hyperparams, seed=seed + fold_index,
+        model = train_gbrt(x[train_idx], y[train_idx], hyperparams, seed=seed + fold_index,
                            feature_names=corpus.features.names)
         p_hat[test_idx] = predict_batch(model, x[test_idx])
 

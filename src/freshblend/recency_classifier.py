@@ -82,29 +82,27 @@ class GbrtModel:
         return len(self.trees)
 
 
-def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    targets = []
-    width = None
-    for features, target in dataset:
-        vector = np.asarray(features, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ValidationError("feature vectors must be one-dimensional")
-        if width is None:
-            width = vector.size
-        elif vector.size != width:
-            raise ValidationError(
-                f"inconsistent feature vector length: {vector.size} vs {width}"
-            )
-        if not np.all(np.isfinite(vector)):
-            raise ValidationError("feature values must be finite")
-        if not 0.0 <= target <= 1.0:
-            raise ValidationError(f"target out of [0,1]: {target!r}")
-        rows.append(vector)
-        targets.append(float(target))
-    if not rows:
+def _training_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, k) feature matrix and its n targets as float64 arrays.  A
+    fault names the first bad row, its features checked before its target."""
+    try:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged rows or non-numeric values
+        raise ValidationError("training data is not a numeric matrix") from None
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ValidationError(f"expected an (n, k) feature matrix and n targets, "
+                              f"got shapes {x.shape} and {y.shape}")
+    if not y.size:
         raise ValidationError("training dataset is empty")
-    return np.stack(rows), np.asarray(targets, dtype=np.float64)
+    bad_x = ~np.isfinite(x).all(axis=1)
+    bad = bad_x | ~((y >= 0.0) & (y <= 1.0))  # a NaN target is bad
+    if bad.any():
+        row = int(np.argmax(bad))
+        if bad_x[row]:
+            raise ValidationError(f"row {row}: feature values must be finite")
+        raise ValidationError(f"row {row}: target out of [0,1]: {float(y[row])!r}")
+    return x, y
 
 
 def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -203,17 +201,19 @@ def _preorder(feature, threshold, left, right, leaf) -> RegressionTree:
 
 
 def train_gbrt(
-    dataset,
+    x,
+    y,
     hyperparams: GbrtHyperparams = GbrtHyperparams(),
     seed: int = 0,
     feature_names: Sequence[str] | None = None,
 ) -> GbrtModel:
-    """Fit the boosted ensemble on (feature vector, target) pairs.
+    """Fit the boosted ensemble on an (n, k) feature matrix `x` and its n
+    targets `y` in [0,1].
 
     Deterministic given the seed; the seed only matters when subsampling
     is enabled.
     """
-    x, y = _dataset_arrays(dataset)
+    x, y = _training_arrays(x, y)
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(x.shape[1]))
     else:
@@ -258,9 +258,10 @@ def predict_batch(model: GbrtModel, x: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def training_loss_curve(model: GbrtModel, dataset) -> np.ndarray:
-    """Mean squared training loss after 0, 1, ..., n_trees stages."""
-    x, y = _dataset_arrays(dataset)
+def training_loss_curve(model: GbrtModel, x, y) -> np.ndarray:
+    """Mean squared loss on the feature matrix `x` and targets `y` after
+    0, 1, ..., n_trees stages."""
+    x, y = _training_arrays(x, y)
     prediction = np.full(y.size, model.base_prediction, dtype=np.float64)
     losses = [float(np.mean((y - prediction) ** 2))]
     for tree in model.trees:
@@ -383,19 +384,15 @@ class PreselectThresholds:
                 raise ValidationError(f"threshold for {name!r} is not finite")
 
 
-def preselect(features, thresholds: PreselectThresholds) -> bool:
+def preselect(features: Mapping[str, float], thresholds: PreselectThresholds) -> bool:
     """True when at least one thresholded feature strictly exceeds its
     threshold; vacuously true when no thresholds are configured."""
-    if isinstance(features, Mapping):
-        by_name = dict(features)
-    else:
-        by_name = {name: value for name, value in features}
     if not thresholds.thresholds:
         return True
     for name, minimum in thresholds.thresholds.items():
-        if name not in by_name:
+        if name not in features:
             raise ValidationError(f"threshold names unknown feature {name!r}")
-        if by_name[name] > minimum:
+        if features[name] > minimum:
             return True
     return False
 

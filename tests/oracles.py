@@ -20,7 +20,7 @@ from freshblend.diversifier import tie_break_key
 from freshblend.errors import ValidationError
 from freshblend.metric import DEFAULT_METRIC_CONFIG, MetricConfig
 from freshblend.recency_classifier import (GbrtHyperparams, GbrtModel, RegressionTree,
-                                           _dataset_arrays)
+                                           _training_arrays)
 
 # ---------------------------------------------------------------------------
 # scalar loops of the numpy kernels
@@ -200,10 +200,10 @@ class TreeBuilder:
         )
 
 
-def train_gbrt_per_node(dataset, hyperparams: GbrtHyperparams = GbrtHyperparams(),
+def train_gbrt_per_node(x, y, hyperparams: GbrtHyperparams = GbrtHyperparams(),
                         seed: int = 0, feature_names=None) -> GbrtModel:
     """train_gbrt's ensemble, each tree grown by TreeBuilder."""
-    x, y = _dataset_arrays(dataset)
+    x, y = _training_arrays(x, y)
     if feature_names is None:
         names = tuple(f"f{i}" for i in range(x.shape[1]))
     else:

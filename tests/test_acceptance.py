@@ -21,6 +21,7 @@ from freshblend.corpus import (
     JUDGED_POOL_MIXTURE,
     Ranking,
     generate_corpus,
+    training_set,
 )
 from freshblend.diversifier import blend
 from freshblend.experiments import (
@@ -191,8 +192,7 @@ def test_criterion_06_classifier_quality(experiment_corpus):
     t0 = time.perf_counter()
     corpus = experiment_corpus
     qids = list(corpus.queries)
-    x = corpus.features.matrix(qids)
-    y_consensus = np.asarray([corpus.judgments[q].consensus_grade for q in qids])
+    x, y_consensus = training_set(corpus.features, corpus.judgments, qids)
     y_true = np.asarray([corpus.queries[q].true_grade for q in qids])
 
     rng = np.random.default_rng(3)
@@ -203,12 +203,12 @@ def test_criterion_06_classifier_quality(experiment_corpus):
     model = None
     for k, test_idx in enumerate(folds):
         train_idx = folds[1 - k]
-        dataset = [(x[i], float(y_consensus[i])) for i in train_idx]
-        model = train_gbrt(dataset, feature_names=corpus.features.names)
+        model = train_gbrt(x[train_idx], y_consensus[train_idx],
+                           feature_names=corpus.features.names)
         p_hat[test_idx] = predict_batch(model, x[test_idx])
     rmse = float(np.sqrt(np.mean((p_hat - y_true) ** 2)))
     in_range = bool(np.all((p_hat >= 0.0) & (p_hat <= 1.0)))
-    losses = training_loss_curve(model, [(x[i], float(y_consensus[i])) for i in folds[0]])
+    losses = training_loss_curve(model, x[folds[0]], y_consensus[folds[0]])
     monotone = bool(np.all(np.diff(losses) <= 1e-12))
     elapsed = time.perf_counter() - t0
     _report(6, "classifier quality",
@@ -245,10 +245,8 @@ def test_criterion_08_ab_direction(experiment_corpus):
     t0 = time.perf_counter()
     corpus = experiment_corpus
     qids = list(corpus.queries)
-    x = corpus.features.matrix(qids)
-    y = np.asarray([corpus.judgments[q].consensus_grade for q in qids])
-    model = train_gbrt([(x[i], float(y[i])) for i in range(len(qids))],
-                       GbrtHyperparams(), seed=1, feature_names=corpus.features.names)
+    x, y = training_set(corpus.features, corpus.judgments, qids)
+    model = train_gbrt(x, y, GbrtHyperparams(), seed=1, feature_names=corpus.features.names)
     p_by_query = {qid: float(p) for qid, p in zip(qids, predict_batch(model, x))}
     report = ab_test(corpus, initial_ranking_policy(), blend_policy(p_by_query),
                      n_queries=100_000, seed=11)

@@ -4,6 +4,7 @@ package: it calls `freshblend.cli.run` for every stage and
 library functions by name.  A name it needs that goes missing fails here
 rather than only in a benchmark run."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +17,16 @@ import freshblend
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(freshblend.__file__)))
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 STAGES = [
     ["generate", ["generate", "--out", "corpus", "--n-queries", "50", "--mixture", "judged",
@@ -53,3 +64,11 @@ def test_worker_runs_every_stage(tmp_path, trace):
         # only the train stage fits trees
         assert stats["recency_classifier.train_gbrt"][0] == 1
         assert stats["kernels.best_split"][0] >= 1
+        # these are quickstart's stages, whose traced pass fails a layer
+        # that records no call
+        quickstart = _workloads().workload("quickstart", 3)
+        assert [name for name, _ in STAGES] == [stage.name for stage in quickstart.passes]
+        silent = [layer for layer in quickstart.layers
+                  if not any(stat[0] for name, stat in stats.items()
+                             if name.startswith(layer + "."))]
+        assert silent == []

@@ -380,6 +380,38 @@ class TestPredictFeatureHeader:
         assert predictions.read_bytes() == b""
 
 
+class TestTrainingSetErrors:
+    """train, buckets and abtest join features and judgments in one place,
+    which names the first query that lacks either."""
+
+    def test_train_names_a_featured_query_without_a_judgment(self, tmp_path, corpus_dir,
+                                                              capsys):
+        judgments = tmp_path / "judgments.tsv"
+        with open(os.path.join(corpus_dir, "judgments.tsv"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        judgments.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+        assert run(["train", "--features", os.path.join(corpus_dir, "features.tsv"),
+                    "--judgments", str(judgments), "--out", str(tmp_path / "model")]) == 1
+        assert capsys.readouterr().err == "freshblend: error: query 'q000002' has no judgment\n"
+
+    def test_train_on_a_header_only_features_file_exits_one(self, tmp_path, corpus_dir,
+                                                              capsys):
+        features = tmp_path / "features.tsv"
+        features.write_text("\t".join(("query_id", *FEATURE_NAMES)) + "\n", encoding="utf-8")
+        assert run(["train", "--features", str(features), "--judgments",
+                    os.path.join(corpus_dir, "judgments.tsv"),
+                    "--out", str(tmp_path / "model")]) == 1
+        assert capsys.readouterr().err == "freshblend: error: training dataset is empty\n"
+
+    def test_buckets_names_the_first_query_without_features(self, tmp_path, corpus_dir,
+                                                             capsys):
+        os.remove(os.path.join(corpus_dir, "features.tsv"))
+        assert run(["buckets", "--corpus", corpus_dir, "--trees", "2",
+                    "--out", str(tmp_path / "buckets")]) == 1
+        assert capsys.readouterr().err == (
+            "freshblend: error: query 'q000000' has no feature vector\n")
+
+
 class TestPipeline:
     def test_generate_train_predict_blend(self, tmp_path, corpus_dir, capsys):
         model_dir = tmp_path / "model"

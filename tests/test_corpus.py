@@ -13,6 +13,7 @@ from freshblend.corpus import (
     JUDGED_POOL_MIXTURE,
     Corpus,
     DocEntry,
+    FeatureTable,
     GeneratorConfig,
     JudgedQuery,
     QueryRecord,
@@ -24,6 +25,7 @@ from freshblend.corpus import (
     load_predictions,
     load_queries,
     load_rankings,
+    training_set,
     write_corpus,
     write_rankings,
 )
@@ -128,6 +130,8 @@ class TestLineFormat:
         (load_queries, b"q1\t100\t0.5\t3\n", 1, "true_grade 0.5 not in"),
         (load_features, b"query_id\ta\tb\nq1\t0.5\n", 2, "expected 3 fields, got 2"),
         (load_features, b"query_id\ta\nq1\tinf\n", 2, "feature value is not finite: 'inf'"),
+        (load_features, b"q1\t0.5\t0.25\nq2\t0.1\t0.2\n", 1,
+         "header must start with 'query_id', got 'q1'"),
         (load_predictions, b"q1\tnan\n", 1, "p_fresh is not finite: 'nan'"),
         (load_query_log, b"q1\t1\tmany\n", 1, "bad count: 'many'"),
         (load_query_log, b"q1\t1\t3\r\nq1\t2\t-3\r\n", 2, "negative count -3"),
@@ -167,7 +171,31 @@ class TestTypes:
 
     def test_judged_query_grade_scale(self):
         with pytest.raises(ValidationError):
-            JudgedQuery("q", (0.1, 0.25, 0.75), 0.4)
+            JudgedQuery("q", (0.1, 0.25, 0.75))
+
+
+class TestTrainingSet:
+    TABLE = FeatureTable(("a", "b"), {"q1": np.array([0.1, 0.2]), "q2": np.array([0.3, 0.4])})
+    JUDGMENTS = {"q1": JudgedQuery("q1", (0.95, 0.75, 0.25)),
+                 "q2": JudgedQuery("q2", (0.0, 0.0, 0.25))}
+
+    def test_rows_follow_the_given_order(self):
+        x, y = training_set(self.TABLE, self.JUDGMENTS, ["q2", "q1"])
+        assert x.tolist() == [[0.3, 0.4], [0.1, 0.2]]
+        assert y.tolist() == [0.25 / 3, (0.95 + 0.75 + 0.25) / 3]
+
+    @pytest.mark.parametrize("qids, message", [
+        (["q1", "q9", "q8"], "query 'q9' has no feature vector"),
+        (["q1", "q3"], "query 'q3' has no judgment"),
+    ])
+    def test_first_unmatched_query_is_named(self, qids, message):
+        table = FeatureTable(("a", "b"), {**self.TABLE.rows, "q3": np.array([0.0, 0.0])})
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            training_set(table, self.JUDGMENTS, qids)
+
+    def test_no_queries_give_an_empty_matrix_of_the_table_width(self):
+        x, y = training_set(FeatureTable(("a", "b")), {}, [])
+        assert x.shape == (0, 2) and y.shape == (0,)
 
 
 class TestGenerator:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshblend.corpus import GRADE_VALUES, GeneratorConfig, JUDGED_POOL_MIXTURE, generate_corpus
+from freshblend.corpus import (GRADE_VALUES, GeneratorConfig, JUDGED_POOL_MIXTURE,
+                               generate_corpus, training_set)
 from freshblend.errors import ValidationError
 from freshblend.recency_classifier import (
     GbrtHyperparams,
@@ -35,14 +36,9 @@ def predict_one(model, vector):
     return float(predict_batch(model, np.asarray([vector], dtype=np.float64))[0])
 
 
-def dataset_of(x, y):
-    return [(np.asarray(row, dtype=float), float(target)) for row, target in zip(x, y)]
-
-
 class TestTraining:
     def test_constant_target_is_predicted_everywhere(self):
-        data = dataset_of([[0.1], [0.9], [0.4]], [0.25, 0.25, 0.25])
-        model = train_gbrt(data)
+        model = train_gbrt([[0.1], [0.9], [0.4]], [0.25, 0.25, 0.25])
         for vector in ([0.0], [0.5], [123.0]):
             assert predict_one(model, vector) == pytest.approx(0.25, abs=1e-12)
 
@@ -51,7 +47,7 @@ class TestTraining:
         x = [[0.0]] * n + [[1.0]] * n
         y = [0.0] * n + [0.95] * n
         params = GbrtHyperparams(n_trees=100, max_depth=1, learning_rate=0.1)
-        model = train_gbrt(dataset_of(x, y), params)
+        model = train_gbrt(x, y, params)
         base = 0.475
         # residual shrinks geometrically, leaving (1-lr)^T of the gap
         remaining = (1.0 - params.learning_rate) ** params.n_trees
@@ -61,33 +57,68 @@ class TestTraining:
             assert got == pytest.approx(expected, abs=1e-9)
             assert abs(got - target) <= 0.01
 
-    def test_target_outside_unit_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            train_gbrt(dataset_of([[0.0]], [1.2]))
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValidationError):
-            train_gbrt([])
-
     def test_training_loss_never_increases(self):
         rng = np.random.default_rng(8)
         x = rng.random((200, 4))
         y = np.clip(x[:, 0] * 0.8 + rng.normal(0, 0.1, 200), 0, 1)
-        data = dataset_of(x, y)
-        model = train_gbrt(data, GbrtHyperparams(n_trees=30))
-        losses = training_loss_curve(model, data)
+        model = train_gbrt(x, y, GbrtHyperparams(n_trees=30))
+        losses = training_loss_curve(model, x, y)
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_subsampling_is_deterministic_in_seed(self):
         rng = np.random.default_rng(9)
         x = rng.random((100, 3))
         y = np.clip(x[:, 1], 0, 1)
-        data = dataset_of(x, y)
         params = GbrtHyperparams(n_trees=10, subsample=0.5)
-        a = train_gbrt(data, params, seed=3)
-        b = train_gbrt(data, params, seed=3)
+        a = train_gbrt(x, y, params, seed=3)
+        b = train_gbrt(x, y, params, seed=3)
         grid = rng.random((20, 3))
         assert np.array_equal(predict_batch(a, grid), predict_batch(b, grid))
+
+
+@st.composite
+def bad_training_sets(draw):
+    """A training set with non-finite features and out-of-range or NaN
+    targets at random rows, and the message naming its lowest bad row:
+    features are checked before the target of the same row."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, width))
+    y = rng.choice([0.0, 0.25, 1.0, 0.5], n)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, max(width - 1, 0)),
+                      st.sampled_from([np.nan, np.inf, -np.inf]))
+    bad_x = draw(st.lists(cells, max_size=3)) if width else []
+    bad_y = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.sampled_from([np.nan, -1e-9, 1.5, np.inf, -np.inf])),
+                          min_size=0 if bad_x else 1, max_size=3))
+    for row, column, value in bad_x:
+        x[row, column] = value
+    for row, value in bad_y:
+        y[row] = value
+    row = min(r for r, *_ in bad_x + bad_y)
+    if any(r == row for r, _, _ in bad_x):
+        return x, y, f"row {row}: feature values must be finite"
+    return x, y, f"row {row}: target out of [0,1]: {float(y[row])!r}"
+
+
+class TestTrainingChecks:
+    @pytest.mark.parametrize("case", [
+        None,  # drawn by bad_training_sets
+        (np.zeros(3), np.zeros(3), "got shapes (3,) and (3,)"),
+        (np.zeros((3, 2, 1)), np.zeros(3), "got shapes (3, 2, 1) and (3,)"),
+        (np.zeros((3, 2)), np.zeros(2), "got shapes (3, 2) and (2,)"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), "got shapes (3, 2) and (3, 1)"),
+        (np.zeros((0, 2)), np.zeros(0), "training dataset is empty"),
+        ([[0.0], [1.0, 2.0]], [0.0, 1.0], "training data is not a numeric matrix"),
+    ], ids=["bad-rows", "1-d-matrix", "3-d-matrix", "short-targets", "2-d-targets", "empty",
+            "ragged-rows"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_bad_row_is_named(self, case, data):
+        x, y, message = case or data.draw(bad_training_sets())
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+            train_gbrt(x, y)
 
 
 @st.composite
@@ -106,7 +137,7 @@ def fit_cases(draw):
     y = rng.choice(GRADE_VALUES, n) if draw(st.booleans()) else rng.random(n)
     params = GbrtHyperparams(n_trees=draw(st.integers(0, 8)), max_depth=draw(st.integers(1, 8)),
                              subsample=draw(st.sampled_from([1.0, 0.9, 0.5])))
-    return dataset_of(x, y), params, draw(st.integers(0, 2**32 - 1))
+    return x, y, params, draw(st.integers(0, 2**32 - 1))
 
 
 class TestLevelWiseFit:
@@ -115,16 +146,16 @@ class TestLevelWiseFit:
     @given(fit_cases())
     @settings(max_examples=120, deadline=None)
     def test_model_bytes_equal_the_per_node_fit(self, case):
-        data, params, seed = case
-        assert serialize_model(train_gbrt(data, params, seed)) == serialize_model(
-            train_gbrt_per_node(data, params, seed))
+        x, y, params, seed = case
+        assert serialize_model(train_gbrt(x, y, params, seed)) == serialize_model(
+            train_gbrt_per_node(x, y, params, seed))
 
     def test_no_feature_columns_fit_single_leaf_trees(self):
-        data = dataset_of(np.zeros((5, 0)), [0.0, 0.25, 0.25, 0.75, 0.95])
+        x, y = np.zeros((5, 0)), [0.0, 0.25, 0.25, 0.75, 0.95]
         params = GbrtHyperparams(n_trees=3, subsample=0.5)
-        model = train_gbrt(data, params, seed=1)
+        model = train_gbrt(x, y, params, seed=1)
         assert [tree.feature.tolist() for tree in model.trees] == [[-1]] * 3
-        assert serialize_model(model) == serialize_model(train_gbrt_per_node(data, params, 1))
+        assert serialize_model(model) == serialize_model(train_gbrt_per_node(x, y, params, 1))
 
     @pytest.mark.parametrize("n_nodes", [2, 256, 257, 40_000, 70_000])
     def test_grouping_keeps_node_ids_past_every_key_width(self, n_nodes):
@@ -164,7 +195,7 @@ class TestPredict:
         rng = np.random.default_rng(10)
         x = rng.random((150, 3))
         y = np.clip(1.5 * x[:, 0] - 0.2, 0, 1)
-        model = train_gbrt(dataset_of(x, y), GbrtHyperparams(n_trees=40))
+        model = train_gbrt(x, y, GbrtHyperparams(n_trees=40))
         out = predict_batch(model, rng.random((300, 3)) * 3 - 1)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
@@ -174,14 +205,13 @@ class TestSerialization:
         rng = np.random.default_rng(11)
         x = rng.random((120, 5))
         y = np.clip(x[:, 2] + rng.normal(0, 0.05, 120), 0, 1)
-        model = train_gbrt(dataset_of(x, y), GbrtHyperparams(n_trees=25))
+        model = train_gbrt(x, y, GbrtHyperparams(n_trees=25))
         clone = deserialize_model(serialize_model(model))
         grid = rng.random((50, 5))
         assert np.array_equal(predict_batch(model, grid), predict_batch(clone, grid))
 
     def test_document_shape(self):
-        model = train_gbrt(dataset_of([[0.0], [1.0]], [0.0, 0.95]),
-                           GbrtHyperparams(n_trees=2, max_depth=1))
+        model = train_gbrt([[0.0], [1.0]], [0.0, 0.95], GbrtHyperparams(n_trees=2, max_depth=1))
         import json
 
         document = json.loads(serialize_model(model))
@@ -197,8 +227,7 @@ class TestSerialization:
 
 def one_feature_model_bytes(**split) -> bytes:
     """A one-feature, one-tree model whose root split is overridden."""
-    model = train_gbrt(dataset_of([[0.0], [1.0]], [0.0, 0.95]),
-                       GbrtHyperparams(n_trees=1, max_depth=1))
+    model = train_gbrt([[0.0], [1.0]], [0.0, 0.95], GbrtHyperparams(n_trees=1, max_depth=1))
     document = json.loads(serialize_model(model))
     document["trees"][0][0].update(split)
     return json.dumps(document).encode("utf-8")
@@ -295,9 +324,8 @@ class TestOnSyntheticCorpus:
                                  grade_mixture=dict(JUDGED_POOL_MIXTURE))
         corpus = generate_corpus(config, seed=21)
         qids = list(corpus.queries)
-        x = corpus.features.matrix(qids)
-        y = [corpus.judgments[qid].consensus_grade for qid in qids]
-        model = train_gbrt(list(zip(x, y)), GbrtHyperparams(n_trees=60),
+        x, y = training_set(corpus.features, corpus.judgments, qids)
+        model = train_gbrt(x, y, GbrtHyperparams(n_trees=60),
                            feature_names=corpus.features.names)
         predictions = predict_batch(model, x)
         signal = x[:, 0]
