@@ -25,6 +25,7 @@ from .corpus import (
     load_corpus,
     load_judgments,
     load_rankings,
+    ranking_table,
     training_set,
     write_corpus,
 )
@@ -41,8 +42,10 @@ from .experiments import (
     BucketReport,
     SweepCurve,
     ab_test,
+    blend_pages,
     bucket_comparison,
     mann_whitney_u,
+    prepare_queries,
     simulate_clicks_many,
     sweep_estimate,
 )

@@ -4,14 +4,16 @@ Retrieval scores vary wildly across queries, so satisfaction
 probabilities are read off a position-prior table instead: the
 probability of encountering a relevant document at each rank of an
 ideal ranking.  The shipped default table is a configurable stand-in
-(head 0.60, tail 0.10), not a measured value.
+(head 0.60, tail 0.10), not a measured value.  `build_candidates`
+calibrates the pools of every query of a ranking table at once.
 """
 
 from dataclasses import dataclass
 
-from .corpus import Ranking
+import numpy as np
+
+from .corpus import RankingTable
 from .errors import ValidationError
-from .freshness import DEFAULT_WINDOW, FreshnessWindow, is_fresh
 
 DEFAULT_PRIORS = (0.60, 0.50, 0.42, 0.35, 0.29, 0.24, 0.20, 0.16, 0.13, 0.10)
 
@@ -63,58 +65,27 @@ class CalibratedCandidate:
 
 
 def build_candidates(
-    ordinary: Ranking,
-    fresh: Ranking,
-    table: PositionPriorTable = DEFAULT_PRIOR_TABLE,
-    query_time: int = 0,
-    window: FreshnessWindow = DEFAULT_WINDOW,
+    table: RankingTable,
+    fresh_rank: np.ndarray,
+    prior_table: PositionPriorTable = DEFAULT_PRIOR_TABLE,
     depth: int = 10,
-) -> list[CalibratedCandidate]:
-    """Assemble the candidate pool from the two rankings.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mark and calibrate every query's candidate pool in the table.
 
-    The pool is the union of the top-`depth` of both rankings.  A
-    document inside the ordinary top page calibrates r_any from its
-    ordinary rank; one promoted purely through the fresh ranking falls
-    back to its fresh rank.  r_fresh is the prior of the fresh rank for
-    fresh documents inside the fresh top page and 0 otherwise.
-
-    Output order: ordinary-page candidates by ordinary rank, then
-    fresh-only candidates by fresh rank, which makes assembly
-    independent of input iteration order.
+    A pool is the union of the top-`depth` of the query's ordinary ranking
+    and of its fresh ranking, `fresh_rank` as `derive_fresh_ranking` gives
+    it.  r_any is the prior of the ordinary rank inside the ordinary top
+    page, and of the fresh rank for a document promoted purely through the
+    fresh one.  r_fresh is the prior of the fresh rank inside the fresh top
+    page and 0 otherwise; ranks beyond the prior table take its last
+    prior.  Returns ``(pool, r_any, r_fresh)`` by row.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-
-    ordinary_ranks = {e.doc_id: e.rank for e in ordinary.entries}
-    fresh_ranks = {e.doc_id: e.rank for e in fresh.entries}
-
-    timestamps: dict[str, int] = {}
-    for entry in (*ordinary.entries, *fresh.entries):
-        known = timestamps.get(entry.doc_id)
-        if known is not None and known != entry.timestamp:
-            raise ValidationError(
-                f"doc {entry.doc_id!r} has conflicting timestamps across rankings"
-            )
-        timestamps[entry.doc_id] = entry.timestamp
-
-    ordinary_top = [e for e in ordinary.entries[:depth]]
-    fresh_top = [e for e in fresh.entries[:depth]]
-    in_ordinary_top = {e.doc_id for e in ordinary_top}
-
-    def make(doc_id: str) -> CalibratedCandidate:
-        ord_rank = ordinary_ranks.get(doc_id)
-        frs_rank = fresh_ranks.get(doc_id)
-        if doc_id in in_ordinary_top:
-            r_any = position_prior(ord_rank, table)
-        else:
-            r_any = position_prior(frs_rank, table)
-        fresh_doc = is_fresh(timestamps[doc_id], query_time, window)
-        if fresh_doc and frs_rank is not None and frs_rank <= depth:
-            r_fresh = position_prior(frs_rank, table)
-        else:
-            r_fresh = 0.0
-        return CalibratedCandidate(doc_id, r_any, r_fresh, ord_rank, frs_rank)
-
-    pool = [make(e.doc_id) for e in ordinary_top]
-    pool.extend(make(e.doc_id) for e in fresh_top if e.doc_id not in in_ordinary_top)
-    return pool
+    priors = np.asarray(prior_table.priors, dtype=np.float64)
+    ordinary_top = table.rank <= depth
+    fresh_top = (fresh_rank >= 1) & (fresh_rank <= depth)
+    any_rank = np.where(ordinary_top, table.rank, fresh_rank)
+    r_any = priors[np.clip(any_rank, 1, priors.size) - 1]
+    r_fresh = np.where(fresh_top, priors[np.clip(fresh_rank, 1, priors.size) - 1], 0.0)
+    return ordinary_top | fresh_top, r_any, r_fresh

@@ -44,6 +44,8 @@ from .corpus import (
     load_predictions,
     load_rankings,
     load_queries,
+    ranking_table,
+    require_queries,
     training_set,
     write_corpus,
 )
@@ -304,12 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("blend", _cmd_blend, "produce blended result pages")
     p.add_argument("--rankings", required=True)
-    p.add_argument("--queries", help="queries.tsv supplying per-query issue times")
-    p.add_argument("--query-time", type=int,
-                   help="issue time applied to every query when --queries is absent")
-    p.add_argument("--p-fresh", dest="p_fresh", type=float,
-                   help="fixed recency-need probability for every query")
-    p.add_argument("--predictions", help="predictions TSV (query_id<TAB>p_fresh)")
+    times = p.add_mutually_exclusive_group()
+    times.add_argument("--queries", help="queries.tsv supplying per-query issue times")
+    times.add_argument("--query-time", type=int, help="issue time applied to every query")
+    estimates = p.add_mutually_exclusive_group()
+    estimates.add_argument("--p-fresh", dest="p_fresh", type=float,
+                           help="fixed recency-need probability for every query")
+    estimates.add_argument("--predictions", help="predictions TSV (query_id<TAB>p_fresh)")
 
     p = command("eval", _cmd_eval, "score ranking files under the page metric")
     p.add_argument("--rankings", required=True)
@@ -411,9 +414,7 @@ def _blend_queries(args: argparse.Namespace, rankings) -> dict[str, QueryRecord]
     carrying the issue time its freshness checks use."""
     if args.queries is not None:
         queries = load_queries(_require_file(args.queries, "queries"))
-        for qid in rankings:
-            if qid not in queries:
-                raise ValidationError(f"query {qid!r} in rankings but not in queries file")
+        require_queries(rankings, queries)
         return {qid: queries[qid] for qid in rankings}
     if args.query_time is not None:
         return {qid: QueryRecord(qid, args.query_time) for qid in rankings}
@@ -435,40 +436,35 @@ def _cmd_blend(args: argparse.Namespace, config: RunConfig) -> int:
     prepared = prepare_queries(queries, rankings, metric_config, config.window(),
                                config.prior_table(), require_latents=False)
     orders, gains = blend_pages(prepared, estimates_for(prepared, p_by_query), metric_config)
-    lines = []
-    for qid, pool, order, row_gains in zip(prepared.query_ids, prepared.candidates,
-                                           orders, gains):
-        for position, (column, gain) in enumerate(zip(order, row_gains), start=1):
-            if column < 0:
-                break
-            lines.append(f"{qid}\t{position}\t{pool[column].doc_id}\t{fmt(gain)}")
+    placed = orders >= 0
+    rows = np.take_along_axis(prepared.candidates, np.where(placed, orders, 0), axis=1)
+    doc_ids = prepared.table.doc_ids
+    query, position = np.nonzero(placed)
+    lines = [f"{prepared.query_ids[b]}\t{p + 1}\t{doc_ids[row]}\t{fmt(gain)}"
+             for b, p, row, gain in zip(query.tolist(), position.tolist(),
+                                        rows[placed].tolist(), gains[placed].tolist())]
     write_lines(os.path.join(out, "blended.tsv"), lines)
     _echo_config(args, config)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
-    rankings = load_rankings(_require_file(args.rankings, "rankings"))
+    table = ranking_table(load_rankings(_require_file(args.rankings, "rankings")))
     metric_config = config.metric_config()
     dist = IntentDistribution.from_p_fresh(args.p_fresh)
+    table.require_latent_any(np.arange(len(table.doc_ids)), "has no latent_rel_any; eval "
+                             "scores the stored latent relevances")
     # Each page is its ranking cut to the depth and zero-padded, which the
     # kernel scores exactly.
-    n = len(rankings)
-    width = min(metric_config.depth, max((len(r.entries) for r in rankings.values()), default=0))
-    r_fresh, r_any = np.zeros((2, n, width), dtype=np.float64)
-    for row, (qid, ranking) in enumerate(rankings.items()):
-        for column, entry in enumerate(ranking.entries):
-            if entry.latent_rel_any is None:
-                raise ValidationError(
-                    f"query {qid!r} doc {entry.doc_id!r} has no latent_rel_any; "
-                    "eval scores the stored latent relevances"
-                )
-            if column < width:
-                r_fresh[row, column] = entry.latent_rel_fresh or 0.0
-                r_any[row, column] = entry.latent_rel_any
-    totals = err_iaa_batch(r_fresh, r_any, np.full(n, dist.p_fresh), np.full(n, dist.p_any),
+    n = len(table.query_ids)
+    width = min(metric_config.depth, int(np.diff(table.offsets).max(initial=0)))
+    pages = np.zeros((2, n, width), dtype=np.float64)
+    on_page = table.rank <= width
+    pages[:, table.query[on_page], table.rank[on_page] - 1] = np.nan_to_num(
+        (table.latent_fresh[on_page], table.latent_any[on_page]))
+    totals = err_iaa_batch(*pages, np.full(n, dist.p_fresh), np.full(n, dist.p_any),
                            metric_config.p_break, metric_config.break_exponent.shift)
-    for qid, total in zip(rankings, totals):
+    for qid, total in zip(table.query_ids, totals):
         print(f"{qid}\t{fmt(total)}")
     return 0
 

@@ -30,6 +30,7 @@ estimates of the latent ground truth.
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -68,6 +69,8 @@ class QueryRecord:
     def __post_init__(self):
         if not self.query_id:
             raise ValidationError("query_id must be non-empty")
+        if not -2**63 <= self.issue_time < 2**63:
+            raise ValidationError(f"issue_time does not fit in 64 bits: {self.issue_time}")
         if self.true_grade is not None and self.true_grade not in GRADE_VALUES:
             raise ValidationError(
                 f"true_grade {self.true_grade!r} not in {GRADE_VALUES}"
@@ -87,8 +90,8 @@ class DocEntry:
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
-        if self.timestamp < 0:
-            raise ValidationError(f"timestamp must be >= 0, got {self.timestamp}")
+        if not 0 <= self.timestamp < 2**63:
+            raise ValidationError(f"timestamp must be in [0, 2**63), got {self.timestamp}")
         for label, value in (
             ("latent_rel_any", self.latent_rel_any),
             ("latent_rel_fresh", self.latent_rel_fresh),
@@ -114,6 +117,49 @@ class Ranking:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+@dataclass(frozen=True)
+class RankingTable:
+    """Rankings as columns, one row per document: query q's documents are
+    rows offsets[q]:offsets[q + 1] in rank order, `query` and `rank` hold
+    each row's query index and rank, and a latent is NaN where absent."""
+
+    query_ids: tuple[str, ...]
+    offsets: np.ndarray
+    query: np.ndarray
+    rank: np.ndarray
+    doc_ids: tuple[str, ...]
+    timestamps: np.ndarray
+    latent_any: np.ndarray
+    latent_fresh: np.ndarray
+
+    def require_latent_any(self, rows: np.ndarray, why: str) -> None:
+        """Refuse the first of `rows` that has no latent_rel_any."""
+        missing = rows[np.isnan(self.latent_any[rows])]
+        if missing.size:
+            row = missing[0]
+            raise ValidationError(
+                f"query {self.query_ids[self.query[row]]!r} doc {self.doc_ids[row]!r} {why}")
+
+
+def ranking_table(rankings: Mapping[str, Ranking], query_ids=None) -> RankingTable:
+    """The table of the rankings of `query_ids` (default: all), in order."""
+    query_ids = tuple(rankings if query_ids is None else query_ids)
+    try:
+        held = [rankings[qid].entries for qid in query_ids]
+    except KeyError as exc:
+        raise ValidationError(f"query {exc.args[0]!r} has no ranking") from None
+    entries = [entry for ranking in held for entry in ranking]
+    lengths = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    query = np.repeat(np.arange(len(held)), lengths)
+    timestamps = np.fromiter((e.timestamp for e in entries), dtype=np.int64, count=len(entries))
+    latent_any, latent_fresh = np.array([[e.latent_rel_any for e in entries],
+                                         [e.latent_rel_fresh for e in entries]], dtype=np.float64)
+    rank = np.arange(1, len(entries) + 1) - offsets[query]
+    return RankingTable(query_ids, offsets, query, rank, tuple(e.doc_id for e in entries),
+                        timestamps, latent_any, latent_fresh)
 
 
 @dataclass(frozen=True)
@@ -248,11 +294,20 @@ def load_predictions(path: str) -> dict[str, float]:
         return {qid: parse_real(p_fresh, "p_fresh") for qid, p_fresh in rows}
 
 
+def require_queries(rankings, queries) -> None:
+    """Refuse a ranked query that has no query record."""
+    for qid in rankings:
+        if qid not in queries:
+            raise ValidationError(f"query {qid!r} in rankings but not in queries file")
+
+
 def load_corpus(directory: str) -> Corpus:
     """Load the four corpus files from a directory.  Judgments and
-    features are optional; each file is held once, keyed by query_id."""
+    features are optional; each file is held once, keyed by query_id.
+    Every ranked query needs a record in queries.tsv."""
     queries = load_queries(os.path.join(directory, "queries.tsv"))
     rankings = load_rankings(os.path.join(directory, "rankings.tsv"))
+    require_queries(rankings, queries)
     judgments_path = os.path.join(directory, "judgments.tsv")
     judgments = load_judgments(judgments_path) if os.path.exists(judgments_path) else {}
     features_path = os.path.join(directory, "features.tsv")

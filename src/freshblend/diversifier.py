@@ -7,6 +7,7 @@ import numpy as np
 
 from . import kernels
 from .calibration import CalibratedCandidate
+from .corpus import RankingTable
 from .errors import ValidationError
 from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig
 
@@ -28,22 +29,27 @@ def tie_break_key(candidate: CalibratedCandidate):
     return (-candidate.r_any, rank, candidate.doc_id)
 
 
-def candidate_arrays(pools: Sequence[Sequence[CalibratedCandidate]]):
-    """Pack pools into the padded (B, M) arrays the blend kernel consumes.
+def candidate_arrays(table: RankingTable, pool: np.ndarray, r_any: np.ndarray,
+                     r_fresh: np.ndarray):
+    """Pack every query's pool, as `build_candidates` marks it, into the
+    padded (B, M) arrays the blend kernel consumes.
 
-    Each pool is sorted by tie_break_key, so column j of row b holds
-    ``ordered[b][j]``.  Returns ``(ordered, r_fresh, r_any, sizes)``;
-    columns past ``sizes[b]`` are zero padding.
+    A pool is ordered as `tie_break_key` orders candidates: higher r_any,
+    then lower ordinary rank, unique within a query.  Returns ``(rows,
+    r_fresh, r_any, sizes)``: column j of query b is table row ``rows[b,
+    j]``, and past ``sizes[b]`` it is padding, -1 in rows and 0 elsewhere.
     """
-    ordered = tuple(tuple(sorted(pool, key=tie_break_key)) for pool in pools)
-    sizes = np.fromiter((len(pool) for pool in ordered), dtype=np.int64, count=len(ordered))
-    m = int(sizes.max()) if sizes.size else 0
-    r_fresh = np.zeros((len(ordered), m), dtype=np.float64)
-    r_any = np.zeros((len(ordered), m), dtype=np.float64)
-    for b, pool in enumerate(ordered):
-        r_fresh[b, : len(pool)] = [c.r_fresh for c in pool]
-        r_any[b, : len(pool)] = [c.r_any for c in pool]
-    return ordered, r_fresh, r_any, sizes
+    rows = np.flatnonzero(pool)
+    rows = rows[np.lexsort((table.rank[rows], -r_any[rows], table.query[rows]))]
+    query = table.query[rows]
+    sizes = np.bincount(query, minlength=len(table.query_ids))
+    column = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[query]
+    shape = (sizes.size, int(sizes.max()) if sizes.size else 0)
+    index = np.full(shape, -1, dtype=np.int64)
+    index[query, column] = rows
+    packed = np.zeros((2, *shape), dtype=np.float64)
+    packed[:, query, column] = r_fresh[rows], r_any[rows]
+    return index, packed[0], packed[1], sizes
 
 
 def blend(
@@ -55,18 +61,18 @@ def blend(
     position, until the page depth or the pool is exhausted."""
     if not candidates:
         raise ValidationError("cannot blend an empty candidate pool")
-    ordered, r_fresh, r_any, sizes = candidate_arrays([candidates])
+    ordered = sorted(candidates, key=tie_break_key)
     order, gains = kernels.greedy_blend(
-        r_fresh,
-        r_any,
-        sizes,
+        np.array([[c.r_fresh for c in ordered]], dtype=np.float64),
+        np.array([[c.r_any for c in ordered]], dtype=np.float64),
+        np.array([len(ordered)]),
         np.array([dist.p_fresh]),
         np.array([dist.p_any]),
         config.p_break,
         config.break_exponent.shift,
         config.depth,
     )
-    doc_ids = tuple(ordered[0][int(i)].doc_id for i in order[0])
+    doc_ids = tuple(ordered[int(i)].doc_id for i in order[0])
     gain_list = tuple(float(g) for g in gains[0])
     return BlendedResult(doc_ids, gain_list, float(gains[0].sum()), dist)
 

@@ -28,7 +28,7 @@ from .calibration import (
     PositionPriorTable,
     build_candidates,
 )
-from .corpus import Corpus, QueryRecord, Ranking, training_set
+from .corpus import Corpus, QueryRecord, Ranking, RankingTable, ranking_table, training_set
 from .errors import ValidationError
 from .fileio import atomic_write_text, fmt, write_lines
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
@@ -109,20 +109,21 @@ class PreparedQueries:
     """Every query's candidate pool as padded (B, M) kernel arrays.
 
     Row b is query ``query_ids[b]``; its ``sizes[b]`` candidates fill the
-    leading columns in tie-break order, column j holding
-    ``candidates[b][j]``, and the rest of the row is zero padding.
-    cal_* hold the calibrated probabilities the blender sees; lat_* hold
-    the latent ground truth used for evaluation and click simulation.
-    initial_order / fresh_order are (B, K) column indices of the
-    unmodified ordinary page and the fresh-only page, -1 past a page's end,
-    with K = min(depth, M): no page is longer than the longest pool.
-    true_grade is NaN where a query has none.
+    leading columns in tie-break order, column j holding row
+    ``candidates[b, j]`` of ``table``, and the rest of the row is padding,
+    -1 in ``candidates`` and zero elsewhere.  cal_* hold the calibrated
+    probabilities the blender sees; lat_* hold the latent ground truth used
+    for evaluation and click simulation.  initial_order / fresh_order are
+    (B, K) column indices of the unmodified ordinary page and the fresh-only
+    page, -1 past a page's end, with K = min(depth, M): no page is longer
+    than the longest pool.  true_grade is NaN where a query has none.
     """
 
     query_ids: tuple[str, ...]
+    table: RankingTable
     true_grade: np.ndarray
     volume: np.ndarray
-    candidates: tuple[tuple[CalibratedCandidate, ...], ...]
+    candidates: np.ndarray
     sizes: np.ndarray
     cal_fresh: np.ndarray
     cal_any: np.ndarray
@@ -144,61 +145,46 @@ def prepare_queries(
     require_latents: bool = True,
 ) -> PreparedQueries:
     """Derive, calibrate and pack the candidate pool of every query in
-    `queries`, in that order."""
-    depth = metric_config.depth
-    pools = []
-    for qid, record in queries.items():
-        ranking = rankings.get(qid)
-        if ranking is None:
-            raise ValidationError(f"query {qid!r} has no ranking")
-        fresh = derive_fresh_ranking(ranking, record.issue_time, window)
-        pools.append(build_candidates(ranking, fresh, table, record.issue_time, window, depth))
-    ordered, cal_fresh, cal_any, sizes = candidate_arrays(pools)
+    `queries`, in that order, from one table of their rankings."""
+    ranked = ranking_table(rankings, queries)
+    records = queries.values()
+    fresh_rank = derive_fresh_ranking(
+        ranked, np.fromiter((r.issue_time for r in records), np.int64, len(queries)), window)
+    pool, r_any, r_fresh = build_candidates(ranked, fresh_rank, table, metric_config.depth)
+    rows, cal_fresh, cal_any, sizes = candidate_arrays(ranked, pool, r_any, r_fresh)
 
-    # The fresh ranking filters the ordinary one, so every candidate has an
-    # ordinary rank, and entries[ordinary_rank - 1] is its entry.
-    n = len(ordered)
-    width = min(depth, cal_fresh.shape[1])
-    lat_fresh = np.zeros_like(cal_fresh)
-    lat_any = np.zeros_like(cal_any)
-    initial_order = np.full((n, width), -1, dtype=np.int64)
-    fresh_order = np.full((n, width), -1, dtype=np.int64)
-    for b, (qid, pool) in enumerate(zip(queries, ordered)):
-        entries = rankings[qid].entries
-        for j, candidate in enumerate(pool):
-            entry = entries[candidate.ordinary_rank - 1]
-            if entry.latent_rel_any is None:
-                if require_latents:
-                    raise ValidationError(
-                        f"query {qid!r} doc {candidate.doc_id!r} lacks latent relevance; "
-                        "experiments need latent ground truth"
-                    )
-            else:
-                lat_any[b, j] = entry.latent_rel_any
-            if entry.latent_rel_fresh is not None:
-                lat_fresh[b, j] = entry.latent_rel_fresh
-            if candidate.ordinary_rank <= width:
-                initial_order[b, candidate.ordinary_rank - 1] = j
-            if candidate.fresh_rank is not None and candidate.fresh_rank <= width:
-                fresh_order[b, candidate.fresh_rank - 1] = j
+    live = rows >= 0
+    lat_fresh, lat_any = np.where(live, (ranked.latent_fresh[rows], ranked.latent_any[rows]), 0.0)
+    pooled = rows[live]
+    if require_latents:
+        ranked.require_latent_any(
+            pooled, "lacks latent relevance; experiments need latent ground truth")
+
+    # scatter each candidate's column to its place on the two pages
+    width = min(metric_config.depth, cal_fresh.shape[1])
+    pages = np.full((2, len(queries), width), -1, dtype=np.int64)
+    b, j = np.nonzero(live)
+    for page, rank in zip(pages, (ranked.rank[pooled], fresh_rank[pooled])):
+        on_page = (rank >= 1) & (rank <= width)
+        page[b[on_page], rank[on_page] - 1] = j[on_page]
 
     return PreparedQueries(
-        query_ids=tuple(queries),
+        query_ids=ranked.query_ids,
+        table=ranked,
         true_grade=np.asarray(
-            [np.nan if r.true_grade is None else r.true_grade for r in queries.values()],
+            [np.nan if r.true_grade is None else r.true_grade for r in records],
             dtype=np.float64,
         ),
-        volume=np.asarray(
-            [1 if r.volume is None else r.volume for r in queries.values()], dtype=np.float64
-        ),
-        candidates=ordered,
+        volume=np.asarray([1 if r.volume is None else r.volume for r in records],
+                          dtype=np.float64),
+        candidates=rows,
         sizes=sizes,
         cal_fresh=cal_fresh,
         cal_any=cal_any,
-        lat_fresh=lat_fresh,
-        lat_any=lat_any,
-        initial_order=initial_order,
-        fresh_order=fresh_order,
+        lat_fresh=np.nan_to_num(lat_fresh),
+        lat_any=np.nan_to_num(lat_any),
+        initial_order=pages[0],
+        fresh_order=pages[1],
     )
 
 

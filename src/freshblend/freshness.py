@@ -1,11 +1,12 @@
 """Binary document freshness under a fixed time window, the derived
-fresh ranking, and burst profiling of query logs."""
+fresh ranking of every query of a ranking table, and burst profiling of
+query logs."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Ranking
+from .corpus import RankingTable
 from .errors import ConfigError, UnknownQueryError, ValidationError
 from .fileio import TsvRows, fmt, parse_int, write_lines
 
@@ -31,21 +32,29 @@ class FreshnessWindow:
 DEFAULT_WINDOW = FreshnessWindow()
 
 
-def is_fresh(doc_timestamp: int, query_time: int, window: FreshnessWindow = DEFAULT_WINDOW) -> bool:
-    """True when the document's age at query time is within the window.
+def is_fresh(doc_timestamp, query_time, window: FreshnessWindow = DEFAULT_WINDOW):
+    """True when the document's age at query time is within the window;
+    elementwise for int64 arrays.
 
     The boundary is inclusive; future-dated documents (negative age) count
-    as fresh rather than erroring, tolerating clock skew.
+    as fresh rather than erroring, tolerating clock skew.  An int64
+    subtraction wraps only where the age is negative, which the first test
+    marks fresh.
     """
-    return query_time - doc_timestamp <= window.window_seconds
+    return (query_time <= doc_timestamp) | (query_time - doc_timestamp <= window.window_seconds)
 
 
 def derive_fresh_ranking(
-    ranking: Ranking, query_time: int, window: FreshnessWindow = DEFAULT_WINDOW
-) -> Ranking:
-    """Drop stale entries, keep relative order, renumber ranks from 1."""
-    kept = [e for e in ranking.entries if is_fresh(e.timestamp, query_time, window)]
-    return Ranking(tuple(replace(e, rank=i + 1) for i, e in enumerate(kept)))
+    table: RankingTable, query_times, window: FreshnessWindow = DEFAULT_WINDOW
+) -> np.ndarray:
+    """Each row's rank in its query's fresh ranking, 0 for a stale row:
+    the rows `is_fresh` at their query's time in `query_times`, in their
+    ordinary order."""
+    issued = np.asarray(query_times, dtype=np.int64)[table.query]
+    fresh = is_fresh(table.timestamps, issued, window)
+    count = np.cumsum(fresh)
+    before = np.concatenate(([0], count))[table.offsets[:-1]]
+    return np.where(fresh, count - before[table.query], 0)
 
 
 @dataclass(frozen=True)

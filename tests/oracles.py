@@ -4,20 +4,24 @@ against.
 The library keeps one implementation of each rule.  Its scalar
 references live here: a scalar loop per numpy kernel performing the same
 float64 operations one element at a time, the boosted-tree fit one node
-at a time, the greedy step folded into per-intent survival masses,
+at a time, the candidate pools built one query and one document at a
+time, the greedy step folded into per-intent survival masses,
 from-scratch evaluations of the objective, exhaustive searches,
 rank-based Mann-Whitney tests and the A/B test drawn whole in one shot.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from freshblend import experiments, kernels
+from freshblend.calibration import CalibratedCandidate, position_prior
+from freshblend.corpus import Ranking
 from freshblend.diversifier import tie_break_key
 from freshblend.errors import ValidationError
+from freshblend.freshness import is_fresh
 from freshblend.metric import DEFAULT_METRIC_CONFIG, MetricConfig
 from freshblend.recency_classifier import (GbrtHyperparams, GbrtModel, RegressionTree,
                                            _training_arrays)
@@ -285,6 +289,50 @@ def brute_err_iaa(page, dist, config):
                 survive *= 1.0 - getattr(page[i], attr)
             total += disc * p_t * survive * getattr(page[r - 1], attr)
     return total
+
+
+# ---------------------------------------------------------------------------
+# candidate pools, one query and one document at a time
+# ---------------------------------------------------------------------------
+
+
+def derive_fresh_ranking(ranking: Ranking, query_time: int, window) -> Ranking:
+    """Drop stale entries, keep relative order, renumber ranks from 1."""
+    kept = [e for e in ranking.entries if is_fresh(e.timestamp, query_time, window)]
+    return Ranking(tuple(replace(e, rank=i + 1) for i, e in enumerate(kept)))
+
+
+def build_candidates(ordinary: Ranking, fresh: Ranking, table, depth: int):
+    """One query's pool joined from its two rankings by doc id: the
+    ordinary top page by ordinary rank, then the fresh-only candidates by
+    fresh rank."""
+    ordinary_ranks = {e.doc_id: e.rank for e in ordinary.entries}
+    fresh_ranks = {e.doc_id: e.rank for e in fresh.entries}
+    in_ordinary_top = {e.doc_id for e in ordinary.entries[:depth]}
+
+    def make(doc_id: str) -> CalibratedCandidate:
+        ord_rank = ordinary_ranks[doc_id]
+        frs_rank = fresh_ranks.get(doc_id)
+        r_any = position_prior(ord_rank if doc_id in in_ordinary_top else frs_rank, table)
+        in_fresh_top = frs_rank is not None and frs_rank <= depth
+        r_fresh = position_prior(frs_rank, table) if in_fresh_top else 0.0
+        return CalibratedCandidate(doc_id, r_any, r_fresh, ord_rank, frs_rank)
+
+    pool = [make(e.doc_id) for e in ordinary.entries[:depth]]
+    pool.extend(make(e.doc_id) for e in fresh.entries[:depth]
+                if e.doc_id not in in_ordinary_top)
+    return pool
+
+
+def prepared_pools(queries, rankings, depth, window, table):
+    """Each query's fresh ranking and its pool sorted by tie_break_key, in
+    the order of `queries`."""
+    pools = []
+    for qid, record in queries.items():
+        fresh = derive_fresh_ranking(rankings[qid], record.issue_time, window)
+        pool = build_candidates(rankings[qid], fresh, table, depth)
+        pools.append((fresh, sorted(pool, key=tie_break_key)))
+    return pools
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from freshblend.calibration import CalibratedCandidate, DEFAULT_PRIOR_TABLE, build_candidates
+from freshblend.calibration import CalibratedCandidate
 from freshblend.cli import run
 from freshblend.corpus import (
     DocEntry,
     GeneratorConfig,
     JUDGED_POOL_MIXTURE,
+    QueryRecord,
     Ranking,
     generate_corpus,
     training_set,
@@ -26,14 +27,15 @@ from freshblend.corpus import (
 from freshblend.diversifier import blend
 from freshblend.experiments import (
     ab_test,
+    blend_pages,
     blend_policy,
     bucket_comparison,
     initial_ranking_policy,
     mann_whitney_u,
+    prepare_queries,
     simulate_clicks_many,
     sweep_estimate,
 )
-from freshblend.freshness import DEFAULT_WINDOW, derive_fresh_ranking
 from freshblend.metric import IntentDistribution, MetricConfig, err_iaa
 from freshblend.recency_classifier import (
     GbrtHyperparams,
@@ -122,6 +124,18 @@ def test_criterion_02_greedy_soundness():
             f"{steps_verified} step comparisons, {elapsed:.1f}s < 10s")
 
 
+def _blend_one_query(ranking, now, p_fresh):
+    """Blend a one-query table; returns the page's doc ids and each one's
+    calibrated r_fresh, and the pool's r_fresh values."""
+    prepared = prepare_queries({"q": QueryRecord("q", now)}, {"q": ranking}, CFG,
+                               require_latents=False)
+    orders, _ = blend_pages(prepared, p_fresh, CFG)
+    page = orders[0][orders[0] >= 0]
+    doc_ids = tuple(prepared.table.doc_ids[row] for row in prepared.candidates[0, page])
+    pool_fresh = prepared.cal_fresh[0, : prepared.sizes[0]].tolist()
+    return doc_ids, prepared.cal_fresh[0, page].tolist(), pool_fresh
+
+
 def test_criterion_03_degenerate_blending():
     now = 100 * DAY
     stale_ts, fresh_ts = now - 30 * DAY, now - DAY
@@ -129,26 +143,20 @@ def test_criterion_03_degenerate_blending():
     ordinary = Ranking(tuple(
         DocEntry(f"d{i:02d}", i + 1, stale_ts) for i in range(12)
     ))
-    fresh = derive_fresh_ranking(ordinary, now)
-    pool = build_candidates(ordinary, fresh, DEFAULT_PRIOR_TABLE, now, DEFAULT_WINDOW, 10)
-    ordered = blend(pool, IntentDistribution(0.0, 1.0), CFG)
-    ordinary_ok = ordered.doc_ids == tuple(e.doc_id for e in ordinary.entries[:10])
+    doc_ids, _, _ = _blend_one_query(ordinary, now, 0.0)
+    ordinary_ok = doc_ids == tuple(e.doc_id for e in ordinary.entries[:10])
 
     mixed = Ranking(tuple(
         DocEntry(f"m{i:02d}", i + 1, fresh_ts if i % 3 == 1 else stale_ts)
         for i in range(12)
     ))
-    fresh = derive_fresh_ranking(mixed, now)
-    pool = build_candidates(mixed, fresh, DEFAULT_PRIOR_TABLE, now, DEFAULT_WINDOW, 10)
-    by_id = {c.doc_id: c for c in pool}
-    ordered = blend(pool, IntentDistribution(1.0, 0.0), CFG)
-    fresh_values = [by_id[d].r_fresh for d in ordered.doc_ids]
+    _, fresh_values, pool_fresh = _blend_one_query(mixed, now, 1.0)
     n_fresh = sum(1 for v in fresh_values if v > 0)
     partition_ok = (
         all(v > 0 for v in fresh_values[:n_fresh])
         and all(v == 0 for v in fresh_values[n_fresh:])
         and fresh_values[:n_fresh] == sorted(fresh_values[:n_fresh], reverse=True)
-        and n_fresh == min(10, sum(1 for c in pool if c.r_fresh > 0))
+        and n_fresh == min(10, sum(1 for v in pool_fresh if v > 0))
     )
     _report(3, "degenerate blending", ordinary_ok and partition_ok,
             f"p=0 exact ordinary order: {ordinary_ok}; "

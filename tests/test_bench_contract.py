@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import freshblend
+from freshblend.cli import run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
@@ -39,11 +40,25 @@ STAGES = [
                "--predictions", "pred/predictions.tsv", "--out", "blended"]],
 ]
 
+# Small versions of the other workloads: (generate's mixture, the pass's
+# stages).  Their corpus is generated before the traced pass, as the
+# benchmark sets it up.
+OTHER_WORKLOADS = {
+    "offline_eval": ("judged", [
+        ["sweep", ["sweep", "--corpus", "corpus", "--out", "sweep"]],
+        ["buckets", ["buckets", "--corpus", "corpus", "--trees", "2", "--out", "buckets",
+                     "--seed", "3"]],
+    ]),
+    "abtest_traffic": ("traffic", [
+        ["abtest", ["abtest", "--corpus", "corpus", "--n-queries", "200", "--trees", "2",
+                    "--out", "ab", "--seed", "3"]],
+    ]),
+}
 
-@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-def test_worker_runs_every_stage(tmp_path, trace):
+
+def _run_worker(tmp_path, stages, trace: bool) -> dict:
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"stages": STAGES, "trace": trace}), encoding="utf-8")
+    spec.write_text(json.dumps({"stages": stages, "trace": trace}), encoding="utf-8")
     result_path = tmp_path / "result.json"
     done = subprocess.run(
         [sys.executable, WORKER, str(spec), str(result_path)],
@@ -53,9 +68,25 @@ def test_worker_runs_every_stage(tmp_path, trace):
     assert done.returncode == 0, done.stderr
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert [(stage["name"], stage["exit"]) for stage in result["stages"]] == [
-        (name, 0) for name, _ in STAGES
+        (name, 0) for name, _ in stages
     ], done.stderr
     assert result["facts"]["backend"] == "numpy"
+    return result
+
+
+def _assert_no_silent_layer(stats: dict, name: str, stages) -> None:
+    """The benchmark's traced pass fails a layer that records no call."""
+    workload = _workloads().workload(name, 3)
+    assert [stage_name for stage_name, _ in stages] == [stage.name for stage in workload.passes]
+    silent = [layer for layer in workload.layers
+              if not any(stat[0] for span, stat in stats.items()
+                         if span.startswith(layer + "."))]
+    assert silent == []
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_worker_runs_every_stage(tmp_path, trace):
+    result = _run_worker(tmp_path, STAGES, trace)
     if trace:
         stats = result["trace"]["stats"]
         for name, _ in STAGES:
@@ -64,11 +95,15 @@ def test_worker_runs_every_stage(tmp_path, trace):
         # only the train stage fits trees
         assert stats["recency_classifier.train_gbrt"][0] == 1
         assert stats["kernels.best_split"][0] >= 1
-        # these are quickstart's stages, whose traced pass fails a layer
-        # that records no call
-        quickstart = _workloads().workload("quickstart", 3)
-        assert [name for name, _ in STAGES] == [stage.name for stage in quickstart.passes]
-        silent = [layer for layer in quickstart.layers
-                  if not any(stat[0] for name, stat in stats.items()
-                             if name.startswith(layer + "."))]
-        assert silent == []
+        _assert_no_silent_layer(stats, "quickstart", STAGES)
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_WORKLOADS))
+def test_traced_pass_of_each_other_workload_records_every_layer(tmp_path, name):
+    mixture, stages = OTHER_WORKLOADS[name]
+    assert run(["generate", "--out", str(tmp_path / "corpus"), "--n-queries", "60",
+                "--mixture", mixture, "--seed", "3"]) == 0
+    stats = _run_worker(tmp_path, stages, trace=True)["trace"]["stats"]
+    for stage_name, _ in stages:
+        assert stats[f"cli.{stage_name}"][0] == 1
+    _assert_no_silent_layer(stats, name, stages)

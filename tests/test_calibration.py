@@ -1,5 +1,8 @@
 """Position priors and candidate pool assembly."""
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
 from freshblend.calibration import (
@@ -10,7 +13,7 @@ from freshblend.calibration import (
     build_candidates,
     position_prior,
 )
-from freshblend.corpus import DocEntry, Ranking
+from freshblend.corpus import DocEntry, Ranking, ranking_table
 from freshblend.errors import ValidationError
 from freshblend.freshness import DEFAULT_WINDOW, derive_fresh_ranking
 
@@ -18,6 +21,31 @@ DAY = 86_400
 NOW = 100 * DAY
 FRESH_TS = NOW - DAY
 STALE_TS = NOW - 30 * DAY
+
+
+def ranking(spec):
+    """spec: list of (doc_id, timestamp)."""
+    return Ranking(tuple(
+        DocEntry(doc_id, i + 1, ts) for i, (doc_id, ts) in enumerate(spec)
+    ))
+
+
+@dataclass(frozen=True)
+class Candidate:
+    r_any: float
+    r_fresh: float
+    ordinary_rank: int
+    fresh_rank: int
+
+
+def pool_for(ordinary, depth=10):
+    """The pool of a one-query table, by doc id in table order."""
+    table = ranking_table({"q": ordinary})
+    fresh_rank = derive_fresh_ranking(table, [NOW], DEFAULT_WINDOW)
+    pool, r_any, r_fresh = build_candidates(table, fresh_rank, DEFAULT_PRIOR_TABLE, depth)
+    return {table.doc_ids[row]: Candidate(float(r_any[row]), float(r_fresh[row]),
+                                          int(table.rank[row]), int(fresh_rank[row]))
+            for row in np.flatnonzero(pool)}
 
 
 class TestPositionPrior:
@@ -41,27 +69,15 @@ class TestPositionPrior:
             PositionPriorTable(())
 
 
-def ranking(spec):
-    """spec: list of (doc_id, timestamp)."""
-    return Ranking(tuple(
-        DocEntry(doc_id, i + 1, ts) for i, (doc_id, ts) in enumerate(spec)
-    ))
-
-
-def pool_for(ordinary, depth=10):
-    fresh = derive_fresh_ranking(ordinary, NOW, DEFAULT_WINDOW)
-    return build_candidates(ordinary, fresh, DEFAULT_PRIOR_TABLE, NOW, DEFAULT_WINDOW, depth)
-
-
 class TestBuildCandidates:
     def test_stale_doc_has_zero_fresh_probability(self):
         pool = pool_for(ranking([("d1", STALE_TS)]))
-        assert pool[0].r_fresh == 0.0
-        assert pool[0].r_any == 0.60
+        assert pool["d1"].r_fresh == 0.0
+        assert pool["d1"].r_any == 0.60
 
     def test_fresh_doc_calibrates_both_ranks(self):
         ordinary = ranking([("s1", STALE_TS), ("s2", STALE_TS), ("f1", FRESH_TS)])
-        pool = {c.doc_id: c for c in pool_for(ordinary)}
+        pool = pool_for(ordinary)
         assert pool["f1"].r_any == DEFAULT_PRIORS[2]
         assert pool["f1"].r_fresh == DEFAULT_PRIORS[0]
 
@@ -69,12 +85,12 @@ class TestBuildCandidates:
         ordinary = ranking([(f"d{i}", STALE_TS) for i in range(12)])
         pool = pool_for(ordinary, depth=10)
         assert len(pool) == 10
-        assert all(c.r_fresh == 0.0 for c in pool)
-        assert all(c.fresh_rank is None for c in pool)
+        assert all(c.r_fresh == 0.0 for c in pool.values())
+        assert all(c.fresh_rank == 0 for c in pool.values())
 
     def test_deep_fresh_doc_enters_pool_through_fresh_rank(self):
         spec = [(f"s{i}", STALE_TS) for i in range(10)] + [("deep", FRESH_TS)]
-        pool = {c.doc_id: c for c in pool_for(ranking(spec), depth=10)}
+        pool = pool_for(ranking(spec), depth=10)
         assert "deep" in pool
         assert pool["deep"].ordinary_rank == 11
         assert pool["deep"].fresh_rank == 1
@@ -92,26 +108,14 @@ class TestBuildCandidates:
 
     def test_probabilities_stay_calibrated(self):
         spec = [(f"d{i}", FRESH_TS if i % 3 else STALE_TS) for i in range(15)]
-        for candidate in pool_for(ranking(spec)):
+        for candidate in pool_for(ranking(spec)).values():
             assert 0.0 < candidate.r_any <= 1.0
             assert 0.0 <= candidate.r_fresh <= 1.0
 
-    def test_conflicting_timestamps_rejected(self):
-        ordinary = ranking([("d1", STALE_TS)])
-        fresh = Ranking((DocEntry("d1", 1, FRESH_TS),))
-        with pytest.raises(ValidationError, match="conflicting"):
-            build_candidates(ordinary, fresh, DEFAULT_PRIOR_TABLE, NOW, DEFAULT_WINDOW, 10)
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="depth"):
+            pool_for(ranking([("d1", STALE_TS)]), depth=0)
 
     def test_candidate_needs_a_rank(self):
         with pytest.raises(ValidationError):
             CalibratedCandidate("d", 0.5, 0.0, None, None)
-
-    def test_externally_supplied_fresh_ranking_keeps_stale_docs_at_zero(self):
-        # a fresh list that erroneously contains a stale doc must not give
-        # it fresh-intent probability
-        ordinary = ranking([("d1", STALE_TS), ("d2", FRESH_TS)])
-        fresh = Ranking((DocEntry("d1", 1, STALE_TS), DocEntry("d2", 2, FRESH_TS)))
-        pool = {c.doc_id: c for c in build_candidates(
-            ordinary, fresh, DEFAULT_PRIOR_TABLE, NOW, DEFAULT_WINDOW, 10)}
-        assert pool["d1"].r_fresh == 0.0
-        assert pool["d2"].r_fresh == DEFAULT_PRIORS[1]

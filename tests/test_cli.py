@@ -118,6 +118,29 @@ class TestBlend:
         assert code == 1
         assert "--p-fresh or --predictions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--query-time", "10", "--p-fresh", "1.0", "--predictions", "p.tsv"],
+        ["--query-time", "10", "--queries", "q.tsv", "--p-fresh", "0.5"],
+    ], ids=["estimate", "issue_time"])
+    def test_two_sources_of_one_input_are_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        flags):
+        # each pair was once accepted, the second flag of it silently ignored
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.tsv").write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        (tmp_path / "p.tsv").write_text("q1\t0.5\n", encoding="utf-8")
+        (tmp_path / "q.tsv").write_text("q1\t10\t-\t-\n", encoding="utf-8")
+        assert run(["blend", "--rankings", "r.tsv", "--out", "o", *flags]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_query_time_beyond_64_bits_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.tsv").write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        assert run(["blend", "--rankings", "r.tsv", "--query-time", str(2**63),
+                    "--p-fresh", "0.5", "--out", "o"]) == 1
+        assert capsys.readouterr().err == (
+            f"freshblend: error: issue_time does not fit in 64 bits: {2**63}\n")
+
     @pytest.mark.parametrize("estimate, predictions, message", [
         (["--p-fresh", "1.5"], "", "intent probabilities out of [0,1]"),
         (["--predictions", "p.tsv"], "q1\t-0.25\n", "intent probabilities out of [0,1]"),
@@ -410,6 +433,28 @@ class TestTrainingSetErrors:
                     "--out", str(tmp_path / "buckets")]) == 1
         assert capsys.readouterr().err == (
             "freshblend: error: query 'q000000' has no feature vector\n")
+
+
+class TestRankedQueryWithoutRecord:
+    """A corpus whose rankings.tsv holds a query that queries.tsv lacks is
+    refused, as `blend --queries` refuses it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["buckets", "--trees", "2"],
+        ["abtest", "--trees", "2", "--n-queries", "200"],
+    ], ids=lambda argv: argv[0])
+    def test_command_exits_one(self, tmp_path, corpus_dir, capsys, argv):
+        queries = os.path.join(corpus_dir, "queries.tsv")
+        with open(queries, encoding="utf-8") as handle:
+            lines = [line for line in handle if not line.startswith("q000003\t")]
+        with open(queries, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        out = tmp_path / "out"
+        assert run([argv[0], "--corpus", corpus_dir, "--out", str(out), *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            "freshblend: error: query 'q000003' in rankings but not in queries file\n")
+        assert not out.exists() or os.listdir(out) == []
 
 
 class TestPipeline:

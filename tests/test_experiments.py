@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshblend import experiments
-from freshblend.calibration import (
-    DEFAULT_PRIOR_TABLE,
-    CalibratedCandidate,
-    PositionPriorTable,
-    build_candidates,
-)
+from freshblend.calibration import DEFAULT_PRIOR_TABLE, CalibratedCandidate, PositionPriorTable
 from freshblend.corpus import (
     DocEntry,
     GeneratorConfig,
@@ -24,7 +19,6 @@ from freshblend.corpus import (
     Ranking,
     generate_corpus,
 )
-from freshblend.diversifier import tie_break_key
 from freshblend.errors import ValidationError
 from freshblend.experiments import (
     DEFAULT_SWEEP_GRID,
@@ -42,13 +36,14 @@ from freshblend.experiments import (
     write_buckets_csv,
     write_sweep_csv,
 )
-from freshblend.freshness import FreshnessWindow, derive_fresh_ranking
+from freshblend.freshness import FreshnessWindow
 from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
 from oracles import (
     exact_two_sided_p,
     midrank_mann_whitney,
     one_shot_ab_report,
     one_shot_bucket,
+    prepared_pools,
     simulate_clicks_loop,
 )
 
@@ -291,37 +286,95 @@ HAND_RANKINGS = {
 
 
 def check_prepared_rows(queries, rankings, config, window, table, require_latents):
+    """prepare_queries against the pools built one query at a time."""
     prepared = prepare_queries(queries, rankings, config, window, table, require_latents)
     depth = config.depth
+    m = prepared.cal_fresh.shape[1]
     # pages are as wide as the longest pool allows, never wider than the depth
-    width = min(depth, int(prepared.sizes.max()))
-    assert prepared.query_ids == tuple(queries)
-    for b, (qid, record) in enumerate(queries.items()):
+    width = min(depth, int(prepared.sizes.max(initial=0)))
+    assert prepared.query_ids == prepared.table.query_ids == tuple(queries)
+    assert prepared.initial_order.shape == prepared.fresh_order.shape == (len(queries), width)
+    expected = prepared_pools(queries, rankings, depth, window, table)
+    for b, (qid, (fresh, pool)) in enumerate(zip(queries, expected)):
         ranking = rankings[qid]
-        fresh = derive_fresh_ranking(ranking, record.issue_time, window)
-        pool = sorted(
-            build_candidates(ranking, fresh, table, record.issue_time, window, depth),
-            key=tie_break_key,
-        )
         size = len(pool)
-        assert prepared.candidates[b] == tuple(pool)
+        offset = int(prepared.table.offsets[b])
+        rows = [offset + c.ordinary_rank - 1 for c in pool]
+        assert prepared.candidates[b].tolist() == rows + [-1] * (m - size)
+        assert [prepared.table.doc_ids[row] for row in rows] == [c.doc_id for c in pool]
         assert prepared.sizes[b] == size
-        assert prepared.cal_fresh[b, :size].tolist() == [c.r_fresh for c in pool]
-        assert prepared.cal_any[b, :size].tolist() == [c.r_any for c in pool]
+        assert prepared.cal_fresh[b].tolist() == [c.r_fresh for c in pool] + [0.0] * (m - size)
+        assert prepared.cal_any[b].tolist() == [c.r_any for c in pool] + [0.0] * (m - size)
 
-        by_doc = {entry.doc_id: entry for entry in ranking.entries}
+        entries = [ranking.entries[c.ordinary_rank - 1] for c in pool]
+        lat_any = [e.latent_rel_any if e.latent_rel_any is not None else 0.0 for e in entries]
+        lat_fresh = [e.latent_rel_fresh if e.latent_rel_fresh is not None else 0.0
+                     for e in entries]
+        assert prepared.lat_any[b].tolist() == lat_any + [0.0] * (m - size)
+        assert prepared.lat_fresh[b].tolist() == lat_fresh + [0.0] * (m - size)
+
         column = {candidate.doc_id: j for j, candidate in enumerate(pool)}
-        lat_any = [by_doc[c.doc_id].latent_rel_any or 0.0 for c in pool]
-        lat_fresh = [by_doc[c.doc_id].latent_rel_fresh or 0.0 for c in pool]
-        assert prepared.lat_any[b, :size].tolist() == lat_any
-        assert prepared.lat_fresh[b, :size].tolist() == lat_fresh
-        assert not prepared.lat_any[b, size:].any()
-        assert not prepared.lat_fresh[b, size:].any()
-
-        initial = [column[e.doc_id] for e in ranking.entries[:depth]]
-        fresh_page = [column[e.doc_id] for e in fresh.entries[:depth]]
+        initial = [column[e.doc_id] for e in ranking.entries[:width]]
+        fresh_page = [column[e.doc_id] for e in fresh.entries[:width]]
         assert prepared.initial_order[b].tolist() == initial + [-1] * (width - len(initial))
         assert prepared.fresh_order[b].tolist() == fresh_page + [-1] * (width - len(fresh_page))
+
+
+@st.composite
+def ranking_batches(draw):
+    """Up to five queries of 0-40 documents each, fresh, stale or
+    future-dated, with and without latents, and a window, a prior table and
+    a depth to prepare them under."""
+    window = draw(st.integers(1, 10**6))
+    queries, rankings = {}, {}
+    for i in range(draw(st.integers(1, 5))):
+        qid = f"q{i}"
+        issue_time = draw(st.integers(2 * 10**6, 10**7))
+        entries = []
+        for rank in range(1, draw(st.integers(0, 40)) + 1):
+            age = draw(st.one_of(st.integers(0, window),                 # fresh
+                                 st.integers(window + 1, 2 * 10**6),     # stale
+                                 st.integers(-10**6, -1)))               # future-dated
+            latent = st.one_of(st.none(), st.floats(0.0, 1.0))
+            entries.append(DocEntry(f"{qid}-d{rank}", rank, issue_time - age,
+                                    draw(latent), draw(latent)))
+        queries[qid] = QueryRecord(qid, issue_time)
+        rankings[qid] = Ranking(tuple(entries))
+    priors = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           min_size=1, max_size=12))
+    table = PositionPriorTable(tuple(sorted(priors, reverse=True)))
+    config = MetricConfig(depth=draw(st.integers(1, 14)))
+    return queries, rankings, FreshnessWindow(window), table, config
+
+
+class TestPreparedTable:
+    @given(ranking_batches(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_table_path_equals_the_per_query_reference(self, batch, random):
+        queries, rankings, window, table, config = batch
+        check_prepared_rows(queries, rankings, config, window, table, require_latents=False)
+
+        # a query's rows do not depend on the batch it is prepared in
+        order = list(queries)
+        random.shuffle(order)
+        shuffled = {qid: queries[qid] for qid in order}
+        together = prepare_queries(shuffled, rankings, config, window, table,
+                                   require_latents=False)
+        for b, qid in enumerate(together.query_ids):
+            alone = prepare_queries({qid: queries[qid]}, rankings, config, window, table,
+                                    require_latents=False)
+            size = int(alone.sizes[0])
+            assert together.sizes[b] == size
+            for name in ("cal_fresh", "cal_any", "lat_fresh", "lat_any"):
+                row = getattr(together, name)[b].tolist()
+                assert row == getattr(alone, name)[0].tolist() + [0.0] * (len(row) - size)
+            doc_ids = [[prepared.table.doc_ids[r] for r in prepared.candidates[i, :size]]
+                       for prepared, i in ((together, b), (alone, 0))]
+            assert doc_ids[0] == doc_ids[1]
+            for name in ("initial_order", "fresh_order"):
+                row = getattr(together, name)[b].tolist()
+                own = getattr(alone, name)[0].tolist()
+                assert row == own + [-1] * (len(row) - len(own))
 
 
 class TestPrepareQueries:

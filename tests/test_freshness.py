@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshblend.corpus import DocEntry, Ranking
+from freshblend.corpus import DocEntry, Ranking, ranking_table
 from freshblend.errors import ConfigError, ParseError, UnknownQueryError, ValidationError
 from freshblend.freshness import (
     DEFAULT_WINDOW,
@@ -35,45 +35,69 @@ class TestIsFresh:
     def test_future_dated_doc_counts_as_fresh(self):
         assert is_fresh(doc_timestamp=100 * DAY, query_time=0, window=DEFAULT_WINDOW)
 
+    @pytest.mark.parametrize("timestamp, query_time, window, fresh", [
+        (2**62, -2**63, 1, True),              # the age is below -2**63
+        (2**63 - 1, -2**63, 2**63 - 1, True),
+        (0, 2**63 - 1, 2**63 - 1, True),
+        (1, 2**63 - 1, 2**63 - 2, True),
+        (0, 2**63 - 1, 2**63 - 2, False),
+        (0, 2**63 - 1, 10**30, True),          # a window beyond 64 bits
+    ])
+    def test_extreme_times_are_exact(self, timestamp, query_time, window, fresh):
+        window = FreshnessWindow(window)
+        assert is_fresh(timestamp, query_time, window) is fresh
+        # the same document in a one-query table, in int64
+        table = ranking_table({"q": Ranking((DocEntry("d", 1, timestamp),))})
+        assert derive_fresh_ranking(table, [query_time], window).tolist() == [int(fresh)]
+
     def test_window_must_be_positive(self):
         with pytest.raises(ConfigError):
             FreshnessWindow(0)
 
 
-def ranking_with_ages(ages, query_time):
-    return Ranking(tuple(
+def table_with_ages(ages, query_time):
+    """A one-query table of documents d0, d1, ... of the given ages."""
+    return ranking_table({"q": Ranking(tuple(
         DocEntry(f"d{i}", i + 1, query_time - age) for i, age in enumerate(ages)
-    ))
+    ))})
+
+
+def fresh_ranks(table, query_time, window=DEFAULT_WINDOW):
+    return derive_fresh_ranking(table, [query_time], window).tolist()
+
+
+def fresh_doc_ids(table, query_time, window=DEFAULT_WINDOW):
+    ranks = derive_fresh_ranking(table, [query_time], window)
+    return [table.doc_ids[row] for row in np.flatnonzero(ranks)]
 
 
 class TestDeriveFreshRanking:
     def test_all_fresh_is_identity(self):
         now = 100 * DAY
-        ranking = ranking_with_ages([0, DAY, 2 * DAY], now)
-        assert derive_fresh_ranking(ranking, now) == ranking
+        assert fresh_ranks(table_with_ages([0, DAY, 2 * DAY], now), now) == [1, 2, 3]
 
     def test_none_fresh_is_empty(self):
         now = 100 * DAY
-        ranking = ranking_with_ages([10 * DAY, 20 * DAY], now)
-        assert derive_fresh_ranking(ranking, now) == Ranking(())
+        assert fresh_ranks(table_with_ages([10 * DAY, 20 * DAY], now), now) == [0, 0]
 
     def test_survivors_are_renumbered_in_order(self):
         now = 100 * DAY
         stale, fresh = 10 * DAY, DAY
-        ranking = ranking_with_ages([stale, fresh, stale, stale, fresh], now)
-        derived = derive_fresh_ranking(ranking, now)
-        assert [e.doc_id for e in derived.entries] == ["d1", "d4"]
-        assert [e.rank for e in derived.entries] == [1, 2]
+        table = table_with_ages([stale, fresh, stale, stale, fresh], now)
+        assert fresh_doc_ids(table, now) == ["d1", "d4"]
+        assert fresh_ranks(table, now) == [0, 1, 0, 0, 2]
 
     @given(st.lists(st.integers(min_value=0, max_value=30 * DAY), min_size=0, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_idempotent_and_all_outputs_fresh(self, ages):
         now = 100 * DAY
-        ranking = ranking_with_ages(ages, now)
-        derived = derive_fresh_ranking(ranking, now)
-        assert derive_fresh_ranking(derived, now) == derived
-        for entry in derived.entries:
-            assert is_fresh(entry.timestamp, now)
+        table = table_with_ages(ages, now)
+        ranks = np.asarray(fresh_ranks(table, now))
+        kept = [age for age, rank in zip(ages, ranks) if rank]
+        assert fresh_ranks(table_with_ages(kept, now), now) == list(range(1, len(kept) + 1))
+        assert ranks[ranks > 0].tolist() == list(range(1, len(kept) + 1))
+        for row in np.flatnonzero(ranks):
+            assert is_fresh(int(table.timestamps[row]), now)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=30 * DAY), min_size=0, max_size=12),
@@ -83,12 +107,10 @@ class TestDeriveFreshRanking:
     @settings(max_examples=60, deadline=None)
     def test_wider_window_never_shrinks_the_fresh_set(self, ages, seconds, extra):
         now = 100 * DAY
-        ranking = ranking_with_ages(ages, now)
-        narrow = derive_fresh_ranking(ranking, now, FreshnessWindow(seconds))
-        wide = derive_fresh_ranking(ranking, now, FreshnessWindow(seconds + extra))
-        narrow_ids = {e.doc_id for e in narrow.entries}
-        wide_ids = {e.doc_id for e in wide.entries}
-        assert narrow_ids <= wide_ids
+        table = table_with_ages(ages, now)
+        narrow = fresh_doc_ids(table, now, FreshnessWindow(seconds))
+        wide = fresh_doc_ids(table, now, FreshnessWindow(seconds + extra))
+        assert set(narrow) <= set(wide)
 
 
 class TestBurstProfile:
