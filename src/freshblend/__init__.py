@@ -9,7 +9,6 @@ freshness in exactly that proportion.
 from .calibration import (
     DEFAULT_PRIOR_TABLE,
     DEFAULT_PRIORS,
-    CalibratedCandidate,
     PositionPriorTable,
     build_candidates,
     position_prior,
@@ -29,7 +28,6 @@ from .corpus import (
     training_set,
     write_corpus,
 )
-from .diversifier import BlendedResult, blend
 from .errors import (
     ConfigError,
     FreshblendError,
@@ -46,7 +44,6 @@ from .experiments import (
     bucket_comparison,
     mann_whitney_u,
     prepare_queries,
-    simulate_clicks_many,
     sweep_estimate,
 )
 from .freshness import (
@@ -56,12 +53,7 @@ from .freshness import (
     derive_fresh_ranking,
     is_fresh,
 )
-from .metric import (
-    BreakExponent,
-    IntentDistribution,
-    MetricConfig,
-    err_iaa,
-)
+from .metric import BreakExponent, MetricConfig
 from .recency_classifier import (
     GbrtHyperparams,
     GbrtModel,

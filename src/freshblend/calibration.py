@@ -45,25 +45,6 @@ def position_prior(rank: int, table: PositionPriorTable = DEFAULT_PRIOR_TABLE) -
     return priors[rank - 1] if rank <= len(priors) else priors[-1]
 
 
-@dataclass(frozen=True)
-class CalibratedCandidate:
-    """A document with per-intent satisfaction probabilities."""
-
-    doc_id: str
-    r_any: float
-    r_fresh: float
-    ordinary_rank: int | None = None
-    fresh_rank: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.r_any <= 1.0:
-            raise ValidationError(f"r_any out of [0,1]: {self.r_any!r}")
-        if not 0.0 <= self.r_fresh <= 1.0:
-            raise ValidationError(f"r_fresh out of [0,1]: {self.r_fresh!r}")
-        if self.ordinary_rank is None and self.fresh_rank is None:
-            raise ValidationError(f"candidate {self.doc_id!r} carries no rank")
-
-
 def build_candidates(
     table: RankingTable,
     fresh_rank: np.ndarray,

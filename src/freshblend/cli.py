@@ -11,7 +11,8 @@ same check.  Ranges are checked by the library constructors that own them.
 
 Subcommands that write into an output directory echo the resolved keys
 and their own flags there as effective_config.json; all file writes are
-atomic (write-then-rename).
+atomic (write-then-rename).  The directory is made at the first write, so
+a refused input creates none.
 
 Exit codes: 0 success, 1 validation/input error, a wrongly typed config
 value or running out of memory included (one-line diagnostic on stderr),
@@ -69,7 +70,7 @@ from .fileio import atomic_write_text, fmt, json_int, json_real, write_lines
 from .freshness import (DEFAULT_WINDOW, FreshnessWindow, burst_profile, load_query_log,
                         write_burst_csv)
 from .kernels import err_iaa_batch
-from .metric import BreakExponent, IntentDistribution, MetricConfig
+from .metric import BreakExponent, MetricConfig
 from .recency_classifier import (
     GbrtHyperparams,
     load_model,
@@ -251,7 +252,6 @@ def _require_file(path: str, what: str) -> str:
 def _require_out(args: argparse.Namespace) -> str:
     if args.out is None:
         raise ValidationError("missing required --out directory")
-    os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
@@ -451,7 +451,9 @@ def _cmd_blend(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     table = ranking_table(load_rankings(_require_file(args.rankings, "rankings")))
     metric_config = config.metric_config()
-    dist = IntentDistribution.from_p_fresh(args.p_fresh)
+    p_fresh = args.p_fresh
+    if not 0.0 <= p_fresh <= 1.0:
+        raise ValidationError(f"intent probabilities out of [0,1]: --p-fresh {p_fresh!r}")
     table.require_latent_any(np.arange(len(table.doc_ids)), "has no latent_rel_any; eval "
                              "scores the stored latent relevances")
     # Each page is its ranking cut to the depth and zero-padded, which the
@@ -462,7 +464,7 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     on_page = table.rank <= width
     pages[:, table.query[on_page], table.rank[on_page] - 1] = np.nan_to_num(
         (table.latent_fresh[on_page], table.latent_any[on_page]))
-    totals = err_iaa_batch(*pages, np.full(n, dist.p_fresh), np.full(n, dist.p_any),
+    totals = err_iaa_batch(*pages, np.full(n, p_fresh), np.full(n, 1.0 - p_fresh),
                            metric_config.p_break, metric_config.break_exponent.shift)
     for qid, total in zip(table.query_ids, totals):
         print(f"{qid}\t{fmt(total)}")

@@ -363,7 +363,6 @@ def write_queries(queries: dict[str, QueryRecord], path: str) -> None:
 
 
 def write_corpus(corpus: Corpus, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
     write_queries(corpus.queries, os.path.join(directory, "queries.tsv"))
     write_rankings(corpus.rankings, os.path.join(directory, "rankings.tsv"))
     write_judgments(corpus.judgments, os.path.join(directory, "judgments.tsv"))

@@ -22,17 +22,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .calibration import (
-    DEFAULT_PRIOR_TABLE,
-    CalibratedCandidate,
-    PositionPriorTable,
-    build_candidates,
-)
+from .calibration import DEFAULT_PRIOR_TABLE, PositionPriorTable, build_candidates
 from .corpus import Corpus, QueryRecord, Ranking, RankingTable, ranking_table, training_set
 from .errors import ValidationError
 from .fileio import atomic_write_text, fmt, write_lines
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
-from .metric import DEFAULT_METRIC_CONFIG, IntentDistribution, MetricConfig
+from .metric import DEFAULT_METRIC_CONFIG, MetricConfig
 from .diversifier import candidate_arrays
 from .recency_classifier import GbrtHyperparams, predict_batch, train_gbrt
 
@@ -387,7 +382,7 @@ def _stream(seed, offset: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _click_blocks(seed, pages, p_fresh, n, config: MetricConfig, weights=None, block=None):
+def _click_blocks(seed, pages, p_fresh, weights, n, config: MetricConfig, block=None):
     """Simulate `n` users on the stacked (2, Q, K) latent pages, K <= depth
     ([0] fresh intent, [1] any intent, as `_page_matrices` builds them),
     `block` users at a time; yields each block's 1-based click positions,
@@ -395,9 +390,8 @@ def _click_blocks(seed, pages, p_fresh, n, config: MetricConfig, weights=None, b
 
     PCG64(seed)'s stream is read as consecutive segments, each by its own
     generator:
-      1. choice: n doubles, only when `weights` is given; a user sees page
-         ``cdf.searchsorted(u, side="right")``, as ``Generator.choice(Q,
-         p=weights)`` draws it, and page 0 otherwise;
+      1. choice: n doubles; a user sees page ``cdf.searchsorted(u,
+         side="right")``, as ``Generator.choice(Q, p=weights)`` draws it;
       2. u_intent: n doubles; the user has the fresh intent when u_intent <
          p_fresh of the page, and scans that intent's row;
       3. u_cont: n x depth doubles;
@@ -409,22 +403,16 @@ def _click_blocks(seed, pages, p_fresh, n, config: MetricConfig, weights=None, b
     depth = config.depth
     if block is None:
         block = max(1, _BLOCK_DRAWS // depth)
-    head = 0
-    if weights is not None:
-        head = n
-        choice = _stream(seed, 0)
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-    intent = _stream(seed, head)
-    cont = _stream(seed, head + n)
-    click = _stream(seed, head + n + n * depth)
+    choice = _stream(seed, 0)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    intent = _stream(seed, n)
+    cont = _stream(seed, 2 * n)
+    click = _stream(seed, 2 * n + n * depth)
     width = pages.shape[2]
     for start in range(0, n, block):
         m = min(block, n - start)
-        if weights is None:
-            qidx = np.zeros(m, dtype=np.intp)
-        else:
-            qidx = cdf.searchsorted(choice.random(m), side="right")
+        qidx = cdf.searchsorted(choice.random(m), side="right")
         any_intent = ~(intent.random(m) < p_fresh[qidx])
         u_cont = cont.random((m, depth))[:, :width]
         u_click = click.random((m, depth))[:, :width]
@@ -432,27 +420,6 @@ def _click_blocks(seed, pages, p_fresh, n, config: MetricConfig, weights=None, b
             pages[any_intent.astype(np.intp), qidx], u_cont, u_click,
             config.p_break, config.break_exponent.shift,
         )
-
-
-def simulate_clicks_many(
-    page: Sequence[CalibratedCandidate],
-    dist: IntentDistribution,
-    config: MetricConfig = DEFAULT_METRIC_CONFIG,
-    n: int = 1,
-    seed: int = 0,
-) -> np.ndarray:
-    """Simulate `n` users of the cascade click model on one page; returns
-    each user's 1-based click position, 0 for no click.  The share of users
-    who click equals the page's metric score.  Draws u_intent (n), u_cont
-    (n, depth) and u_click (n, depth) from default_rng(seed)."""
-    if not page:
-        raise ValidationError("page must be non-empty")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    top = page[: config.depth]
-    pages = np.array([[[c.r_fresh for c in top]], [[c.r_any for c in top]]], dtype=np.float64)
-    p_fresh = np.array([dist.p_fresh], dtype=np.float64)
-    return np.concatenate(list(_click_blocks(seed, pages, p_fresh, n, config)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +438,7 @@ def _simulate_bucket(seed, pages, p_fresh, weights, n, config: MetricConfig, lev
     noise = _stream(seed, 2 * n + 2 * n * config.depth)
     counts = np.zeros(levels, dtype=np.int64)
     times = []
-    for pos in _click_blocks(seed, pages, p_fresh, n, config, weights, block):
+    for pos in _click_blocks(seed, pages, p_fresh, weights, n, config, block):
         counts += np.bincount(pos, minlength=levels)
         clicked = pos > 0
         jitter = np.clip(noise.normal(0.0, 1.0, pos.size),

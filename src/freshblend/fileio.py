@@ -130,7 +130,8 @@ def write_lines(path: str, lines) -> None:
 
 
 def atomic_write_text(path: str, content: str) -> None:
-    """Write `content` to `path` via a temp file + rename in the same dir."""
+    """Write `content` to `path` via a temp file + rename in the same dir,
+    making the dir first if it is missing."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")

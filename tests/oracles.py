@@ -8,6 +8,10 @@ at a time, the candidate pools built one query and one document at a
 time, the greedy step folded into per-intent survival masses,
 from-scratch evaluations of the objective, exhaustive searches,
 rank-based Mann-Whitney tests and the A/B test drawn whole in one shot.
+A page or pool here is a list of `Candidate` records; `page_arrays`
+packs one into the (1, n) rows the page kernels read.  It also holds the
+hypothesis strategy that draws generated corpora with the tables and
+metric settings to prepare them under.
 """
 
 import itertools
@@ -15,16 +19,42 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from freshblend import experiments, kernels
-from freshblend.calibration import CalibratedCandidate, position_prior
-from freshblend.corpus import Ranking
-from freshblend.diversifier import tie_break_key
+from freshblend.calibration import PositionPriorTable, position_prior
+from freshblend.corpus import GeneratorConfig, Ranking, generate_corpus
 from freshblend.errors import ValidationError
-from freshblend.freshness import is_fresh
-from freshblend.metric import DEFAULT_METRIC_CONFIG, MetricConfig
+from freshblend.freshness import FreshnessWindow, is_fresh
+from freshblend.metric import DEFAULT_METRIC_CONFIG, BreakExponent, MetricConfig
 from freshblend.recency_classifier import (GbrtHyperparams, GbrtModel, RegressionTree,
                                            _training_arrays)
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One document of a page or pool with its per-intent satisfaction
+    probabilities, and its ranks where the pool builder knows them."""
+
+    doc_id: str
+    r_any: float
+    r_fresh: float
+    ordinary_rank: int | None = None
+    fresh_rank: int | None = None
+
+
+def tie_key(candidate: Candidate):
+    """The pool order that breaks gain ties: higher r_any, then lower
+    ordinary rank, then doc_id."""
+    rank = candidate.ordinary_rank if candidate.ordinary_rank is not None else 1 << 30
+    return (-candidate.r_any, rank, candidate.doc_id)
+
+
+def page_arrays(page):
+    """A page's r_fresh and r_any as (1, n) kernel rows."""
+    return (np.array([[c.r_fresh for c in page]], dtype=np.float64),
+            np.array([[c.r_any for c in page]], dtype=np.float64))
+
 
 # ---------------------------------------------------------------------------
 # scalar loops of the numpy kernels
@@ -256,13 +286,14 @@ def discount(position: int, config: MetricConfig = DEFAULT_METRIC_CONFIG) -> flo
     return config.p_break**exponent
 
 
-def marginal_gain(state: PrefixState, candidate, dist,
+def marginal_gain(state: PrefixState, candidate, p_fresh: float,
                   config: MetricConfig = DEFAULT_METRIC_CONFIG) -> float:
-    """Increase of the objective from placing `candidate` next."""
+    """Increase of the objective from placing `candidate` next, with the
+    fresh intent at probability `p_fresh` and the any intent at the rest."""
     disc = discount(state.next_position, config)
     return disc * (
-        dist.p_fresh * state.survive_fresh * candidate.r_fresh
-        + dist.p_any * state.survive_any * candidate.r_any
+        p_fresh * state.survive_fresh * candidate.r_fresh
+        + (1.0 - p_fresh) * state.survive_any * candidate.r_any
     )
 
 
@@ -275,7 +306,7 @@ def advance(state: PrefixState, candidate) -> PrefixState:
     )
 
 
-def brute_err_iaa(page, dist, config):
+def brute_err_iaa(page, p_fresh, config):
     """Independent transcription of the objective, O(n^2): discounts
     recomputed via pow and the survival products re-multiplied from
     scratch at every position."""
@@ -283,7 +314,7 @@ def brute_err_iaa(page, dist, config):
     total = 0.0
     for r in range(1, len(page) + 1):
         disc = config.p_break ** (r - config.break_exponent.shift)
-        for p_t, attr in ((dist.p_fresh, "r_fresh"), (dist.p_any, "r_any")):
+        for p_t, attr in ((p_fresh, "r_fresh"), (1.0 - p_fresh, "r_any")):
             survive = 1.0
             for i in range(r - 1):
                 survive *= 1.0 - getattr(page[i], attr)
@@ -310,13 +341,13 @@ def build_candidates(ordinary: Ranking, fresh: Ranking, table, depth: int):
     fresh_ranks = {e.doc_id: e.rank for e in fresh.entries}
     in_ordinary_top = {e.doc_id for e in ordinary.entries[:depth]}
 
-    def make(doc_id: str) -> CalibratedCandidate:
+    def make(doc_id: str) -> Candidate:
         ord_rank = ordinary_ranks[doc_id]
         frs_rank = fresh_ranks.get(doc_id)
         r_any = position_prior(ord_rank if doc_id in in_ordinary_top else frs_rank, table)
         in_fresh_top = frs_rank is not None and frs_rank <= depth
         r_fresh = position_prior(frs_rank, table) if in_fresh_top else 0.0
-        return CalibratedCandidate(doc_id, r_any, r_fresh, ord_rank, frs_rank)
+        return Candidate(doc_id, r_any, r_fresh, ord_rank, frs_rank)
 
     pool = [make(e.doc_id) for e in ordinary.entries[:depth]]
     pool.extend(make(e.doc_id) for e in fresh.entries[:depth]
@@ -325,14 +356,33 @@ def build_candidates(ordinary: Ranking, fresh: Ranking, table, depth: int):
 
 
 def prepared_pools(queries, rankings, depth, window, table):
-    """Each query's fresh ranking and its pool sorted by tie_break_key, in
-    the order of `queries`."""
+    """Each query's fresh ranking and its pool sorted by tie_key, in the
+    order of `queries`."""
     pools = []
     for qid, record in queries.items():
         fresh = derive_fresh_ranking(rankings[qid], record.issue_time, window)
         pool = build_candidates(rankings[qid], fresh, table, depth)
-        pools.append((fresh, sorted(pool, key=tie_break_key)))
+        pools.append((fresh, sorted(pool, key=tie_key)))
     return pools
+
+
+@st.composite
+def generated_corpora(draw):
+    """A small generated corpus and the window, prior table and metric
+    config to prepare it under; the generator's latent means follow the
+    same table and page depth.  Priors lie in [0.001, 0.999], so the
+    survival products of a 14-deep page stay far above float underflow."""
+    priors = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12))
+    table = PositionPriorTable(tuple(sorted(priors, reverse=True)))
+    config = MetricConfig(p_break=draw(st.floats(0.3, 0.99)),
+                          break_exponent=draw(st.sampled_from(list(BreakExponent))),
+                          depth=draw(st.integers(1, 14)))
+    generator = GeneratorConfig(n_queries=draw(st.integers(1, 40)),
+                                ranking_depth=draw(st.integers(1, 39)),
+                                fresh_base=draw(st.floats(0.0, 1.0)),
+                                page_depth=config.depth, position_priors=table.priors)
+    corpus = generate_corpus(generator, draw(st.integers(0, 2**32 - 1)))
+    return corpus, FreshnessWindow(generator.window_seconds), table, config
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +390,14 @@ def prepared_pools(queries, rankings, depth, window, table):
 # ---------------------------------------------------------------------------
 
 
-def brute_force_best(candidates, dist, config: MetricConfig = DEFAULT_METRIC_CONFIG,
+def brute_force_best(candidates, p_fresh, config: MetricConfig = DEFAULT_METRIC_CONFIG,
                      max_positions: int = 5) -> tuple[tuple[str, ...], float]:
     """Exhaustive maximizer over all ordered selections.
 
     Guarded to |candidates| <= 8 and 1 <= max_positions <= 5.  Every ordered
     selection, enumerated in tie-break order, is scored in one kernel
     call; np.argmax keeps the first maximum, so ties resolve exactly as
-    blend's per-position rules do.
+    the greedy kernel's per-position rules do.
     """
     if not candidates:
         raise ValidationError("cannot search an empty candidate pool")
@@ -360,14 +410,14 @@ def brute_force_best(candidates, dist, config: MetricConfig = DEFAULT_METRIC_CON
             f"brute force refused: max_positions {max_positions} is outside the guard of [1, 5]"
         )
     k = min(max_positions, len(candidates), config.depth)
-    ranked = sorted(candidates, key=tie_break_key)
+    ranked = sorted(candidates, key=tie_key)
     perms = np.array(list(itertools.permutations(range(len(ranked)), k)), dtype=np.int64)
     n = len(perms)
     scores = kernels.err_iaa_batch(
         np.array([c.r_fresh for c in ranked])[perms],
         np.array([c.r_any for c in ranked])[perms],
-        np.full(n, dist.p_fresh),
-        np.full(n, dist.p_any),
+        np.full(n, p_fresh),
+        np.full(n, 1.0 - p_fresh),
         config.p_break,
         config.break_exponent.shift,
     )
@@ -375,18 +425,17 @@ def brute_force_best(candidates, dist, config: MetricConfig = DEFAULT_METRIC_CON
     return tuple(ranked[i].doc_id for i in perms[best]), float(scores[best])
 
 
-def scan_best(candidates, dist, config, max_positions):
+def scan_best(candidates, p_fresh, config, max_positions):
     """Score each ordered selection, in tie-break enumeration order, with
     a scalar loop and keep only strict improvements."""
     k = min(max_positions, len(candidates), config.depth)
-    ranked = sorted(candidates, key=tie_break_key)
+    ranked = sorted(candidates, key=tie_key)
     best_ids, best_score = None, -1.0
     for ordering in itertools.permutations(ranked, k):
         score = err_iaa_batch_loop(
-            np.array([[c.r_fresh for c in ordering]]),
-            np.array([[c.r_any for c in ordering]]),
-            np.array([dist.p_fresh]),
-            np.array([dist.p_any]),
+            *page_arrays(ordering),
+            np.array([p_fresh]),
+            np.array([1.0 - p_fresh]),
             config.p_break,
             config.break_exponent.shift,
         )[0]

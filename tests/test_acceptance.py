@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from freshblend.calibration import CalibratedCandidate
+from freshblend import experiments
 from freshblend.cli import run
 from freshblend.corpus import (
     DocEntry,
@@ -24,7 +24,6 @@ from freshblend.corpus import (
     generate_corpus,
     training_set,
 )
-from freshblend.diversifier import blend
 from freshblend.experiments import (
     ab_test,
     blend_pages,
@@ -33,10 +32,10 @@ from freshblend.experiments import (
     initial_ranking_policy,
     mann_whitney_u,
     prepare_queries,
-    simulate_clicks_many,
     sweep_estimate,
 )
-from freshblend.metric import IntentDistribution, MetricConfig, err_iaa
+from freshblend.kernels import err_iaa_batch, greedy_blend
+from freshblend.metric import BreakExponent, MetricConfig
 from freshblend.recency_classifier import (
     GbrtHyperparams,
     cohen_kappa,
@@ -45,12 +44,15 @@ from freshblend.recency_classifier import (
     training_loss_curve,
 )
 from oracles import (
+    Candidate,
     advance,
     brute_err_iaa,
     brute_force_best,
     exact_two_sided_p,
     initial_state,
     marginal_gain,
+    page_arrays,
+    tie_key,
 )
 
 _SUITE_START = time.monotonic()
@@ -73,20 +75,21 @@ def experiment_corpus():
 
 
 def _cand(doc_id, r_any, r_fresh, rank=1):
-    return CalibratedCandidate(doc_id, r_any, r_fresh, ordinary_rank=rank)
+    return Candidate(doc_id, r_any, r_fresh, ordinary_rank=rank)
 
 
 def test_criterion_01_metric_oracle():
     t0 = time.perf_counter()
     fixtures = [
-        ([_cand("a", 1.0, 0.0)], IntentDistribution(0.0, 1.0), 0.85),
-        ([_cand("a", 0.5, 0.0), _cand("b", 0.5, 0.0, 2)], IntentDistribution(0.0, 1.0), 0.605625),
-        ([_cand("A", 0.6, 0.6), _cand("B", 0.6, 0.0, 2)], IntentDistribution(0.5, 0.5), 0.5967),
+        ([_cand("a", 1.0, 0.0)], 0.0, 0.85),
+        ([_cand("a", 0.5, 0.0), _cand("b", 0.5, 0.0, 2)], 0.0, 0.605625),
+        ([_cand("A", 0.6, 0.6), _cand("B", 0.6, 0.0, 2)], 0.5, 0.5967),
     ]
     worst = 0.0
-    for page, dist, expected in fixtures:
-        value = err_iaa(page, dist, CFG)
-        worst = max(worst, abs(value - expected), abs(value - brute_err_iaa(page, dist, CFG)))
+    for page, p_fresh, expected in fixtures:
+        value = err_iaa_batch(*page_arrays(page), np.array([p_fresh]), np.array([1.0 - p_fresh]),
+                              CFG.p_break, CFG.break_exponent.shift)[0]
+        worst = max(worst, abs(value - expected), abs(value - brute_err_iaa(page, p_fresh, CFG)))
     elapsed = time.perf_counter() - t0
     _report(1, "metric oracle", worst <= 1e-12 and elapsed < 1.0,
             f"max deviation {worst:.2e}, {elapsed:.2f}s < 1s")
@@ -99,25 +102,27 @@ def test_criterion_02_greedy_soundness():
     steps_verified = 0
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        pool = [_cand(f"d{i}", float(rng.random()), float(rng.random()), i + 1)
-                for i in range(n)]
-        dist = IntentDistribution.from_p_fresh(float(rng.random()))
+        pool = sorted((_cand(f"d{i}", float(rng.random()), float(rng.random()), i + 1)
+                       for i in range(n)), key=tie_key)
+        p = float(rng.random())
         config = MetricConfig(depth=int(rng.integers(1, 5)))
-        result = blend(pool, dist, config)
+        order, gains = greedy_blend(*page_arrays(pool), np.array([n]), np.array([p]),
+                                    np.array([1.0 - p]), config.p_break,
+                                    config.break_exponent.shift, config.depth)
 
-        remaining = {c.doc_id: c for c in pool}
+        remaining = set(range(n))
         state = initial_state()
-        for doc_id in result.doc_ids:
-            picked = remaining.pop(doc_id)
-            picked_gain = marginal_gain(state, picked, dist, config)
-            for other in remaining.values():
-                assert marginal_gain(state, other, dist, config) <= picked_gain
+        for column in order[0]:
+            remaining.remove(column)
+            picked_gain = marginal_gain(state, pool[column], p, config)
+            for other in remaining:
+                assert marginal_gain(state, pool[other], p, config) <= picked_gain
                 steps_verified += 1
-            state = advance(state, picked)
+            state = advance(state, pool[column])
 
-        _, best = brute_force_best(pool, dist, config, max_positions=config.depth)
+        _, best = brute_force_best(pool, p, config, max_positions=config.depth)
         if best > 0:
-            worst_ratio = min(worst_ratio, result.total / best)
+            worst_ratio = min(worst_ratio, float(gains.sum()) / best)
     elapsed = time.perf_counter() - t0
     _report(2, "greedy soundness", worst_ratio >= 0.95 and elapsed < 10.0,
             f"worst greedy/oracle ratio {worst_ratio:.4f}, "
@@ -227,22 +232,24 @@ def test_criterion_06_classifier_quality(experiment_corpus):
 
 def test_criterion_07_click_model_consistency():
     rng = np.random.default_rng(5)
-    from freshblend.metric import BreakExponent
-
     worst_z = 0.0
     n = 100_000
     for trial in range(10):
         n_docs = int(rng.integers(1, 11))
         page = [_cand(f"d{i}", float(rng.random()), float(rng.random()), i + 1)
                 for i in range(n_docs)]
-        dist = IntentDistribution.from_p_fresh(float(rng.random()))
+        p = np.array([float(rng.random())])
         config = MetricConfig(
             break_exponent=BreakExponent.POSITION if trial % 2 == 0
             else BreakExponent.POSITION_MINUS_ONE
         )
-        analytic = err_iaa(page, dist, config)
-        positions = simulate_clicks_many(page, dist, config, n=n, seed=trial)
-        frequency = float(np.mean(positions > 0))
+        r_fresh, r_any = page_arrays(page)
+        analytic = err_iaa_batch(r_fresh, r_any, p, 1.0 - p, config.p_break,
+                                 config.break_exponent.shift)[0]
+        # the page as a one-query A/B bucket: every impression lands on it
+        counts, _ = experiments._simulate_bucket(trial, np.stack([r_fresh, r_any]), p,
+                                                 np.array([1.0]), n, config, config.depth + 1)
+        frequency = 1.0 - counts[0] / n
         se = float(np.sqrt(analytic * (1.0 - analytic) / n))
         worst_z = max(worst_z, abs(frequency - analytic) / se)
     _report(7, "click-model consistency", worst_z <= 3.0,

@@ -8,7 +8,6 @@ import pytest
 from freshblend.calibration import (
     DEFAULT_PRIOR_TABLE,
     DEFAULT_PRIORS,
-    CalibratedCandidate,
     PositionPriorTable,
     build_candidates,
     position_prior,
@@ -115,7 +114,3 @@ class TestBuildCandidates:
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValidationError, match="depth"):
             pool_for(ranking([("d1", STALE_TS)]), depth=0)
-
-    def test_candidate_needs_a_rank(self):
-        with pytest.raises(ValidationError):
-            CalibratedCandidate("d", 0.5, 0.0, None, None)

@@ -9,12 +9,12 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freshblend
-from freshblend.calibration import CalibratedCandidate
 from freshblend.cli import run
 from freshblend.corpus import (
     FEATURE_NAMES,
@@ -26,8 +26,10 @@ from freshblend.corpus import (
     write_corpus,
 )
 from freshblend.fileio import fmt
-from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
+from freshblend.kernels import err_iaa_batch
+from freshblend.metric import BreakExponent, MetricConfig
 from freshblend.recency_classifier import load_model, predict_batch
+from oracles import Candidate, page_arrays
 
 TWO_DOC_RANKINGS = "q1\td1\t1\t1000\t0.5\t-\nq1\td2\t2\t1000\t0.5\t-\n"
 SHARED_KEYS = ("p_break", "break_exponent", "depth", "window_days", "priors", "grid", "seed")
@@ -76,16 +78,30 @@ class TestEval:
     def test_batch_scores_equal_the_scalar_metric(self, corpus_dir, capsys, depth, exponent):
         rankings = load_rankings(os.path.join(corpus_dir, "rankings.tsv"))
         config = MetricConfig(break_exponent=BreakExponent(exponent), depth=int(depth))
-        dist = IntentDistribution.from_p_fresh(0.37)
         expected = []
         for qid, ranking in rankings.items():
-            page = [CalibratedCandidate(e.doc_id, e.latent_rel_any, e.latent_rel_fresh or 0.0,
-                                        ordinary_rank=e.rank)
-                    for e in ranking.entries]
-            expected.append(f"{qid}\t{fmt(err_iaa(page, dist, config))}\n")
+            page = [Candidate(e.doc_id, e.latent_rel_any, e.latent_rel_fresh or 0.0)
+                    for e in ranking.entries[: config.depth]]
+            score = err_iaa_batch(*page_arrays(page), np.array([0.37]), np.array([1.0 - 0.37]),
+                                  config.p_break, config.break_exponent.shift)[0]
+            expected.append(f"{qid}\t{fmt(score)}\n")
         assert run(["eval", "--rankings", os.path.join(corpus_dir, "rankings.tsv"),
                     "--p-fresh", "0.37", "--depth", depth, "--break-exponent", exponent]) == 0
         assert capsys.readouterr().out == "".join(expected)
+
+    @pytest.mark.parametrize("p_fresh, code", [
+        ("nan", 1), ("inf", 1), ("1.5", 1), ("-0.1", 1), ("-0.0", 0), ("1.0", 0),
+    ])
+    def test_p_fresh_must_be_a_probability(self, tmp_path, capsys, p_fresh, code):
+        path = tmp_path / "r.tsv"
+        path.write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        assert run(["eval", "--rankings", str(path), "--p-fresh", p_fresh]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("freshblend: error: intent probabilities out of [0,1]")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
 
     def test_latents_are_required(self, tmp_path, capsys):
         path = tmp_path / "r.tsv"
@@ -437,7 +453,8 @@ class TestTrainingSetErrors:
 
 class TestRankedQueryWithoutRecord:
     """A corpus whose rankings.tsv holds a query that queries.tsv lacks is
-    refused, as `blend --queries` refuses it."""
+    refused, as `blend --queries` refuses it.  A refused input creates no
+    --out directory."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep"],
@@ -454,7 +471,19 @@ class TestRankedQueryWithoutRecord:
         assert run([argv[0], "--corpus", corpus_dir, "--out", str(out), *argv[1:]]) == 1
         assert capsys.readouterr().err == (
             "freshblend: error: query 'q000003' in rankings but not in queries file\n")
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["buckets", "--trees", "2"],
+        ["abtest", "--trees", "2", "--n-queries", "200"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_corpus_exits_one(self, tmp_path, capsys, argv):
+        missing, out = tmp_path / "absent", tmp_path / "out"
+        assert run([argv[0], "--corpus", str(missing), "--out", str(out), *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"freshblend: error: corpus path does not exist: {missing}\n")
+        assert not out.exists()
 
 
 class TestPipeline:

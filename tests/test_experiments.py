@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshblend import experiments
-from freshblend.calibration import DEFAULT_PRIOR_TABLE, CalibratedCandidate, PositionPriorTable
+from freshblend.calibration import DEFAULT_PRIOR_TABLE, PositionPriorTable
 from freshblend.corpus import (
     DocEntry,
     GeneratorConfig,
@@ -30,29 +30,21 @@ from freshblend.experiments import (
     mann_whitney_counts,
     mann_whitney_u,
     prepare_queries,
-    simulate_clicks_many,
     sweep_estimate,
     write_ab_report,
     write_buckets_csv,
     write_sweep_csv,
 )
 from freshblend.freshness import FreshnessWindow
-from freshblend.metric import BreakExponent, IntentDistribution, MetricConfig, err_iaa
+from freshblend.kernels import err_iaa_batch
+from freshblend.metric import BreakExponent, MetricConfig
 from oracles import (
     exact_two_sided_p,
     midrank_mann_whitney,
     one_shot_ab_report,
     one_shot_bucket,
     prepared_pools,
-    simulate_clicks_loop,
 )
-
-
-def page_of(pairs):
-    return [
-        CalibratedCandidate(f"d{i}", r_any, r_fresh, ordinary_rank=i + 1)
-        for i, (r_any, r_fresh) in enumerate(pairs)
-    ]
 
 
 def small_corpus(seed=0, n=120, mixture=None):
@@ -165,27 +157,36 @@ class TestMannWhitneyAgainstMidranks:
 # ---------------------------------------------------------------------------
 
 
+# One query's page is simulated as an A/B bucket whose query choice has a
+# single page to land on.  Pages are (2, 1, K): [0] r_fresh, [1] r_any.
+ONE_PAGE = np.array([1.0])
+LEVELS = MetricConfig().depth + 1
+
+
 class TestSimulateClicks:
     def test_unsatisfiable_page_is_abandoned(self):
-        page = page_of([(0.0, 0.0)] * 5)
-        positions = simulate_clicks_many(page, IntentDistribution(0.5, 0.5), n=200, seed=3)
-        assert positions.shape == (200,)
-        assert not positions.any()
+        pages = np.zeros((2, 1, 5))
+        counts, times = experiments._simulate_bucket(3, pages, np.array([0.5]), ONE_PAGE, 200,
+                                                     MetricConfig(), LEVELS)
+        assert counts[0] == 200 and counts.sum() == 200
+        assert times.size == 0
 
     def test_certain_top_result_clicks_immediately_under_shifted_exponent(self):
-        page = page_of([(1.0, 1.0), (0.5, 0.5)])
+        pages = np.array([[[1.0, 0.5]], [[1.0, 0.5]]])
         config = MetricConfig(break_exponent=BreakExponent.POSITION_MINUS_ONE)
         for seed in range(25):
-            positions = simulate_clicks_many(page, IntentDistribution(0.5, 0.5), config,
-                                             n=40, seed=seed)
-            assert (positions == 1).all()
+            counts, _ = experiments._simulate_bucket(seed, pages, np.array([0.5]), ONE_PAGE, 40,
+                                                     config, LEVELS)
+            assert counts[1] == 40
 
     def test_same_seed_reproduces_the_positions(self):
-        page = page_of([(0.5, 0.2), (0.4, 0.4), (0.1, 0.0)])
-        dist = IntentDistribution(0.3, 0.7)
-        a = simulate_clicks_many(page, dist, n=500, seed=11)
-        assert np.array_equal(a, simulate_clicks_many(page, dist, n=500, seed=11))
-        assert not np.array_equal(a, simulate_clicks_many(page, dist, n=500, seed=12))
+        pages = np.array([[[0.2, 0.4, 0.0]], [[0.5, 0.4, 0.1]]])
+        runs = [experiments._simulate_bucket(seed, pages, np.array([0.3]), ONE_PAGE, 500,
+                                             MetricConfig(), LEVELS)
+                for seed in (11, 11, 12)]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert not np.array_equal(runs[0][1], runs[2][1])
 
     @pytest.mark.parametrize("exponent", list(BreakExponent))
     @pytest.mark.parametrize("position", [1, 2, 5])
@@ -199,8 +200,8 @@ class TestSimulateClicks:
         pages = np.zeros((2, 1, config.depth))
         pages[:, 0, position - 1] = 1.0
         n = 2000
-        counts, times = experiments._simulate_bucket(7, pages, np.array([0.5]), np.array([1.0]),
-                                                     n, config, config.depth + 1)
+        counts, times = experiments._simulate_bucket(7, pages, np.array([0.5]), ONE_PAGE, n,
+                                                     config, config.depth + 1)
         assert counts[0] + counts[position] == n
         assert counts[position] == times.size > 0
         centre = 2.0 + 1.5 * (position - 1)
@@ -208,54 +209,41 @@ class TestSimulateClicks:
         assert times.min() == centre - 1.5 and times.max() == centre + 1.5
 
     def test_satisfaction_frequency_tracks_the_metric(self):
-        page = page_of([(0.6, 0.1), (0.3, 0.5), (0.2, 0.0), (0.1, 0.7)])
-        dist = IntentDistribution.from_p_fresh(0.4)
+        pages = np.array([[[0.1, 0.5, 0.0, 0.7]], [[0.6, 0.3, 0.2, 0.1]]])
         config = MetricConfig()
         n = 40_000
-        positions = simulate_clicks_many(page, dist, config, n=n, seed=5)
-        analytic = err_iaa(page, dist, config)
-        frequency = float(np.mean(positions > 0))
+        counts, _ = experiments._simulate_bucket(5, pages, np.array([0.4]), ONE_PAGE, n, config,
+                                                 LEVELS)
+        analytic = err_iaa_batch(*pages, np.array([0.4]), np.array([0.6]), config.p_break,
+                                 config.break_exponent.shift)[0]
+        frequency = 1.0 - counts[0] / n
         se = np.sqrt(analytic * (1 - analytic) / n)
         assert abs(frequency - analytic) <= 3 * se
 
     def test_abandonment_of_certain_click_page_reflects_continuation(self):
         # a certain first result under the unshifted exponent is reached
         # with probability p_break
-        page = page_of([(1.0, 1.0)])
         config = MetricConfig(p_break=0.85)
         n = 40_000
-        positions = simulate_clicks_many(page, IntentDistribution(0.0, 1.0), config, n=n, seed=6)
-        abandonment = float(np.mean(positions == 0))
+        counts, _ = experiments._simulate_bucket(6, np.ones((2, 1, 1)), np.array([0.0]),
+                                                 ONE_PAGE, n, config, LEVELS)
+        abandonment = counts[0] / n
         se = np.sqrt(0.85 * 0.15 / n)
         assert abs(abandonment - 0.15) <= 3 * se
 
-    def test_empty_page_rejected(self):
-        with pytest.raises(ValidationError):
-            simulate_clicks_many([], IntentDistribution(0.5, 0.5), n=10)
-
     @pytest.mark.parametrize("exponent", list(BreakExponent))
-    @pytest.mark.parametrize("length", [1, 3, 10, 14])
+    @pytest.mark.parametrize("length", [1, 3, 10])
     def test_draw_order_is_pinned(self, exponent, length):
-        # u_intent (n), then u_cont (n, depth), then u_click (n, depth),
-        # all from default_rng(seed)
-        rng = np.random.default_rng(length)
-        page = page_of(zip(rng.random(length), rng.random(length)))
+        # query choice (n), u_intent (n), u_cont (n, depth), u_click (n,
+        # depth), then the click-time normals, as one_shot_bucket draws them
+        pages = np.random.default_rng(length).random((2, 1, length))
         config = MetricConfig(break_exponent=exponent, depth=10)
-        dist = IntentDistribution.from_p_fresh(0.35)
         n, seed = 500, 31
-        draws = np.random.default_rng(seed)
-        u_intent = draws.random(n)
-        u_cont = draws.random((n, config.depth))
-        u_click = draws.random((n, config.depth))
-        r_user = np.zeros((n, config.depth))
-        for i in range(n):
-            fresh_intent = u_intent[i] < dist.p_fresh
-            for j, candidate in enumerate(page[: config.depth]):
-                r_user[i, j] = candidate.r_fresh if fresh_intent else candidate.r_any
-        expected = simulate_clicks_loop(
-            r_user, u_cont, u_click, config.p_break, exponent.shift
-        )
-        assert np.array_equal(simulate_clicks_many(page, dist, config, n=n, seed=seed), expected)
+        counts, times = experiments._simulate_bucket(seed, pages, np.array([0.35]), ONE_PAGE, n,
+                                                     config, LEVELS)
+        pos, expected_times = one_shot_bucket(seed, pages, np.array([0.35]), ONE_PAGE, n, config)
+        assert np.array_equal(counts, np.bincount(pos, minlength=LEVELS))
+        assert np.array_equal(times, expected_times)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshblend.calibration import CalibratedCandidate
 from freshblend.errors import ValidationError
-from freshblend.metric import (
-    BreakExponent,
-    IntentDistribution,
-    MetricConfig,
-    err_iaa,
-)
+from freshblend.kernels import err_iaa_batch
+from freshblend.metric import BreakExponent, MetricConfig
 from oracles import (
+    Candidate,
     PrefixState,
     advance,
     brute_err_iaa,
@@ -27,16 +23,21 @@ from oracles import (
     err_iaa_batch_loop,
     initial_state,
     marginal_gain,
+    page_arrays,
 )
 
 
 def cand(doc_id, r_any, r_fresh, rank=1):
-    return CalibratedCandidate(doc_id, r_any, r_fresh, ordinary_rank=rank)
+    return Candidate(doc_id, r_any, r_fresh, ordinary_rank=rank)
 
 
-ANY_ONLY = IntentDistribution(0.0, 1.0)
-EVEN = IntentDistribution(0.5, 0.5)
 CFG = MetricConfig()
+KNOBS = (CFG.p_break, CFG.break_exponent.shift)
+
+
+def one_intent(p_fresh):
+    """The kernel's per-page intent arrays of a one-page batch."""
+    return np.array([p_fresh]), np.array([1.0 - p_fresh])
 
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -51,55 +52,33 @@ def pages(draw, max_size=8):
     ]
 
 
-@st.composite
-def distributions(draw):
-    p = draw(probabilities)
-    return IntentDistribution.from_p_fresh(p)
-
-
 class TestErrIaaFixtures:
     def test_empty_page_scores_zero(self):
-        assert err_iaa([], EVEN, CFG) == 0.0
+        assert err_iaa_batch(*page_arrays([]), *one_intent(0.5), *KNOBS)[0] == 0.0
 
     def test_single_perfect_result(self):
-        assert err_iaa([cand("a", 1.0, 0.0)], ANY_ONLY, CFG) == pytest.approx(0.85, abs=1e-15)
+        value = err_iaa_batch(*page_arrays([cand("a", 1.0, 0.0)]), *one_intent(0.0), *KNOBS)[0]
+        assert value == pytest.approx(0.85, abs=1e-15)
 
     def test_two_halves(self):
         page = [cand("a", 0.5, 0.0), cand("b", 0.5, 0.0, rank=2)]
-        value = err_iaa(page, ANY_ONLY, CFG)
+        value = err_iaa_batch(*page_arrays(page), *one_intent(0.0), *KNOBS)[0]
         assert value == pytest.approx(0.605625, abs=1e-12)
-        assert value == pytest.approx(brute_err_iaa(page, ANY_ONLY, CFG), abs=1e-12)
+        assert value == pytest.approx(brute_err_iaa(page, 0.0, CFG), abs=1e-12)
 
     def test_two_intents(self):
         page = [cand("A", 0.6, 0.6), cand("B", 0.6, 0.0, rank=2)]
-        value = err_iaa(page, EVEN, CFG)
+        value = err_iaa_batch(*page_arrays(page), *one_intent(0.5), *KNOBS)[0]
         assert value == pytest.approx(0.5967, abs=1e-12)
-        assert value == pytest.approx(brute_err_iaa(page, EVEN, CFG), abs=1e-12)
+        assert value == pytest.approx(brute_err_iaa(page, 0.5, CFG), abs=1e-12)
 
     def test_perfect_top_scores_one_with_shifted_exponent(self):
-        config = MetricConfig(break_exponent=BreakExponent.POSITION_MINUS_ONE)
-        assert err_iaa([cand("a", 1.0, 0.0)], ANY_ONLY, config) == 1.0
-
-    def test_probability_out_of_range_rejected(self):
-        bad = CalibratedCandidate.__new__(CalibratedCandidate)
-        object.__setattr__(bad, "doc_id", "x")
-        object.__setattr__(bad, "r_any", 1.5)
-        object.__setattr__(bad, "r_fresh", 0.0)
-        object.__setattr__(bad, "ordinary_rank", 1)
-        object.__setattr__(bad, "fresh_rank", None)
-        with pytest.raises(ValidationError):
-            err_iaa([bad], ANY_ONLY, CFG)
+        shift = BreakExponent.POSITION_MINUS_ONE.shift
+        page = page_arrays([cand("a", 1.0, 0.0)])
+        assert err_iaa_batch(*page, *one_intent(0.0), CFG.p_break, shift)[0] == 1.0
 
 
 class TestValidation:
-    def test_distribution_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            IntentDistribution(0.5, 0.6)
-
-    def test_distribution_bounds(self):
-        with pytest.raises(ValidationError):
-            IntentDistribution(-0.1, 1.1)
-
     def test_p_break_bounds(self):
         with pytest.raises(ValidationError):
             MetricConfig(p_break=1.0)
@@ -127,52 +106,48 @@ class TestAdvance:
 
 class TestMarginalGain:
     def test_zero_candidate_gains_nothing(self):
-        assert marginal_gain(initial_state(), cand("a", 0.0, 0.0), EVEN, CFG) == 0.0
+        assert marginal_gain(initial_state(), cand("a", 0.0, 0.0), 0.5, CFG) == 0.0
 
     def test_first_position_matches_single_doc_metric(self):
-        gain = marginal_gain(initial_state(), cand("a", 1.0, 0.0), ANY_ONLY, CFG)
+        gain = marginal_gain(initial_state(), cand("a", 1.0, 0.0), 0.0, CFG)
         assert gain == pytest.approx(0.85, abs=1e-15)
 
-    @given(pages(), distributions())
+    @given(pages(), probabilities)
     @settings(max_examples=150, deadline=None)
-    def test_gains_telescope_to_err_iaa(self, page, dist):
+    def test_gains_telescope_to_err_iaa(self, page, p):
         state = initial_state()
         total = 0.0
         for candidate in page[: CFG.depth]:
-            total += marginal_gain(state, candidate, dist, CFG)
+            total += marginal_gain(state, candidate, p, CFG)
             state = advance(state, candidate)
-        assert total == pytest.approx(err_iaa(page, dist, CFG), abs=1e-12)
-        assert total == pytest.approx(brute_err_iaa(page, dist, CFG), abs=1e-12)
-        top = page[: CFG.depth]
-        assert err_iaa(page, dist, CFG) == err_iaa_batch_loop(
-            np.array([[c.r_fresh for c in top]]),
-            np.array([[c.r_any for c in top]]),
-            np.array([dist.p_fresh]),
-            np.array([dist.p_any]),
-            CFG.p_break,
-            CFG.break_exponent.shift,
-        )[0]
+        top = page_arrays(page[: CFG.depth])
+        value = err_iaa_batch(*top, *one_intent(p), *KNOBS)[0]
+        assert total == pytest.approx(value, abs=1e-12)
+        assert total == pytest.approx(brute_err_iaa(page, p, CFG), abs=1e-12)
+        assert value == err_iaa_batch_loop(*top, *one_intent(p), *KNOBS)[0]
 
 
 class TestInvariants:
     @given(pages(), probabilities)
     @settings(max_examples=100, deadline=None)
     def test_intent_linearity(self, page, p):
-        mixed = err_iaa(page, IntentDistribution.from_p_fresh(p), CFG)
-        fresh = err_iaa(page, IntentDistribution(1.0, 0.0), CFG)
-        anyi = err_iaa(page, IntentDistribution(0.0, 1.0), CFG)
+        # one batch: the page under p, under the fresh intent alone and
+        # under the any intent alone
+        p_fresh = np.array([p, 1.0, 0.0])
+        stacked = [np.repeat(row, 3, axis=0) for row in page_arrays(page)]
+        mixed, fresh, anyi = err_iaa_batch(*stacked, p_fresh, 1.0 - p_fresh, *KNOBS)
         assert mixed == pytest.approx(p * fresh + (1.0 - p) * anyi, abs=1e-12)
 
-    @given(pages(), distributions(), st.integers(min_value=0, max_value=8))
+    @given(pages(), probabilities, st.integers(min_value=0, max_value=8))
     @settings(max_examples=100, deadline=None)
-    def test_prefix_never_beats_full_page(self, page, dist, cut):
-        full = err_iaa(page, dist, CFG)
-        prefix = err_iaa(page[:cut], dist, CFG)
+    def test_prefix_never_beats_full_page(self, page, p, cut):
+        full = err_iaa_batch(*page_arrays(page), *one_intent(p), *KNOBS)[0]
+        prefix = err_iaa_batch(*page_arrays(page[:cut]), *one_intent(p), *KNOBS)[0]
         assert prefix <= full + 1e-15
 
-    @given(pages(max_size=6), distributions(), st.integers(min_value=0, max_value=5))
+    @given(pages(max_size=6), probabilities, st.integers(min_value=0, max_value=5))
     @settings(max_examples=100, deadline=None)
-    def test_promoting_a_dominant_candidate_never_hurts(self, page, dist, position):
+    def test_promoting_a_dominant_candidate_never_hurts(self, page, p, position):
         if position + 1 >= len(page):
             return
         earlier, later = page[position], page[position + 1]
@@ -180,16 +155,13 @@ class TestInvariants:
             return
         swapped = list(page)
         swapped[position], swapped[position + 1] = later, earlier
-        assert err_iaa(swapped, dist, CFG) >= err_iaa(page, dist, CFG) - 1e-12
+        scores = [err_iaa_batch(*page_arrays(order), *one_intent(p), *KNOBS)[0]
+                  for order in (swapped, page)]
+        assert scores[0] >= scores[1] - 1e-12
 
-    @given(pages(), distributions())
+    @given(pages(), probabilities)
     @settings(max_examples=100, deadline=None)
-    def test_score_stays_within_discount_mass(self, page, dist):
-        value = err_iaa(page, dist, CFG)
-        bound = sum(discount(r, CFG) for r in range(1, min(len(page), CFG.depth) + 1))
+    def test_score_stays_within_discount_mass(self, page, p):
+        value = err_iaa_batch(*page_arrays(page), *one_intent(p), *KNOBS)[0]
+        bound = sum(discount(r, CFG) for r in range(1, len(page) + 1))
         assert 0.0 <= value <= bound + 1e-12
-
-    def test_truncation_at_depth(self):
-        page = [cand(f"d{i}", 0.3, 0.2, rank=i + 1) for i in range(15)]
-        deep = MetricConfig(depth=10)
-        assert err_iaa(page, EVEN, deep) == err_iaa(page[:10], EVEN, deep)
