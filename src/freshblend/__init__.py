@@ -20,10 +20,11 @@ from .corpus import (
     JudgedQuery,
     QueryRecord,
     Ranking,
+    RankingTable,
     generate_corpus,
     load_corpus,
     load_judgments,
-    load_rankings,
+    load_ranking_table,
     ranking_table,
     training_set,
     write_corpus,

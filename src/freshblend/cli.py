@@ -38,14 +38,14 @@ from .corpus import (
     TRAFFIC_MIXTURE,
     GeneratorConfig,
     QueryRecord,
+    RankingTable,
     generate_corpus,
     load_corpus,
     load_features,
     load_judgments,
     load_predictions,
-    load_rankings,
     load_queries,
-    ranking_table,
+    load_ranking_table,
     require_queries,
     training_set,
     write_corpus,
@@ -409,26 +409,26 @@ def _cmd_predict(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _blend_queries(args: argparse.Namespace, rankings) -> dict[str, QueryRecord]:
+def _blend_queries(args: argparse.Namespace, rankings: RankingTable) -> dict[str, QueryRecord]:
     """The query records to blend: one per ranked query, in ranking order,
     carrying the issue time its freshness checks use."""
     if args.queries is not None:
         queries = load_queries(_require_file(args.queries, "queries"))
         require_queries(rankings, queries)
-        return {qid: queries[qid] for qid in rankings}
+        return {qid: queries[qid] for qid in rankings.query_ids}
     if args.query_time is not None:
-        return {qid: QueryRecord(qid, args.query_time) for qid in rankings}
+        return {qid: QueryRecord(qid, args.query_time) for qid in rankings.query_ids}
     raise ValidationError("blend needs --queries or --query-time for freshness checks")
 
 
 def _cmd_blend(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
-    rankings = load_rankings(_require_file(args.rankings, "rankings"))
+    rankings = load_ranking_table(_require_file(args.rankings, "rankings"))
     queries = _blend_queries(args, rankings)
     if args.predictions is not None:
         p_by_query = load_predictions(_require_file(args.predictions, "predictions"))
     elif args.p_fresh is not None:
-        p_by_query = {qid: args.p_fresh for qid in rankings}
+        p_by_query = {qid: args.p_fresh for qid in rankings.query_ids}
     else:
         raise ValidationError("blend needs --p-fresh or --predictions")
 
@@ -449,7 +449,7 @@ def _cmd_blend(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
-    table = ranking_table(load_rankings(_require_file(args.rankings, "rankings")))
+    table = load_ranking_table(_require_file(args.rankings, "rankings"))
     metric_config = config.metric_config()
     p_fresh = args.p_fresh
     if not 0.0 <= p_fresh <= 1.0:

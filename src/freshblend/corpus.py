@@ -10,6 +10,13 @@ The corpus bundles four aligned pieces of data, keyed by query_id:
                 consensus the classifier trains on
 * features    - the numeric feature vector the classifier consumes
 
+Rankings are held as one `RankingTable`, a column per field and a row
+per ranked document, from the file or the generator to the blend
+kernel: `load_ranking_table` parses rankings.tsv into it a block of
+lines at a time, and `write_rankings` writes it from its columns.
+`DocEntry` and `Ranking` describe one hand-built ranking, which
+`ranking_table` turns into a table.
+
 File formats (read under the shared rules of `fileio`: UTF-8, '-' for an
 absent optional value, '.' decimal separator):
 
@@ -30,6 +37,7 @@ estimates of the latent ground truth.
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Mapping
 
 import numpy as np
@@ -57,6 +65,10 @@ FEATURE_NAMES = (
 
 _BASE_ISSUE_TIME = 1_300_000_000  # arbitrary fixed epoch for generated data
 MAX_GENERATED_ROWS = 10**8  # ranked documents, n_queries x ranking_depth
+
+#: Lines of rankings.tsv parsed or formatted at a time: only one block's
+#: fields are held as strings at once besides the columns.
+BLOCK_LINES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -142,14 +154,31 @@ class RankingTable:
             raise ValidationError(
                 f"query {self.query_ids[self.query[row]]!r} doc {self.doc_ids[row]!r} {why}")
 
+    def select(self, query_ids) -> "RankingTable":
+        """The table of the rankings of `query_ids`, in that order, in one
+        gather; the table itself when that is already its order."""
+        query_ids = tuple(query_ids)
+        if query_ids == self.query_ids:
+            return self
+        index = dict(zip(self.query_ids, range(len(self.query_ids))))
+        try:
+            picked = np.fromiter(map(index.__getitem__, query_ids), np.int64, len(query_ids))
+        except KeyError as exc:
+            raise ValidationError(f"query {exc.args[0]!r} has no ranking") from None
+        lengths = np.diff(self.offsets)[picked]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        query = np.repeat(np.arange(len(picked)), lengths)
+        rows = np.arange(offsets[-1]) - offsets[query] + self.offsets[picked][query]
+        return RankingTable(query_ids, offsets, query, self.rank[rows],
+                            tuple(map(self.doc_ids.__getitem__, rows.tolist())),
+                            self.timestamps[rows], self.latent_any[rows],
+                            self.latent_fresh[rows])
 
-def ranking_table(rankings: Mapping[str, Ranking], query_ids=None) -> RankingTable:
-    """The table of the rankings of `query_ids` (default: all), in order."""
-    query_ids = tuple(rankings if query_ids is None else query_ids)
-    try:
-        held = [rankings[qid].entries for qid in query_ids]
-    except KeyError as exc:
-        raise ValidationError(f"query {exc.args[0]!r} has no ranking") from None
+
+def ranking_table(rankings: Mapping[str, Ranking]) -> RankingTable:
+    """The table of hand-built rankings, in the mapping's order."""
+    query_ids = tuple(rankings)
+    held = [rankings[qid].entries for qid in query_ids]
     entries = [entry for ranking in held for entry in ranking]
     lengths = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
     offsets = np.concatenate(([0], np.cumsum(lengths)))
@@ -195,7 +224,7 @@ class FeatureTable:
 @dataclass(frozen=True)
 class Corpus:
     queries: dict[str, QueryRecord]
-    rankings: dict[str, Ranking]
+    rankings: RankingTable
     judgments: dict[str, JudgedQuery]
     features: FeatureTable
 
@@ -205,34 +234,183 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 
-def load_rankings(path: str) -> dict[str, Ranking]:
-    """Read a rankings TSV into per-query rankings sorted by rank."""
-    per_query: dict[str, list[DocEntry]] = {}
-    with TsvRows(path, (4, 6), key=("query_id", "doc_id")) as rows:
-        for fields in rows:
-            entry = DocEntry(
-                fields[1],
-                parse_int(fields[2], "rank"),
-                parse_int(fields[3], "timestamp"),
-                opt_real(fields[4], "latent_rel_any") if len(fields) > 4 else None,
-                opt_real(fields[5], "latent_rel_fresh") if len(fields) > 5 else None,
-            )
-            per_query.setdefault(fields[0], []).append(entry)
+def load_ranking_table(path: str) -> RankingTable:
+    """Read a rankings TSV into a table, `BLOCK_LINES` lines at a time.
 
-    rankings: dict[str, Ranking] = {}
-    for qid, entries in per_query.items():
-        entries.sort(key=lambda e: e.rank)
-        try:
-            rankings[qid] = Ranking(tuple(entries))
-        except ValidationError as exc:
-            raise ParseError(f"query {qid!r}: {exc}", path) from None
-    return rankings
+    Queries keep the order of their first line; a query's lines may come
+    in any order, and its ranks must run 1, 2, ... once sorted.  A line
+    is read under the `fileio` rules with 4-6 fields, its values checked
+    as `DocEntry` checks them, and a (query_id, doc_id) pair may appear
+    once.  The checks run on whole columns of a block; a fault names the
+    first bad line with the message a line-by-line reader gives it.
+    """
+    index: dict[str, int] = {}  # query id -> query index, by first appearance
+    blocks = []
+    with open(path, "rb") as handle:
+        first = 1
+        while lines := list(islice(handle, BLOCK_LINES)):
+            block, fault = _parse_block(lines, first, index)
+            blocks.append(block)
+            if fault is not None:
+                _refuse_repeat(*_columns(blocks)[:3], index, path)
+                raise ParseError(fault[1], path, fault[0])
+            first += len(lines)
+    line, query, doc_ids, rank, timestamps, latent_any, latent_fresh = _columns(blocks)
+    _refuse_repeat(line, query, doc_ids, index, path)
+
+    order = np.lexsort((rank, query))
+    query, rank = query[order], rank[order]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(query, minlength=len(index)))))
+    position = np.arange(1, rank.size + 1) - offsets[query]
+    gaps = np.flatnonzero(rank != position)
+    if gaps.size:
+        row = gaps[0]
+        raise ParseError(f"query {list(index)[query[row]]!r}: ranks must be contiguous "
+                         f"from 1; position {position[row]} has rank {rank[row]}", path)
+    return RankingTable(tuple(index), offsets, query, rank, tuple(doc_ids[order]),
+                        timestamps[order], latent_any[order], latent_fresh[order])
+
+
+# A block's columns: line numbers, query index, doc ids, rank, timestamp and
+# the two latents, NaN where absent.
+_EMPTY_BLOCK = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, object),
+                np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
+
+
+def _columns(blocks) -> list[np.ndarray]:
+    return [np.concatenate(column) for column in zip(*blocks, _EMPTY_BLOCK)]
+
+
+def _parse_block(lines: list[bytes], first: int, index: dict[str, int]):
+    """The columns of a block of lines numbered from `first`, and its first
+    fault as (line, message) or None.  A block with a fault keeps its rows
+    up to the faulty one, whose doc id the repeat check still needs."""
+    fault = None
+    data = b"".join(lines)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data.count(b"\n", 0, exc.start)
+        fault = (first + bad, "line is not valid UTF-8")
+        lines = lines[:bad]
+        text = data[:sum(map(len, lines))].decode("utf-8")
+    rows = text.split("\n")[:len(lines)]
+    if "\r" in text:
+        rows = [row.rstrip("\r") for row in rows]
+    line = np.arange(first, first + len(rows))
+    if "" in rows:
+        kept = np.flatnonzero(np.fromiter(map(len, rows), np.int64, len(rows)))
+        rows, line = list(map(rows.__getitem__, kept.tolist())), line[kept]
+
+    width = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows)) + 1
+    bad = np.flatnonzero((width < 4) | (width > 6))
+    if bad.size:
+        cut = bad[0]
+        fault = (int(line[cut]), f"expected 4-6 fields, got {width[cut]}")
+        rows, width, line = rows[:cut], width[:cut], line[:cut]
+    if not rows:
+        return _EMPTY_BLOCK, fault
+
+    fields = np.array("\t".join(rows).split("\t"), dtype=object)
+    start = np.cumsum(width) - width
+
+    def column(j):
+        """Field j of every row, '-' where a row is too short to have it."""
+        if width.min() > j:
+            return fields[start + j]
+        tokens = np.full(len(rows), "-", dtype=object)
+        tokens[width > j] = fields[start[width > j] + j]
+        return tokens
+
+    query_ids, doc_ids = fields[start], fields[start + 1]
+    # each run of one query id takes that query's index, new ids the next one
+    head = np.flatnonzero(np.concatenate(([True], query_ids[1:] != query_ids[:-1])))
+    query = np.repeat(np.fromiter((index.setdefault(qid, len(index)) for qid in query_ids[head]),
+                                  np.int64, head.size),
+                      np.diff(np.append(head, len(rows))))
+    rank, bad_rank = _parsed(column(2), int, np.int64)
+    timestamps, bad_timestamp = _parsed(column(3), int, np.int64)
+    latent_any, bad_any = _latents(column(4))
+    latent_fresh, bad_fresh = _latents(column(5))
+    bad = np.flatnonzero((query_ids == "") | (doc_ids == "") | bad_rank | bad_timestamp
+                         | bad_any | bad_fresh | (rank < 1) | (timestamps < 0))
+    block = (line, query, doc_ids, rank, timestamps, latent_any, latent_fresh)
+    if bad.size:
+        row = bad[0]
+        fault = (int(line[row]), _row_fault(rows[row]))
+        block = tuple(column[:row + 1] for column in block)
+    return block, fault
+
+
+def _parsed(tokens: np.ndarray, parse, dtype):
+    """The tokens parsed by `parse` (int or float) as `dtype`, and the mask
+    of those it refuses or that do not fit the dtype, parsed as zero.  An
+    object array's cast to a number dtype calls `parse` on each token."""
+    try:
+        return tokens.astype(dtype), np.zeros(tokens.size, bool)
+    except (ValueError, OverflowError):
+        values = np.zeros(tokens.size, dtype)
+        bad = np.zeros(tokens.size, bool)
+        for i, token in enumerate(tokens):
+            try:
+                values[i] = parse(token)
+            except (ValueError, OverflowError):
+                bad[i] = True
+        return values, bad
+
+
+def _latents(tokens: np.ndarray):
+    """A latent column, NaN for '-', and the mask of its tokens that are
+    not a real in [0,1]."""
+    absent = tokens == "-"
+    values, bad = _parsed(np.where(absent, "nan", tokens), float, np.float64)
+    return values, bad | ~(absent | ((values >= 0.0) & (values <= 1.0)))
+
+
+def _row_fault(row: str) -> str:
+    """The message of the first check a refused row fails, in the order
+    the row-by-row reader makes them."""
+    fields = row.split("\t")
+    if not fields[0] or not fields[1]:
+        return "empty query_id or doc_id"
+    try:
+        DocEntry(fields[1], parse_int(fields[2], "rank"), parse_int(fields[3], "timestamp"),
+                 *(opt_real(token, what) for token, what in
+                   zip(fields[4:], ("latent_rel_any", "latent_rel_fresh"))))
+    except ValidationError as exc:
+        return str(exc)
+    raise AssertionError(f"no check refuses {row!r}")
+
+
+_HASH_MIX = -0x61C8864680B583EB  # 2**64 / golden ratio, as a signed 64-bit multiplier
+
+
+def _refuse_repeat(line, query, doc_ids, index: dict[str, int], path: str) -> None:
+    """Refuse the first row whose (query_id, doc_id) pair an earlier row
+    has.  Rows are sorted by a hash of the pair; a run of equal hashes,
+    rare unless a pair repeats, is then compared pair by pair."""
+    key = np.fromiter(map(hash, doc_ids), np.int64, doc_ids.size) ^ (query * _HASH_MIX)
+    order = np.argsort(key)
+    tied = np.flatnonzero(np.diff(key[order]) == 0)
+    repeats = []
+    for run in np.split(tied, np.flatnonzero(np.diff(tied) > 1) + 1) if tied.size else ():
+        seen = set()
+        for row in np.sort(order[run[0]:run[-1] + 2]).tolist():
+            pair = (int(query[row]), doc_ids[row])
+            if pair in seen:
+                repeats.append(row)
+                break
+            seen.add(pair)
+    if repeats:
+        row = min(repeats)
+        pair = (list(index)[query[row]], doc_ids[row])
+        raise ParseError(f"duplicate query_id/doc_id {pair!r}", path, int(line[row]))
 
 
 def load_judgments(path: str) -> dict[str, JudgedQuery]:
     """Read a judgments TSV of three assessor grades per query."""
     judgments: dict[str, JudgedQuery] = {}
-    with TsvRows(path, 4, key=("query_id",)) as rows:
+    with TsvRows(path, 4, key="query_id") as rows:
         for qid, *tokens in rows:
             judgments[qid] = JudgedQuery(qid, tuple(parse_real(t, "grade") for t in tokens))
     return judgments
@@ -251,7 +429,7 @@ def load_features(path: str) -> FeatureTable:
         names = tuple(header[1:])
         if not all(names):
             raise ValidationError("empty feature name in header")
-        reader.width, reader.key = len(names) + 1, ("query_id",)
+        reader.width, reader.key = len(names) + 1, "query_id"
         for qid, *tokens in reader:
             rows[qid] = np.asarray([parse_real(token, "feature value") for token in tokens],
                                    dtype=np.float64)
@@ -275,7 +453,7 @@ def training_set(features: FeatureTable, judgments: dict[str, JudgedQuery],
 def load_queries(path: str) -> dict[str, QueryRecord]:
     """Read a queries TSV (query_id, issue_time, true_grade, volume)."""
     queries: dict[str, QueryRecord] = {}
-    with TsvRows(path, 4, key=("query_id",)) as rows:
+    with TsvRows(path, 4, key="query_id") as rows:
         for qid, issue_time, grade, volume in rows:
             queries[qid] = QueryRecord(
                 qid,
@@ -290,13 +468,13 @@ def load_predictions(path: str) -> dict[str, float]:
     """Read a predictions TSV (query_id, p_fresh).  The range of p_fresh
     is checked where it is used, so that every estimate source is
     checked alike."""
-    with TsvRows(path, 2, key=("query_id",)) as rows:
+    with TsvRows(path, 2, key="query_id") as rows:
         return {qid: parse_real(p_fresh, "p_fresh") for qid, p_fresh in rows}
 
 
-def require_queries(rankings, queries) -> None:
+def require_queries(rankings: RankingTable, queries) -> None:
     """Refuse a ranked query that has no query record."""
-    for qid in rankings:
+    for qid in rankings.query_ids:
         if qid not in queries:
             raise ValidationError(f"query {qid!r} in rankings but not in queries file")
 
@@ -306,7 +484,7 @@ def load_corpus(directory: str) -> Corpus:
     features are optional; each file is held once, keyed by query_id.
     Every ranked query needs a record in queries.tsv."""
     queries = load_queries(os.path.join(directory, "queries.tsv"))
-    rankings = load_rankings(os.path.join(directory, "rankings.tsv"))
+    rankings = load_ranking_table(os.path.join(directory, "rankings.tsv"))
     require_queries(rankings, queries)
     judgments_path = os.path.join(directory, "judgments.tsv")
     judgments = load_judgments(judgments_path) if os.path.exists(judgments_path) else {}
@@ -320,23 +498,30 @@ def load_corpus(directory: str) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def write_rankings(rankings: dict[str, Ranking], path: str) -> None:
-    lines = []
-    for qid, ranking in rankings.items():
-        for entry in ranking.entries:
-            lines.append(
-                "\t".join(
-                    (
-                        qid,
-                        entry.doc_id,
-                        str(entry.rank),
-                        str(entry.timestamp),
-                        fmt_opt(entry.latent_rel_any),
-                        fmt_opt(entry.latent_rel_fresh),
-                    )
-                )
-            )
-    write_lines(path, lines)
+def write_rankings(rankings: RankingTable, path: str) -> None:
+    """Write a table's rows in table order, '-' for an absent latent,
+    formatting `BLOCK_LINES` rows at a time."""
+    query_ids = np.asarray(rankings.query_ids, dtype=object)
+
+    def lines(start: int) -> str:
+        rows = slice(start, start + BLOCK_LINES)
+        columns = (query_ids[rankings.query[rows]], rankings.doc_ids[rows],
+                   map(str, rankings.rank[rows].tolist()),
+                   map(str, rankings.timestamps[rows].tolist()),
+                   _fmt_column(rankings.latent_any[rows]),
+                   _fmt_column(rankings.latent_fresh[rows]))
+        return "\n".join(map("\t".join, zip(*columns)))
+
+    # a block's lines joined by '\n' pass as one line, which write_lines ends
+    write_lines(path, map(lines, range(0, len(rankings.doc_ids), BLOCK_LINES)))
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """`fmt` of each value, '-' where it is NaN (absent)."""
+    text = list(map(fmt, values.tolist()))
+    for row in np.flatnonzero(np.isnan(values)).tolist():
+        text[row] = "-"
+    return text
 
 
 def write_judgments(judgments: dict[str, JudgedQuery], path: str) -> None:
@@ -430,18 +615,6 @@ class GeneratorConfig:
             raise ConfigError("assessor_accuracy must be in [0,1]")
 
 
-def _prior_at(priors: tuple[float, ...], rank: int) -> float:
-    return priors[rank - 1] if rank <= len(priors) else priors[-1]
-
-
-def _assessor_grade(true_index: int, keep: bool, step_up: bool) -> float:
-    if keep:
-        return GRADE_VALUES[true_index]
-    if step_up:
-        return GRADE_VALUES[min(true_index + 1, len(GRADE_VALUES) - 1)]
-    return GRADE_VALUES[max(true_index - 1, 0)]
-
-
 def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     """Produce a fully consistent synthetic corpus, deterministic in seed.
 
@@ -451,95 +624,92 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     rank, and the fresh-intent latent of a fresh document tracks the
     prior of its fresh rank.  Stale documents have zero fresh-intent
     relevance.
+
+    One stream serves every query in turn: its issue time, volume, fresh
+    flags, fresh and stale ages, Beta latents (a document's any-intent draw
+    before its fresh-intent one, in document order), feature noise and
+    assessor draws.  The loop only draws; timestamps, features and grades
+    are then computed a column at a time, and the rankings go straight
+    into the columns of a `RankingTable`.
     """
     rng = np.random.default_rng(seed)
     grades = tuple(config.grade_mixture)
     probs = np.asarray([config.grade_mixture[g] for g in grades], dtype=np.float64)
     grade_draw = rng.choice(len(grades), size=config.n_queries, p=probs)
 
-    kappa = config.latent_concentration
-    priors = config.position_priors
-    depth = config.ranking_depth
+    n, depth = config.n_queries, config.ranking_depth
+    grade = np.asarray(grades, dtype=np.float64)[grade_draw]
+    fresh_rate = np.minimum(1.0, config.fresh_base + config.fresh_slope * grade)
     year = 365 * 86_400
+    rank = np.arange(1, depth + 1)
+    below_page = rank > config.page_depth
+    # the Beta parameters of mean prior(k) at index k, a rank
+    priors = np.asarray(config.position_priors, dtype=np.float64)
+    prior = priors[np.minimum(np.arange(depth + 1), priors.size) - 1]
+    kappa = config.latent_concentration
+    beta_a, beta_b = prior * kappa, (1.0 - prior) * kappa
 
-    queries: dict[str, QueryRecord] = {}
-    rankings: dict[str, Ranking] = {}
-    judgments: dict[str, JudgedQuery] = {}
-    feature_rows: dict[str, np.ndarray] = {}
+    issue_offset = np.empty(n, dtype=np.int64)
+    volumes = []
+    is_fresh = np.empty((n, depth), dtype=bool)
+    ages = np.empty((2, n, depth), dtype=np.int64)  # fresh, stale
+    # latents[i, r] holds document r's any-intent and fresh-intent latents;
+    # read row-major, `drawn` marks one query's draws in draw order
+    latents = np.zeros((n, depth, 2), dtype=np.float64)
+    drawn = np.ones((depth, 2), dtype=bool)
+    mean_rank = np.empty((depth, 2), dtype=np.int64)  # the rank whose prior is the mean
+    noise = np.empty((n, 4), dtype=np.float64)
+    uniforms = np.empty((n, 8), dtype=np.float64)  # 2 background features, keep, step up
 
-    for i in range(config.n_queries):
-        qid = f"q{i:06d}"
-        grade = grades[int(grade_draw[i])]
-        issue_time = _BASE_ISSUE_TIME + int(rng.integers(0, 86_400))
-        volume = max(1, int(round(rng.lognormal(config.volume_log_mean, config.volume_log_sigma))))
+    for i in range(n):
+        issue_offset[i] = rng.integers(0, 86_400)
+        volumes.append(max(1, int(round(rng.lognormal(config.volume_log_mean,
+                                                       config.volume_log_sigma)))))
+        fresh = is_fresh[i] = rng.random(depth) < fresh_rate[i]
+        ages[0, i] = rng.integers(0, config.window_seconds, size=depth)
+        ages[1, i] = rng.integers(config.window_seconds + 1, year, size=depth)
 
-        fresh_rate = min(1.0, config.fresh_base + config.fresh_slope * grade)
-        is_fresh_doc = rng.random(depth) < fresh_rate
-        fresh_age = rng.integers(0, config.window_seconds, size=depth)
-        stale_age = rng.integers(config.window_seconds + 1, year, size=depth)
+        fresh_rank = np.cumsum(fresh)  # read only at fresh positions
+        promoted = below_page & fresh & (fresh_rank <= config.page_depth)
+        mean_rank[:, 0] = np.where(promoted, fresh_rank, rank)
+        mean_rank[:, 1] = fresh_rank
+        drawn[:, 1] = fresh
+        means = mean_rank[drawn]
+        latents[i][drawn] = list(map(rng.beta, beta_a[means].tolist(), beta_b[means].tolist()))
 
-        fresh_rank = np.cumsum(is_fresh_doc)  # read only at fresh positions
+        noise[i] = rng.normal(0.0, config.feature_noise, size=4)
+        rng.random(out=uniforms[i])  # a double per draw: one call or three alike
 
-        entries = []
-        for r in range(depth):
-            rank = r + 1
-            age = int(fresh_age[r]) if is_fresh_doc[r] else int(stale_age[r])
-            if rank <= config.page_depth:
-                mean_any = _prior_at(priors, rank)
-            elif is_fresh_doc[r] and fresh_rank[r] <= config.page_depth:
-                mean_any = _prior_at(priors, int(fresh_rank[r]))
-            else:
-                mean_any = _prior_at(priors, rank)
-            lat_any = float(rng.beta(mean_any * kappa, (1.0 - mean_any) * kappa))
-            if is_fresh_doc[r]:
-                mean_fresh = _prior_at(priors, int(fresh_rank[r]))
-                lat_fresh = float(rng.beta(mean_fresh * kappa, (1.0 - mean_fresh) * kappa))
-            else:
-                lat_fresh = 0.0
-            entries.append(
-                DocEntry(
-                    doc_id=f"{qid}-d{rank:03d}",
-                    rank=rank,
-                    timestamp=issue_time - age,
-                    latent_rel_any=lat_any,
-                    latent_rel_fresh=lat_fresh,
-                )
-            )
-        rankings[qid] = Ranking(tuple(entries))
+    issue_time = _BASE_ISSUE_TIME + issue_offset
+    query_ids = tuple(f"q{i:06d}" for i in range(n))
+    suffixes = [f"-d{r:03d}" for r in rank.tolist()]
+    rankings = RankingTable(
+        query_ids=query_ids,
+        offsets=np.arange(0, n * depth + 1, depth),
+        query=np.repeat(np.arange(n), depth),
+        rank=np.tile(rank, n),
+        doc_ids=tuple([qid + suffix for qid in query_ids for suffix in suffixes]),
+        timestamps=(issue_time[:, None] - np.where(is_fresh, ages[0], ages[1])).ravel(),
+        latent_any=latents[:, :, 0].ravel(),
+        latent_fresh=latents[:, :, 1].ravel(),
+    )
 
-        noise = rng.normal(0.0, config.feature_noise, size=4)
-        background = rng.random(2)
-        values = np.asarray(
-            [
-                _clip01(0.05 + 0.90 * grade + noise[0]),
-                _clip01(0.85 * grade * grade + noise[1]),
-                _clip01(0.80 * math.sqrt(grade) + noise[2]),
-                _clip01(0.10 + 0.70 * grade + noise[3]),
-                background[0],
-                background[1],
-            ],
-            dtype=np.float64,
-        )
-        feature_rows[qid] = values
+    signals = (0.05 + 0.90 * grade + noise[:, 0], 0.85 * grade * grade + noise[:, 1],
+               0.80 * np.sqrt(grade) + noise[:, 2], 0.10 + 0.70 * grade + noise[:, 3])
+    values = np.column_stack([*(np.minimum(1.0, np.maximum(0.0, v)) for v in signals),
+                              uniforms[:, :2]])
+    features = FeatureTable(names=FEATURE_NAMES, rows=dict(zip(query_ids, values)))
 
-        true_index = GRADE_VALUES.index(grade)
-        keep = rng.random(3) < config.assessor_accuracy
-        step_up = rng.random(3) < 0.5
-        assessor = tuple(
-            _assessor_grade(true_index, bool(keep[j]), bool(step_up[j])) for j in range(3)
-        )
-        judgments[qid] = JudgedQuery(qid, assessor)
+    # an assessor keeps the true grade, or else steps one grade up or down
+    true_index = np.asarray([GRADE_VALUES.index(g) for g in grades])[grade_draw][:, None]
+    top = len(GRADE_VALUES) - 1
+    assessed = np.where(uniforms[:, 2:5] < config.assessor_accuracy, true_index,
+                        np.where(uniforms[:, 5:] < 0.5, np.minimum(true_index + 1, top),
+                                 np.maximum(true_index - 1, 0)))
+    assessor = np.asarray(GRADE_VALUES)[assessed].tolist()
+    judgments = {qid: JudgedQuery(qid, tuple(row)) for qid, row in zip(query_ids, assessor)}
 
-        queries[qid] = QueryRecord(
-            query_id=qid,
-            issue_time=issue_time,
-            true_grade=grade,
-            volume=volume,
-        )
-
-    features = FeatureTable(names=FEATURE_NAMES, rows=feature_rows)
+    true_grades = [grades[k] for k in grade_draw.tolist()]
+    queries = {qid: QueryRecord(qid, t, g, v)
+               for qid, t, g, v in zip(query_ids, issue_time.tolist(), true_grades, volumes)}
     return Corpus(queries, rankings, judgments, features)
-
-
-def _clip01(value: float) -> float:
-    return min(1.0, max(0.0, float(value)))

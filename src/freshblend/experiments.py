@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .calibration import DEFAULT_PRIOR_TABLE, PositionPriorTable, build_candidates
-from .corpus import Corpus, QueryRecord, Ranking, RankingTable, ranking_table, training_set
+from .corpus import Corpus, QueryRecord, RankingTable, training_set
 from .errors import ValidationError
 from .fileio import atomic_write_text, fmt, write_lines
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
@@ -133,15 +133,16 @@ Policy = Callable[[PreparedQueries, MetricConfig], np.ndarray]
 
 def prepare_queries(
     queries: Mapping[str, QueryRecord],
-    rankings: Mapping[str, Ranking],
+    rankings: RankingTable,
     metric_config: MetricConfig = DEFAULT_METRIC_CONFIG,
     window: FreshnessWindow = DEFAULT_WINDOW,
     table: PositionPriorTable = DEFAULT_PRIOR_TABLE,
     require_latents: bool = True,
 ) -> PreparedQueries:
     """Derive, calibrate and pack the candidate pool of every query in
-    `queries`, in that order, from one table of their rankings."""
-    ranked = ranking_table(rankings, queries)
+    `queries`, in that order, from the rows of their rankings in the
+    table `rankings`."""
+    ranked = rankings.select(queries)
     records = queries.values()
     fresh_rank = derive_fresh_ranking(
         ranked, np.fromiter((r.issue_time for r in records), np.int64, len(queries)), window)

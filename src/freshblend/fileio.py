@@ -11,7 +11,6 @@ import math
 import os
 import sys
 import tempfile
-from operator import itemgetter
 
 from .errors import ParseError, ValidationError
 
@@ -20,14 +19,14 @@ class TsvRows:
     """The rows of a TSV file as lists of fields, read inside `with`.
 
     `width` is the field count, an inclusive (fewest, most) pair or None;
-    `key` names the leading columns that must be non-empty and together
-    unique.  Each iteration goes on from where the last one stopped, under
-    the `width` and `key` set when it starts.  A ValidationError raised in
+    `key` names the first column when it must be non-empty and unique.
+    Each iteration goes on from where the last one stopped, under the
+    `width` and `key` set when it starts.  A ValidationError raised in
     the block, by a token parser or a record's own checks, leaves it as a
     ParseError at the current row's line.
     """
 
-    def __init__(self, path: str, width=None, key: tuple[str, ...] = ()):
+    def __init__(self, path: str, width=None, key: str | None = None):
         self.path = path
         self.width = width
         self.key = key
@@ -40,11 +39,7 @@ class TsvRows:
     def __iter__(self):
         width, key = self.width, self.key
         low, high = (width, width) if isinstance(width, int) else width or (0, math.inf)
-        # Keys are grouped by all their columns but the last, so that each
-        # group's set holds strings, whose hashes are cached, not new tuples.
-        last = len(key) - 1
-        group_of = itemgetter(*range(last)) if last > 0 else None
-        groups = {}
+        seen = set()
         for self.line, text in self._lines:
             if not text.isascii():
                 try:
@@ -59,16 +54,11 @@ class TsvRows:
                 count = low if low == high else f"{low}-{high}"
                 raise ParseError(f"expected {count} fields, got {len(fields)}")
             if key:
-                if "" in fields and "" in fields[:len(key)]:  # one scan on the common path
-                    raise ParseError(f"empty {' or '.join(key)}")
-                group = group_of(fields) if group_of else None
-                seen = groups.get(group)
-                if seen is None:
-                    seen = groups[group] = set()
-                if fields[last] in seen:
-                    value = fields[0] if last == 0 else tuple(fields[:len(key)])
-                    raise ParseError(f"duplicate {'/'.join(key)} {value!r}")
-                seen.add(fields[last])
+                if not fields[0]:
+                    raise ParseError(f"empty {key}")
+                if fields[0] in seen:
+                    raise ParseError(f"duplicate {key} {fields[0]!r}")
+                seen.add(fields[0])
             yield fields
 
     def __enter__(self) -> "TsvRows":
@@ -126,7 +116,8 @@ def fmt_opt(value) -> str:
 
 def write_lines(path: str, lines) -> None:
     """Write each line with a '\\n' ending, atomically."""
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    lines = list(lines)
+    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
 def atomic_write_text(path: str, content: str) -> None:

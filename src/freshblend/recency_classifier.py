@@ -123,8 +123,9 @@ def _group_by_node(rows: np.ndarray, node_of: np.ndarray, n_nodes: int) -> np.nd
 
 
 def _fit_tree(x_t: np.ndarray, rows: np.ndarray, sample: np.ndarray, residual: np.ndarray,
-              max_depth: int) -> RegressionTree:
-    """Grow one tree a depth level at a time.
+              max_depth: int) -> tuple[RegressionTree, np.ndarray]:
+    """Grow one tree a depth level at a time; returns it and the leaf value
+    of each row of the sample, the value the tree routes that row to.
 
     x_t is the (features, n) transposed design matrix, sample the tree's
     rows in ascending order, and rows its presorted index: row f lists the
@@ -174,7 +175,7 @@ def _fit_tree(x_t: np.ndarray, rows: np.ndarray, sample: np.ndarray, residual: n
         if feature[node] < 0:
             y = residual[sample[owner == node]]
             leaf[node] = float(y.sum() / y.size)
-    return _preorder(feature, threshold, left, right, leaf)
+    return _preorder(feature, threshold, left, right, leaf), leaf[owner]
 
 
 def _preorder(feature, threshold, left, right, leaf) -> RegressionTree:
@@ -240,9 +241,13 @@ def train_gbrt(
         else:
             idx = np.arange(y.size, dtype=np.int64)
             rows = presorted
-        tree = _fit_tree(x_t, rows, idx, residual, hyperparams.max_depth)
+        tree, fitted = _fit_tree(x_t, rows, idx, residual, hyperparams.max_depth)
         trees.append(tree)
-        prediction = prediction + hyperparams.learning_rate * tree.apply(x)
+        # a split cuts between distinct values, as routing by <= does, so a
+        # fitted row's leaf is where the tree sends it; only rows left out
+        # of the sample need the descent
+        step = tree.apply(x) if idx.size < y.size else fitted
+        prediction = prediction + hyperparams.learning_rate * step
     return GbrtModel(names, base, hyperparams.learning_rate, hyperparams.max_depth, tuple(trees))
 
 

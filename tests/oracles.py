@@ -7,11 +7,13 @@ float64 operations one element at a time, the boosted-tree fit one node
 at a time, the candidate pools built one query and one document at a
 time, the greedy step folded into per-intent survival masses,
 from-scratch evaluations of the objective, exhaustive searches,
-rank-based Mann-Whitney tests and the A/B test drawn whole in one shot.
-A page or pool here is a list of `Candidate` records; `page_arrays`
-packs one into the (1, n) rows the page kernels read.  It also holds the
-hypothesis strategy that draws generated corpora with the tables and
-metric settings to prepare them under.
+rank-based Mann-Whitney tests, the A/B test drawn whole in one shot and
+the rankings reader and the corpus generator one line and one
+`DocEntry` at a time.  A page or
+pool here is a list of `Candidate` records; `page_arrays` packs one into
+the (1, n) rows the page kernels read.  It also holds the hypothesis
+strategy that draws generated corpora with the tables and metric
+settings to prepare them under.
 """
 
 import itertools
@@ -23,8 +25,10 @@ from hypothesis import strategies as st
 
 from freshblend import experiments, kernels
 from freshblend.calibration import PositionPriorTable, position_prior
-from freshblend.corpus import GeneratorConfig, Ranking, generate_corpus
-from freshblend.errors import ValidationError
+from freshblend.corpus import (GRADE_VALUES, DocEntry, GeneratorConfig, JudgedQuery, QueryRecord,
+                               Ranking, RankingTable, generate_corpus)
+from freshblend.errors import ParseError, ValidationError
+from freshblend.fileio import TsvRows, opt_real, parse_int
 from freshblend.freshness import FreshnessWindow, is_fresh
 from freshblend.metric import DEFAULT_METRIC_CONFIG, BreakExponent, MetricConfig
 from freshblend.recency_classifier import (GbrtHyperparams, GbrtModel, RegressionTree,
@@ -320,6 +324,121 @@ def brute_err_iaa(page, p_fresh, config):
                 survive *= 1.0 - getattr(page[i], attr)
             total += disc * p_t * survive * getattr(page[r - 1], attr)
     return total
+
+
+# ---------------------------------------------------------------------------
+# rankings, one line and one document at a time
+# ---------------------------------------------------------------------------
+
+
+def load_rankings(path: str) -> dict[str, Ranking]:
+    """Read a rankings TSV into per-query rankings sorted by rank, each
+    line checked by `TsvRows`, for a new (query_id, doc_id) pair and by
+    `DocEntry`, each query by `Ranking`."""
+    per_query: dict[str, list[DocEntry]] = {}
+    seen = set()
+    with TsvRows(path, (4, 6)) as rows:
+        for fields in rows:
+            pair = (fields[0], fields[1])
+            if not all(pair):
+                raise ParseError("empty query_id or doc_id")
+            if pair in seen:
+                raise ParseError(f"duplicate query_id/doc_id {pair!r}")
+            seen.add(pair)
+            entry = DocEntry(
+                fields[1],
+                parse_int(fields[2], "rank"),
+                parse_int(fields[3], "timestamp"),
+                opt_real(fields[4], "latent_rel_any") if len(fields) > 4 else None,
+                opt_real(fields[5], "latent_rel_fresh") if len(fields) > 5 else None,
+            )
+            per_query.setdefault(fields[0], []).append(entry)
+
+    rankings: dict[str, Ranking] = {}
+    for qid, entries in per_query.items():
+        entries.sort(key=lambda e: e.rank)
+        try:
+            rankings[qid] = Ranking(tuple(entries))
+        except ValidationError as exc:
+            raise ParseError(f"query {qid!r}: {exc}", path) from None
+    return rankings
+
+
+def generate_per_document(config: GeneratorConfig, seed: int):
+    """The generated corpus drawn one query and one document at a time:
+    (queries, rankings as `Ranking`s, judgments, feature rows), each a
+    dict by query id."""
+    rng = np.random.default_rng(seed)
+    grades = tuple(config.grade_mixture)
+    probs = np.asarray([config.grade_mixture[g] for g in grades], dtype=np.float64)
+    grade_draw = rng.choice(len(grades), size=config.n_queries, p=probs)
+    kappa = config.latent_concentration
+    priors = config.position_priors
+    depth = config.ranking_depth
+
+    def prior(rank):
+        return priors[rank - 1] if rank <= len(priors) else priors[-1]
+
+    def clip01(value):
+        return min(1.0, max(0.0, float(value)))
+
+    queries, rankings, judgments, feature_rows = {}, {}, {}, {}
+    for i in range(config.n_queries):
+        qid = f"q{i:06d}"
+        grade = grades[int(grade_draw[i])]
+        issue_time = 1_300_000_000 + int(rng.integers(0, 86_400))
+        volume = max(1, int(round(rng.lognormal(config.volume_log_mean, config.volume_log_sigma))))
+        fresh_rate = min(1.0, config.fresh_base + config.fresh_slope * grade)
+        is_fresh_doc = rng.random(depth) < fresh_rate
+        fresh_age = rng.integers(0, config.window_seconds, size=depth)
+        stale_age = rng.integers(config.window_seconds + 1, 365 * 86_400, size=depth)
+        fresh_rank = np.cumsum(is_fresh_doc)
+        entries = []
+        for r in range(depth):
+            rank = r + 1
+            age = int(fresh_age[r]) if is_fresh_doc[r] else int(stale_age[r])
+            if rank <= config.page_depth:
+                mean_any = prior(rank)
+            elif is_fresh_doc[r] and fresh_rank[r] <= config.page_depth:
+                mean_any = prior(int(fresh_rank[r]))
+            else:
+                mean_any = prior(rank)
+            lat_any = float(rng.beta(mean_any * kappa, (1.0 - mean_any) * kappa))
+            lat_fresh = 0.0
+            if is_fresh_doc[r]:
+                mean_fresh = prior(int(fresh_rank[r]))
+                lat_fresh = float(rng.beta(mean_fresh * kappa, (1.0 - mean_fresh) * kappa))
+            entries.append(DocEntry(f"{qid}-d{rank:03d}", rank, issue_time - age,
+                                    lat_any, lat_fresh))
+        rankings[qid] = Ranking(tuple(entries))
+        noise = rng.normal(0.0, config.feature_noise, size=4)
+        background = rng.random(2)
+        feature_rows[qid] = np.asarray([
+            clip01(0.05 + 0.90 * grade + noise[0]), clip01(0.85 * grade * grade + noise[1]),
+            clip01(0.80 * math.sqrt(grade) + noise[2]), clip01(0.10 + 0.70 * grade + noise[3]),
+            background[0], background[1]])
+        true_index = GRADE_VALUES.index(grade)
+        keep = rng.random(3) < config.assessor_accuracy
+        step_up = rng.random(3) < 0.5
+        judgments[qid] = JudgedQuery(qid, tuple(
+            GRADE_VALUES[true_index] if keep[j]
+            else GRADE_VALUES[min(true_index + 1, len(GRADE_VALUES) - 1)] if step_up[j]
+            else GRADE_VALUES[max(true_index - 1, 0)]
+            for j in range(3)))
+        queries[qid] = QueryRecord(qid, issue_time, grade, volume)
+    return queries, rankings, judgments, feature_rows
+
+
+def rankings_of(table: RankingTable) -> dict[str, Ranking]:
+    """A table's rankings as one `Ranking` per query, in table order."""
+    def latent(value):
+        return None if math.isnan(value) else value
+
+    return {qid: Ranking(tuple(
+        DocEntry(table.doc_ids[row], int(table.rank[row]), int(table.timestamps[row]),
+                 latent(table.latent_any[row]), latent(table.latent_fresh[row]))
+        for row in range(table.offsets[q], table.offsets[q + 1])))
+        for q, qid in enumerate(table.query_ids)}
 
 
 # ---------------------------------------------------------------------------

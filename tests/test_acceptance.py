@@ -22,6 +22,7 @@ from freshblend.corpus import (
     QueryRecord,
     Ranking,
     generate_corpus,
+    ranking_table,
     training_set,
 )
 from freshblend.experiments import (
@@ -132,7 +133,7 @@ def test_criterion_02_greedy_soundness():
 def _blend_one_query(ranking, now, p_fresh):
     """Blend a one-query table; returns the page's doc ids and each one's
     calibrated r_fresh, and the pool's r_fresh values."""
-    prepared = prepare_queries({"q": QueryRecord("q", now)}, {"q": ranking}, CFG,
+    prepared = prepare_queries({"q": QueryRecord("q", now)}, ranking_table({"q": ranking}), CFG,
                                require_latents=False)
     orders, _ = blend_pages(prepared, p_fresh, CFG)
     page = orders[0][orders[0] >= 0]

@@ -22,14 +22,13 @@ from freshblend.corpus import (
     GeneratorConfig,
     generate_corpus,
     load_features,
-    load_rankings,
     write_corpus,
 )
 from freshblend.fileio import fmt
 from freshblend.kernels import err_iaa_batch
 from freshblend.metric import BreakExponent, MetricConfig
 from freshblend.recency_classifier import load_model, predict_batch
-from oracles import Candidate, page_arrays
+from oracles import Candidate, load_rankings, page_arrays
 
 TWO_DOC_RANKINGS = "q1\td1\t1\t1000\t0.5\t-\nq1\td2\t2\t1000\t0.5\t-\n"
 SHARED_KEYS = ("p_break", "break_exponent", "depth", "window_days", "priors", "grid", "seed")

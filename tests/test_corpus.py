@@ -4,10 +4,14 @@ import collections
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freshblend import corpus as corpus_module
 from freshblend.corpus import (
     GRADE_VALUES,
     JUDGED_POOL_MIXTURE,
@@ -24,13 +28,30 @@ from freshblend.corpus import (
     load_judgments,
     load_predictions,
     load_queries,
-    load_rankings,
+    load_ranking_table,
+    ranking_table,
     training_set,
     write_corpus,
     write_rankings,
 )
 from freshblend.errors import ConfigError, ParseError, ValidationError
+from freshblend.fileio import fmt
 from freshblend.freshness import FreshnessWindow, is_fresh, load_query_log
+from oracles import generate_per_document, generated_corpora, load_rankings, rankings_of
+
+TABLE_FIELDS = ("query_ids", "offsets", "query", "rank", "doc_ids", "timestamps",
+                "latent_any", "latent_fresh")
+
+
+def assert_same_table(actual, expected):
+    """Every column equal, NaN to NaN, and of the same dtype."""
+    for name in TABLE_FIELDS:
+        a, b = getattr(actual, name), getattr(expected, name)
+        if isinstance(b, tuple):
+            assert a == b, name
+        else:
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), name
 
 
 def _write(tmp_path, name, text):
@@ -40,41 +61,143 @@ def _write(tmp_path, name, text):
 
 
 class TestLoadRankings:
-    def test_empty_file_gives_empty_map(self, tmp_path):
-        assert load_rankings(_write(tmp_path, "r.tsv", "")) == {}
+    def test_empty_file_gives_empty_table(self, tmp_path):
+        table = load_ranking_table(_write(tmp_path, "r.tsv", ""))
+        assert_same_table(table, ranking_table({}))
 
     def test_two_rows_one_query(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\t0.5\t-\nq1\td2\t2\t90\t0.25\t0.1\n")
-        rankings = load_rankings(path)
-        assert set(rankings) == {"q1"}
-        ranking = rankings["q1"]
-        assert len(ranking) == 2
-        assert ranking.entries[0].doc_id == "d1"
-        assert ranking.entries[1].latent_rel_fresh == 0.1
+        table = load_ranking_table(path)
+        assert table.query_ids == ("q1",)
+        assert table.offsets.tolist() == [0, 2]
+        assert table.doc_ids == ("d1", "d2")
+        assert table.latent_fresh[1] == 0.1
+        assert math.isnan(table.latent_fresh[0])
 
     def test_rows_may_arrive_out_of_rank_order(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td2\t2\t90\nq1\td1\t1\t100\n")
-        ranking = load_rankings(path)["q1"]
-        assert [e.doc_id for e in ranking.entries] == ["d1", "d2"]
+        table = load_ranking_table(path)
+        assert table.doc_ids == ("d1", "d2")
+        assert table.timestamps.tolist() == [100, 90]
 
     def test_gap_in_ranks_rejected(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq1\td3\t3\t90\n")
         with pytest.raises(ValidationError, match="contiguous"):
-            load_rankings(path)
+            load_ranking_table(path)
 
     def test_malformed_line_names_its_number(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq1\td2\toops\t90\n")
         with pytest.raises(ParseError, match=r":2:"):
-            load_rankings(path)
+            load_ranking_table(path)
 
     def test_duplicate_doc_rejected(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq1\td1\t2\t90\n")
         with pytest.raises(ValidationError, match="duplicate"):
-            load_rankings(path)
+            load_ranking_table(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_rankings(str(tmp_path / "nope.tsv"))
+            load_ranking_table(str(tmp_path / "nope.tsv"))
+
+    def test_same_doc_id_under_two_queries_is_no_repeat(self, tmp_path):
+        path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq2\td1\t1\t90\n")
+        assert load_ranking_table(path).doc_ids == ("d1", "d1")
+
+    def test_doc_ids_of_equal_hash_are_told_apart(self, tmp_path):
+        # every doc id hashes alike, so the repeat check compares the ids
+        text = "q1\td1\t1\t100\nq1\td2\t2\t90\nq1\td3\t3\t80\n"
+        path = _write(tmp_path, "r.tsv", text + "q1\td2\t4\t70\n")
+        with mock.patch.object(corpus_module, "hash", lambda _: 7, create=True):
+            assert load_ranking_table(_write(tmp_path, "ok.tsv", text)).doc_ids == (
+                "d1", "d2", "d3")
+            with pytest.raises(ParseError, match="^" + re.escape(
+                    f"{path}:4: duplicate query_id/doc_id ('q1', 'd2')")):
+                load_ranking_table(path)
+
+
+def _irregular_text(table, random) -> str:
+    """The table's rows as rankings.tsv text: lines in a random order, each
+    of 4, 5 or 6 fields with '-' for some latents and ending in '\\n' or
+    '\\r\\n', and blank lines between."""
+    lines = []
+    for row in range(len(table.doc_ids)):
+        latents = [random.choice([fmt(value), "-"])
+                   for value in (table.latent_any[row], table.latent_fresh[row])]
+        fields = [table.query_ids[table.query[row]], table.doc_ids[row],
+                  str(table.rank[row]), str(table.timestamps[row]), *latents]
+        lines.append("\t".join(fields[:random.randint(4, 6)]))
+    random.shuffle(lines)
+    for _ in range(random.randint(0, 5)):
+        lines.insert(random.randint(0, len(lines)), "")
+    return "".join(line + random.choice(["\n", "\r\n"]) for line in lines)
+
+
+class TestAgainstTheRowByRowReader:
+    @given(generated_corpora(), st.randoms(use_true_random=False),
+           st.sampled_from([corpus_module.BLOCK_LINES, 1, 2, 7, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_table_equals_the_reference_field_by_field(self, tmp_path_factory, drawn, random,
+                                                       block_lines):
+        path = tmp_path_factory.mktemp("irregular") / "rankings.tsv"
+        path.write_bytes(_irregular_text(drawn[0].rankings, random).encode("utf-8"))
+        # one block, or blocks of a few lines, so that queries span several
+        with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+            loaded = load_ranking_table(str(path))
+        assert_same_table(loaded, ranking_table(load_rankings(str(path))))
+
+    @given(generated_corpora(), st.randoms(use_true_random=False),
+           st.sampled_from([corpus_module.BLOCK_LINES, 1, 3, 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_faulty_files_get_the_reference_diagnostic(self, tmp_path_factory, drawn, random,
+                                                       block_lines):
+        lines = _irregular_text(drawn[0].rankings, random).encode("utf-8").split(b"\n")
+        for _ in range(random.randint(1, 3)):
+            at = random.randrange(len(lines))
+            fields = lines[at].rstrip(b"\r").split(b"\t")
+            if random.random() < 0.3:  # take another line's query and doc id: a repeat
+                lines[at] = b"\t".join(random.choice(lines).split(b"\t")[:2] + fields[2:])
+            else:
+                lines[at] = random.choice(FAULTS)(fields, random)
+        path = tmp_path_factory.mktemp("faulty") / "rankings.tsv"
+        path.write_bytes(b"\n".join(lines))
+        with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+            loaded = _outcome(load_ranking_table, str(path))
+        expected = _outcome(load_rankings, str(path))
+        if isinstance(expected, str):
+            assert loaded == expected
+        else:
+            assert_same_table(loaded, ranking_table(expected))
+
+
+def _outcome(load, path):
+    """What `load` returns, or the message of the ParseError it raises."""
+    try:
+        return load(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _field(j, token):
+    """A fault that sets field j (appending up to it) to `token`."""
+    def fault(fields, random):
+        fields = fields + [b"-"] * (j + 1 - len(fields))
+        fields[j] = token
+        return b"\t".join(fields)
+    return fault
+
+
+FAULTS = (
+    lambda fields, random: b"\t".join(fields[:random.randint(1, 3)]),
+    lambda fields, random: b"\t".join(fields + [b"0.5"] * 3),
+    lambda fields, random: b"\t".join(fields) + b"\xff",
+    lambda fields, random: b"",
+    _field(0, b""), _field(1, b""),
+    _field(2, b"x"), _field(2, b"0"), _field(2, b"2"), _field(2, b"99"),
+    _field(2, str(2**63).encode()), _field(2, b" 1_0 "),
+    _field(3, b"-5"), _field(3, b"1e3"), _field(3, str(2**63).encode()),
+    _field(4, b"1.5"), _field(4, b"nan"), _field(4, b""), _field(4, b"-0.0"),
+    _field(5, b"inf"), _field(5, b"1"), _field(5, b"0x1"),
+)
 
 
 class TestLoadJudgments:
@@ -115,14 +238,15 @@ class TestLineFormat:
     """The reading rules every loader shares."""
 
     @pytest.mark.parametrize("loader, data, line, message", [
-        (load_rankings, b"q1\td1\t1\t100\nq1\t\xffd\t2\t90\n", 2, "line is not valid UTF-8"),
-        (load_rankings, b"q1\td1\t1\n", 1, "expected 4-6 fields, got 3"),
-        (load_rankings, b"q1\t\t1\t100\n", 1, "empty query_id or doc_id"),
-        (load_rankings, b"q1\td1\t1\t100\n\nq1\td1\t2\t90\n", 3,
+        (load_ranking_table, b"q1\td1\t1\t100\nq1\t\xffd\t2\t90\n", 2,
+         "line is not valid UTF-8"),
+        (load_ranking_table, b"q1\td1\t1\n", 1, "expected 4-6 fields, got 3"),
+        (load_ranking_table, b"q1\t\t1\t100\n", 1, "empty query_id or doc_id"),
+        (load_ranking_table, b"q1\td1\t1\t100\n\nq1\td1\t2\t90\n", 3,
          "duplicate query_id/doc_id ('q1', 'd1')"),
-        (load_rankings, b"q1\td1\t1\t99999999999999999999\n", 1,
+        (load_ranking_table, b"q1\td1\t1\t99999999999999999999\n", 1,
          "timestamp does not fit in 64 bits"),
-        (load_rankings, b"q1\td1\t1\t100\t1.5\n", 1, "latent_rel_any out of [0,1]: 1.5"),
+        (load_ranking_table, b"q1\td1\t1\t100\t1.5\n", 1, "latent_rel_any out of [0,1]: 1.5"),
         (load_judgments, b"q1\t0.25\t0.25\t0.25\nq1\t0\t0\t0\n", 2, "duplicate query_id 'q1'"),
         (load_judgments, b"q1\t0.5\t0.75\t0.25\n", 1, "assessor grade 0.5 not in"),
         (load_queries, b"\t100\t-\t-\n", 1, "empty query_id"),
@@ -145,13 +269,62 @@ class TestLineFormat:
     def test_crlf_endings_and_blank_lines_are_accepted(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_bytes(b"\r\nq1\td1\t1\t100\t-\t-\r\n\n\r\nq1\td2\t2\t90\t0.5\t0.25\r\n")
-        entries = load_rankings(str(path))["q1"].entries
-        assert entries == (DocEntry("d1", 1, 100), DocEntry("d2", 2, 90, 0.5, 0.25))
+        expected = {"q1": Ranking((DocEntry("d1", 1, 100), DocEntry("d2", 2, 90, 0.5, 0.25)))}
+        assert_same_table(load_ranking_table(str(path)), ranking_table(expected))
 
     def test_a_fault_without_a_line_names_the_file(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq1\td3\t3\t90\n")
-        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: query 'q1': ")):
-            load_rankings(path)
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{path}: query 'q1': ranks must be contiguous from 1; position 2 has rank 3")):
+            load_ranking_table(path)
+
+
+# Lines of three-line blocks: line 4 opens the second block.
+GOOD = [b"q1\td1\t1\t100\n", b"q1\td2\t2\t90\n", b"q1\td3\t3\t80\n",
+        b"q1\td4\t4\t70\n", b"q1\td5\t5\t60\n"]
+
+
+def _with(lines: dict[int, bytes]) -> bytes:
+    """GOOD with the lines numbered in `lines` replaced."""
+    return b"".join(lines.get(number, line) for number, line in enumerate(GOOD, start=1))
+
+
+class TestBlockedDiagnostics:
+    """A fault names the first bad line with the row-by-row reader's message,
+    wherever the block boundaries fall."""
+
+    @pytest.mark.parametrize("data, line, message", [
+        # a fault on the first line of the second block
+        (_with({4: b"q1\td4\tfour\t70\n"}), 4, "bad rank: 'four'"),
+        (_with({4: b"q1\td4\n"}), 4, "expected 4-6 fields, got 2"),
+        (_with({4: b"q1\td4\t4\t70\xff\n"}), 4, "line is not valid UTF-8"),
+        (_with({4: b"q1\td2\t4\t70\n"}), 4, "duplicate query_id/doc_id ('q1', 'd2')"),
+        # two faults in one block: the earlier line's kind is checked later
+        (_with({1: b"q1\td1\t1\t100\t1.5\n", 2: b"q1\td2\n"}), 1,
+         "latent_rel_any out of [0,1]: 1.5"),
+        (_with({1: b"q1\td1\t0\t100\n", 3: b"q1\t\xffd3\t3\t80\n"}), 1,
+         "rank must be >= 1, got 0"),
+        (_with({2: b"q1\td2\t2\t-90\n", 3: b"q1\td1\t3\t80\n"}), 2,
+         "timestamp must be in [0, 2**63), got -90"),
+        (_with({2: b"q1\td1\t2\t90\n", 3: b"q1\t\t3\t80\n"}), 2,
+         "duplicate query_id/doc_id ('q1', 'd1')"),
+        # two faults in different blocks: the earlier line's kind is checked later
+        (_with({3: b"q1\td3\t3\t80\t0.5\tnan\n", 4: b"q1\td4\xff\t4\t70\n"}), 3,
+         "latent_rel_fresh is not finite: 'nan'"),
+        (_with({2: b"q1\td2\t2\t90\t0.5\t2\n", 5: b"q1\td1\t5\t60\n"}), 2,
+         "latent_rel_fresh out of [0,1]: 2.0"),
+        (_with({3: b"q1\td1\t3\t80\n", 4: b"q1\td4\t4\n"}), 3,
+         "duplicate query_id/doc_id ('q1', 'd1')"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, data, line, message):
+        path = tmp_path / "r.tsv"
+        path.write_bytes(data)
+        expected = "^" + re.escape(f"{path}:{line}: {message}")
+        with pytest.raises(ParseError, match=expected):
+            load_rankings(str(path))  # the row-by-row reader agrees
+        with mock.patch.object(corpus_module, "BLOCK_LINES", 3):
+            with pytest.raises(ParseError, match=expected):
+                load_ranking_table(str(path))
 
 
 class TestTypes:
@@ -226,7 +399,7 @@ class TestGenerator:
     def test_requested_count_is_delivered(self):
         corpus = generate_corpus(GeneratorConfig(n_queries=50, ranking_depth=5), seed=1)
         assert len(corpus.queries) == 50
-        assert set(corpus.queries) == set(corpus.rankings)
+        assert corpus.rankings.query_ids == tuple(corpus.queries)
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         config = GeneratorConfig(n_queries=40, ranking_depth=8)
@@ -245,24 +418,41 @@ class TestGenerator:
     def test_freshness_window_separates_timestamps(self):
         config = GeneratorConfig(n_queries=30, ranking_depth=10)
         corpus = generate_corpus(config, seed=4)
-        window = FreshnessWindow(config.window_seconds)
-        for qid, ranking in corpus.rankings.items():
-            issue = corpus.queries[qid].issue_time
-            for entry in ranking.entries:
-                fresh = is_fresh(entry.timestamp, issue, window)
-                if entry.latent_rel_fresh and entry.latent_rel_fresh > 0:
-                    assert fresh
-                else:
-                    assert not fresh
+        table = corpus.rankings
+        issued = np.asarray([q.issue_time for q in corpus.queries.values()])[table.query]
+        fresh = is_fresh(table.timestamps, issued, FreshnessWindow(config.window_seconds))
+        assert fresh.any() and not fresh.all()
+        assert np.array_equal(fresh, table.latent_fresh > 0)
 
     def test_latents_and_features_are_in_range(self):
         corpus = generate_corpus(GeneratorConfig(n_queries=30, ranking_depth=10), seed=5)
-        for ranking in corpus.rankings.values():
-            for entry in ranking.entries:
-                assert 0.0 <= entry.latent_rel_any <= 1.0
-                assert 0.0 <= entry.latent_rel_fresh <= 1.0
+        for latents in (corpus.rankings.latent_any, corpus.rankings.latent_fresh):
+            assert np.all((latents >= 0.0) & (latents <= 1.0))
         for values in corpus.features.rows.values():
             assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @given(st.builds(
+        GeneratorConfig,
+        n_queries=st.integers(1, 30), ranking_depth=st.integers(1, 25),
+        grade_mixture=st.sampled_from([dict(JUDGED_POOL_MIXTURE), {0.95: 1.0}, {0.0: 1.0}]),
+        fresh_base=st.floats(0.0, 1.0), fresh_slope=st.floats(0.0, 3.0),
+        feature_noise=st.floats(0.0, 2.0), latent_concentration=st.floats(0.1, 100.0),
+        assessor_accuracy=st.floats(0.0, 1.0), window_seconds=st.integers(1, 10**7),
+        page_depth=st.integers(1, 30),
+        position_priors=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12).map(
+            lambda p: tuple(sorted(p, reverse=True)))),
+        st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_equals_the_per_document_generator(self, config, seed):
+        corpus = generate_corpus(config, seed)
+        queries, rankings, judgments, feature_rows = generate_per_document(config, seed)
+        assert corpus.queries == queries
+        assert corpus.judgments == judgments
+        assert rankings_of(corpus.rankings) == rankings
+        assert_same_table(corpus.rankings, ranking_table(rankings))
+        assert list(corpus.features.rows) == list(feature_rows)
+        for qid, values in feature_rows.items():
+            assert corpus.features.rows[qid].tolist() == values.tolist()
 
     def test_signal_features_rise_with_grade(self):
         corpus = generate_corpus(
@@ -296,8 +486,15 @@ class TestRoundTrip:
             ))
         }
         path = tmp_path / "r.tsv"
-        write_rankings(rankings, str(path))
+        write_rankings(ranking_table(rankings), str(path))
         assert load_rankings(str(path)) == rankings
+        assert_same_table(load_ranking_table(str(path)), ranking_table(rankings))
+
+    def test_generated_table_equals_its_written_file_reread(self, tmp_path):
+        corpus = generate_corpus(GeneratorConfig(n_queries=25, ranking_depth=6), seed=12)
+        write_rankings(corpus.rankings, str(tmp_path / "r.tsv"))
+        assert_same_table(load_ranking_table(str(tmp_path / "r.tsv")), corpus.rankings)
+        assert rankings_of(corpus.rankings) == load_rankings(str(tmp_path / "r.tsv"))
 
     def test_load_corpus_reloads_features_and_grades(self, tmp_path):
         corpus = generate_corpus(GeneratorConfig(n_queries=5, ranking_depth=3), seed=2)

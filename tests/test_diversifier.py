@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from freshblend.corpus import QueryRecord, Ranking
+from freshblend.corpus import QueryRecord, Ranking, ranking_table
 from freshblend.errors import ValidationError
 from freshblend.experiments import blend_pages, prepare_queries
 from freshblend.kernels import err_iaa_batch, greedy_blend
@@ -62,8 +62,8 @@ class TestBlendFixtures:
             assert (order >= 0).all()
 
     def test_empty_pool_blends_to_an_empty_page(self):
-        prepared = prepare_queries({"q": QueryRecord("q", 1000)}, {"q": Ranking(())}, CFG,
-                                   require_latents=False)
+        prepared = prepare_queries({"q": QueryRecord("q", 1000)},
+                                   ranking_table({"q": Ranking(())}), CFG, require_latents=False)
         orders, gains = blend_pages(prepared, 0.5, CFG)
         assert prepared.sizes.tolist() == [0]
         assert orders.shape == gains.shape == (1, 0)

@@ -1,6 +1,7 @@
 """Experiment harness: sweep, bucket comparison, click simulation,
 A/B test, and the Mann-Whitney implementation."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from freshblend.corpus import (
     QueryRecord,
     Ranking,
     generate_corpus,
+    ranking_table,
 )
 from freshblend.errors import ValidationError
 from freshblend.experiments import (
@@ -44,6 +46,7 @@ from oracles import (
     one_shot_ab_report,
     one_shot_bucket,
     prepared_pools,
+    rankings_of,
 )
 
 
@@ -273,9 +276,11 @@ HAND_RANKINGS = {
 }
 
 
-def check_prepared_rows(queries, rankings, config, window, table, require_latents):
-    """prepare_queries against the pools built one query at a time."""
-    prepared = prepare_queries(queries, rankings, config, window, table, require_latents)
+def check_prepared_rows(queries, ranked, config, window, table, require_latents):
+    """prepare_queries on the ranking table `ranked` against the pools
+    built one query at a time."""
+    prepared = prepare_queries(queries, ranked, config, window, table, require_latents)
+    rankings = rankings_of(ranked)
     depth = config.depth
     m = prepared.cal_fresh.shape[1]
     # pages are as wide as the longest pool allows, never wider than the depth
@@ -340,16 +345,17 @@ class TestPreparedTable:
     @settings(max_examples=80, deadline=None)
     def test_table_path_equals_the_per_query_reference(self, batch, random):
         queries, rankings, window, table, config = batch
-        check_prepared_rows(queries, rankings, config, window, table, require_latents=False)
+        ranked = ranking_table(rankings)
+        check_prepared_rows(queries, ranked, config, window, table, require_latents=False)
 
         # a query's rows do not depend on the batch it is prepared in
         order = list(queries)
         random.shuffle(order)
         shuffled = {qid: queries[qid] for qid in order}
-        together = prepare_queries(shuffled, rankings, config, window, table,
+        together = prepare_queries(shuffled, ranked, config, window, table,
                                    require_latents=False)
         for b, qid in enumerate(together.query_ids):
-            alone = prepare_queries({qid: queries[qid]}, rankings, config, window, table,
+            alone = prepare_queries({qid: queries[qid]}, ranked, config, window, table,
                                     require_latents=False)
             size = int(alone.sizes[0])
             assert together.sizes[b] == size
@@ -370,17 +376,18 @@ class TestPrepareQueries:
     @pytest.mark.parametrize("table", [DEFAULT_PRIOR_TABLE, PositionPriorTable((0.5, 0.3))])
     def test_hand_rows_match_a_doc_id_lookup(self, depth, table):
         queries = {qid: QueryRecord(qid, 1000) for qid in HAND_RANKINGS}
-        check_prepared_rows(queries, HAND_RANKINGS, MetricConfig(depth=depth),
+        check_prepared_rows(queries, ranking_table(HAND_RANKINGS), MetricConfig(depth=depth),
                             FreshnessWindow(100), table, require_latents=True)
 
     def test_rows_without_latents_pad_with_zeros(self):
         rankings = {**HAND_RANKINGS,
                     "bare": ranking_of([STALE, FRESH, STALE, FRESH], latents=False)}
         queries = {qid: QueryRecord(qid, 1000) for qid in rankings}
-        check_prepared_rows(queries, rankings, MetricConfig(depth=3),
+        check_prepared_rows(queries, ranking_table(rankings), MetricConfig(depth=3),
                             FreshnessWindow(100), DEFAULT_PRIOR_TABLE, require_latents=False)
         with pytest.raises(ValidationError, match="'bare' doc 'd1' lacks latent"):
-            prepare_queries(queries, rankings, MetricConfig(depth=3), FreshnessWindow(100))
+            prepare_queries(queries, ranking_table(rankings), MetricConfig(depth=3),
+                            FreshnessWindow(100))
 
     def test_generated_rows_match_a_doc_id_lookup(self):
         corpus = small_corpus(seed=21, n=60)
@@ -390,7 +397,7 @@ class TestPrepareQueries:
 
     def test_query_without_ranking_rejected(self):
         with pytest.raises(ValidationError, match="has no ranking"):
-            prepare_queries({"q": QueryRecord("q", 1000)}, {})
+            prepare_queries({"q": QueryRecord("q", 1000)}, ranking_table({}))
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +422,9 @@ class TestSweep:
 
     def test_refuses_a_corpus_without_latents(self):
         corpus = small_corpus(seed=8, n=5)
-        bare = {
-            qid: Ranking(tuple(
-                DocEntry(e.doc_id, e.rank, e.timestamp) for e in ranking.entries
-            ))
-            for qid, ranking in corpus.rankings.items()
-        }
-        stripped = type(corpus)(corpus.queries, bare, corpus.judgments, corpus.features)
+        absent = np.full(len(corpus.rankings.doc_ids), np.nan)
+        bare = dataclasses.replace(corpus.rankings, latent_any=absent, latent_fresh=absent)
+        stripped = dataclasses.replace(corpus, rankings=bare)
         with pytest.raises(ValidationError, match="latent"):
             sweep_estimate(stripped, grid=(0.0, 0.5))
 
