@@ -58,6 +58,7 @@ from .experiments import (
     blend_pages,
     blend_policy,
     bucket_comparison,
+    check_ab_impressions,
     estimates_for,
     initial_ranking_policy,
     prepare_queries,
@@ -492,9 +493,7 @@ def _cmd_buckets(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_abtest(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.n_queries > MAX_AB_IMPRESSIONS:
-        raise ValidationError(f"--n-queries {args.n_queries} is above the limit of "
-                              f"{MAX_AB_IMPRESSIONS} impressions per bucket")
+    check_ab_impressions(args.n_queries)
     out = _require_out(args)
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
     if not corpus.judgments or not corpus.features.rows:

@@ -383,6 +383,28 @@ def _stream(seed, offset: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
+class _GuideTable:
+    """``cdf.searchsorted(u, side="right")`` over a nondecreasing `cdf`, for
+    draws u in [0, 1), through a guide table of G + 1 entries, G the
+    smallest power of two >= 4 * cdf.size: guide[g] is the search of g / G.
+    Scaling by a power of two is exact, so a draw u lies in the cell g =
+    floor(u * G), and its search lies in [guide[g], guide[g + 1]].  Where
+    the two are equal that is the answer; the draws in the cells that hold a
+    cdf value, at most a quarter of the cells, are searched in full."""
+
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
+        self.grid = 1 << (4 * cdf.size - 1).bit_length()
+        self.guide = cdf.searchsorted(np.arange(self.grid + 1) / self.grid, side="right")
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        cell = (u * self.grid).astype(np.intp)
+        idx = self.guide[cell]
+        unresolved = np.flatnonzero(idx != self.guide[1:][cell])
+        idx[unresolved] = self.cdf.searchsorted(u[unresolved], side="right")
+        return idx
+
+
 def _click_blocks(seed, pages, p_fresh, weights, n, config: MetricConfig, block=None):
     """Simulate `n` users on the stacked (2, Q, K) latent pages, K <= depth
     ([0] fresh intent, [1] any intent, as `_page_matrices` builds them),
@@ -392,7 +414,8 @@ def _click_blocks(seed, pages, p_fresh, weights, n, config: MetricConfig, block=
     PCG64(seed)'s stream is read as consecutive segments, each by its own
     generator:
       1. choice: n doubles; a user sees page ``cdf.searchsorted(u,
-         side="right")``, as ``Generator.choice(Q, p=weights)`` draws it;
+         side="right")``, as ``Generator.choice(Q, p=weights)`` draws it,
+         found through a `_GuideTable`;
       2. u_intent: n doubles; the user has the fresh intent when u_intent <
          p_fresh of the page, and scans that intent's row;
       3. u_cont: n x depth doubles;
@@ -407,13 +430,14 @@ def _click_blocks(seed, pages, p_fresh, weights, n, config: MetricConfig, block=
     choice = _stream(seed, 0)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
+    choose = _GuideTable(cdf)
     intent = _stream(seed, n)
     cont = _stream(seed, 2 * n)
     click = _stream(seed, 2 * n + n * depth)
     width = pages.shape[2]
     for start in range(0, n, block):
         m = min(block, n - start)
-        qidx = cdf.searchsorted(choice.random(m), side="right")
+        qidx = choose(choice.random(m))
         any_intent = ~(intent.random(m) < p_fresh[qidx])
         u_cont = cont.random((m, depth))[:, :width]
         u_click = click.random((m, depth))[:, :width]
@@ -465,6 +489,13 @@ def _sample_comparison(a: np.ndarray, b: np.ndarray) -> MetricComparison:
     return MetricComparison(means[0], means[1], u, p)
 
 
+def check_ab_impressions(n_queries: int) -> None:
+    """Refuse an A/B bucket size outside [2, MAX_AB_IMPRESSIONS]."""
+    if not 2 <= n_queries <= MAX_AB_IMPRESSIONS:
+        raise ValidationError(
+            f"n_queries must be in [2, {MAX_AB_IMPRESSIONS}], got {n_queries}")
+
+
 def ab_test(
     corpus: Corpus,
     control_policy: Policy,
@@ -490,12 +521,10 @@ def ab_test(
     equals drawing each segment whole.  A bucket keeps only its count of
     impressions per click position, from which the four discrete metrics
     and their tests follow without a sort, and the click times of its
-    clicked impressions.  Those times, and the one sort of both buckets'
-    times in their test, are the memory that still grows with n.
+    clicked impressions.  Those times, and the one argsort of both
+    buckets' times in their test, are the memory that still grows with n.
     """
-    if not 2 <= n_queries <= MAX_AB_IMPRESSIONS:
-        raise ValidationError(
-            f"n_queries must be in [2, {MAX_AB_IMPRESSIONS}], got {n_queries}")
+    check_ab_impressions(n_queries)
     prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     if not prepared.query_ids:
         raise ValidationError("the A/B test needs at least one query")
@@ -589,8 +618,10 @@ def mann_whitney_counts(counts_a, counts_b) -> tuple[float, float]:
 
 def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
     """U statistic of the first sample and a two-sided p-value from the
-    normal approximation with tie and continuity corrections.  One stable
-    sort of the pooled values yields the tie runs."""
+    normal approximation with tie and continuity corrections.  One argsort
+    of the pooled values yields the tie runs.  It need not be stable: a
+    run's count of first-sample members does not depend on their order
+    within the run."""
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -598,7 +629,7 @@ def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
     # Arrays are dropped as soon as they are used: with a million clicks per
     # A/B bucket, this sort is the A/B test's memory peak.
     pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="mergesort")
+    order = np.argsort(pooled)
     from_a = order < a.size
     pooled = pooled[order]
     del order

@@ -92,20 +92,25 @@ def err_iaa_batch(r_fresh, r_any, p_fresh, p_any, p_break, shift):
 # shift=1) the user continues only when the continuation uniform is below
 # p_break; an examined position is clicked, ending the scan, when the click
 # uniform is below that position's satisfaction probability.  Returns the
-# 1-based click position, 0 when nothing was clicked.
+# 1-based click position, 0 when nothing was clicked.  Both comparisons run
+# once over the whole block; the scan over positions then reads only bool
+# columns, and a row clicks at most once, so adding j + 1 where it clicks
+# records its position.  The inputs are not written.
 # ---------------------------------------------------------------------------
 
 
 def simulate_clicks_batch(r_user, u_cont, u_click, p_break, shift):
     b, d = r_user.shape
+    cont = u_cont < p_break
+    hit = u_click < r_user
     pos = np.zeros(b, dtype=np.int64)
     alive = np.ones(b, dtype=np.bool_)
     for j in range(d):
         if not (shift == 1 and j == 0):
-            alive = alive & (u_cont[:, j] < p_break)
-        clicked = alive & (u_click[:, j] < r_user[:, j])
-        pos[clicked] = j + 1
-        alive = alive & ~clicked
+            alive &= cont[:, j]
+        clicked = alive & hit[:, j]
+        pos += clicked * (j + 1)
+        alive &= ~clicked
     return pos
 
 

@@ -224,7 +224,7 @@ class TestOutOfMemory:
 class TestOversizedFlags:
     @pytest.mark.parametrize("argv, message", [
         (["abtest", "--corpus", "c50", "--n-queries", "200000000", "--out", "ab"],
-         "--n-queries 200000000 is above the limit of 47453132 impressions per bucket"),
+         "n_queries must be in [2, 47453132], got 200000000"),
         (["generate", "--ranking-depth", "1000000000000", "--out", "g"],
          "n_queries x ranking_depth exceeds 100000000 documents"),
     ])
@@ -233,6 +233,16 @@ class TestOversizedFlags:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines() == [f"freshblend: error: {message}"]
+
+    @pytest.mark.parametrize("n_queries", ["1", "-3", "47453133"])
+    def test_abtest_bucket_size_refused_before_any_input_is_read(self, tmp_path, capsys,
+                                                                 n_queries):
+        missing = str(tmp_path / "no_such_corpus")
+        assert run(["abtest", "--corpus", missing, "--n-queries", n_queries,
+                    "--out", str(tmp_path / "ab")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"freshblend: error: n_queries must be in [2, 47453132], got {n_queries}"]
+        assert not (tmp_path / "ab").exists()
 
     def test_sweep_depth_beyond_the_pools_is_sized_by_the_data(self, c50):
         # a (50, 1e11) int64 page array once took 36.4 TiB

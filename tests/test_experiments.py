@@ -3,6 +3,7 @@ A/B test, and the Mann-Whitney implementation."""
 
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -149,6 +150,26 @@ class TestMannWhitneyAgainstMidranks:
         expected = midrank_mann_whitney(a, b)
         assert mann_whitney_counts(counts_a, counts_b) == expected
         assert mann_whitney_u(a, b) == expected
+
+    @pytest.mark.parametrize("shape", ["few_levels", "signed_zeros", "clipped_click_times"])
+    def test_unstable_sort_changes_nothing_on_heavy_ties(self, shape):
+        # large enough that np.argsort does not fall back to an insertion sort
+        rng = np.random.default_rng(len(shape))
+
+        def sample(n):
+            if shape == "few_levels":
+                return rng.integers(0, 4, n).astype(np.float64)
+            if shape == "signed_zeros":
+                return rng.choice([-0.0, 0.0, 1.0], n)
+            noise = np.clip(rng.normal(0.0, 1.0, n), -1.5, 1.5)
+            return 2.0 + 1.5 * (rng.integers(1, 11, n) - 1.0) + noise
+
+        a, b = sample(20_000), sample(15_000)
+        expected = midrank_mann_whitney(a, b)
+        assert mann_whitney_u(a, b) == expected
+        for _ in range(3):
+            assert mann_whitney_u(rng.permutation(a), b) == expected
+            assert mann_whitney_u(a, rng.permutation(b)) == expected
 
     def test_counts_need_both_samples(self):
         with pytest.raises(ValidationError):
@@ -602,7 +623,49 @@ VOLUMES = {
 }
 
 
+# cdfs for the guide-table query choice: every VOLUMES case, one query, a
+# thousand tiny queries in the one grid cell after 1/2, and cdf values that
+# repeat where volume 1 sits next to volume 10**17
+GUIDE_VOLUMES = {
+    "one_query": np.array([4.0]),
+    **VOLUMES,
+    "tiny_queries_in_one_cell": np.concatenate([[1e9], np.ones(1000), [1e9]]),
+    "repeated_cdf_values": np.array([1.0, 1e17, 1.0, 1.0, 3.0]),
+}
+
+
+def volume_cdf(volume):
+    """The cdf `_click_blocks` searches, from weights as `ab_test` makes them."""
+    cdf = np.cumsum(volume / volume.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
 class TestStreamedSimulation:
+    @pytest.mark.parametrize("volume", GUIDE_VOLUMES.values(), ids=GUIDE_VOLUMES.keys())
+    def test_guide_table_choice_equals_the_cdf_search(self, volume):
+        cdf = volume_cdf(volume)
+        choose = experiments._GuideTable(cdf)
+        assert choose.grid >= 4 * cdf.size
+        points = np.concatenate([cdf, np.arange(choose.grid + 1) / choose.grid])
+        draws = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                                [0.0, np.nextafter(1.0, 0.0)],
+                                np.random.default_rng(cdf.size).random(10_000)])
+        draws = draws[(draws >= 0.0) & (draws < 1.0)]
+        assert np.array_equal(choose(draws), cdf.searchsorted(draws, side="right"))
+
+    def test_guide_table_choice_is_bounded_on_a_crowded_cell(self):
+        # 100,000 volume-1 queries share the last grid cell after one 10**12
+        # query: stepping forward from the guide would take 10**5 passes
+        cdf = volume_cdf(np.concatenate([[1e12], np.ones(100_000)]))
+        choose = experiments._GuideTable(cdf)
+        draws = np.minimum(cdf[0] + (1.0 - cdf[0]) * np.random.default_rng(3).random(65_536),
+                           np.nextafter(1.0, 0.0))
+        start = time.perf_counter()
+        chosen = choose(draws)
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(chosen, cdf.searchsorted(draws, side="right"))
+
     @pytest.mark.parametrize("volume", VOLUMES.values(), ids=VOLUMES.keys())
     def test_choice_is_a_cdf_search_over_one_double_per_draw(self, volume):
         weights = volume / volume.sum()

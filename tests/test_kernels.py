@@ -3,6 +3,7 @@
 at a time."""
 
 import numpy as np
+import pytest
 
 from freshblend import kernels
 from oracles import (
@@ -91,6 +92,31 @@ class TestLoopOracles:
             args = (r_user, u_cont, u_click, 0.85, int(rng.integers(0, 2)))
             assert np.array_equal(kernels.simulate_clicks_batch(*args),
                                   simulate_clicks_loop(*args))
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("b, d", [(0, 4), (5, 0), (0, 0)])
+    def test_simulate_clicks_empty_blocks(self, b, d, shift):
+        args = (np.zeros((b, d)), np.zeros((b, d)), np.zeros((b, d)), 0.85, shift)
+        pos = kernels.simulate_clicks_batch(*args)
+        assert pos.dtype == np.int64
+        assert np.array_equal(pos, simulate_clicks_loop(*args))
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("p_break", [0.0, 0.5, 1.0])
+    def test_simulate_clicks_boundary_values_on_column_slices(self, p_break, shift):
+        # r of 0 and 1, and draws exactly equal to p_break or to r, on the
+        # [:, :width] slices of full-depth draws that the A/B test passes
+        rng = np.random.default_rng(int(p_break * 4) + shift)
+        depth, width = 10, 6
+        draws = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        r_user = rng.choice([0.0, 0.25, 0.5, 1.0], (3000, width))
+        u_cont = rng.choice(draws, (3000, depth))[:, :width]
+        u_click = rng.choice(draws, (3000, depth))[:, :width]
+        before = [a.copy() for a in (r_user, u_cont, u_click)]
+        args = (r_user, u_cont, u_click, p_break, shift)
+        assert np.array_equal(kernels.simulate_clicks_batch(*args), simulate_clicks_loop(*args))
+        for a, copy in zip((r_user, u_cont, u_click), before):
+            assert np.array_equal(a, copy)
 
     def test_best_split(self):
         rng = np.random.default_rng(3)
