@@ -13,7 +13,11 @@ The corpus bundles four aligned pieces of data, keyed by query_id:
 Rankings are held as one `RankingTable`, a column per field and a row
 per ranked document, from the file or the generator to the blend
 kernel: `load_ranking_table` parses rankings.tsv into it a block of
-lines at a time, and `write_rankings` writes it from its columns.
+lines at a time, and `write_rankings` writes it from its columns.  A
+block as `write_rankings` writes it (six fields of printable ASCII,
+'\\n' line ends, no blank line) is read by one typed `np.loadtxt`; any
+other block, and every faulty one, by a tab split whose tokens `int`
+and `float` parse.
 `DocEntry` and `Ranking` describe one hand-built ranking, which
 `ranking_table` turns into a table.
 
@@ -34,6 +38,7 @@ position-prior table, so that calibrated probabilities are unbiased
 estimates of the latent ground truth.
 """
 
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -243,6 +248,14 @@ def load_ranking_table(path: str) -> RankingTable:
     as `DocEntry` checks them, and a (query_id, doc_id) pair may appear
     once.  The checks run on whole columns of a block; a fault names the
     first bad line with the message a line-by-line reader gives it.
+
+    A regular block, six fields a line of printable ASCII and tabs, lines
+    ended by '\\n' and none blank, is read by one typed `np.loadtxt`,
+    which parses the numbers in C.  Any other block, or one holding a
+    token loadtxt refuses or a value a check refuses, takes the general
+    path: a tab split, each token parsed by `int` or `float`, and the
+    diagnostics.  Both paths accept the same input and build the same
+    columns.
     """
     index: dict[str, int] = {}  # query id -> query index, by first appearance
     blocks = []
@@ -285,8 +298,61 @@ def _parse_block(lines: list[bytes], first: int, index: dict[str, int]):
     """The columns of a block of lines numbered from `first`, and its first
     fault as (line, message) or None.  A block with a fault keeps its rows
     up to the faulty one, whose doc id the repeat check still needs."""
-    fault = None
     data = b"".join(lines)
+    columns = _typed_columns(data)
+    if columns is None:
+        return _split_block(data, lines, first, index)
+    query_ids, doc_ids, *values = columns
+    line = np.arange(first, first + len(lines))
+    return (line, _query_index(query_ids, index), doc_ids, *values), None
+
+
+#: The bytes a block's text may hold to be read by `_typed_columns`.
+_TYPED_BYTES = bytes([ord("\t"), ord("\n"), *range(0x20, 0x7F)])
+_TYPED_ROW = np.dtype([("query_id", object), ("doc_id", object), ("rank", np.int64),
+                       ("timestamp", np.int64), ("latent_any", np.float64),
+                       ("latent_fresh", np.float64)])
+
+
+def _typed_columns(data: bytes):
+    """The columns of a regular block read by one typed `np.loadtxt`, or
+    None if the block is not regular or holds a value the checks refuse.
+
+    A regular block is printable ASCII and tabs in lines ended by '\\n',
+    none blank.  On that text loadtxt parses a number only where `int` or
+    `float` parses it to the same value, and refuses the lines that do not
+    have six fields; only the id columns become `str` objects.
+    """
+    if data.translate(None, _TYPED_BYTES) or data.startswith(b"\n") or b"\n\n" in data:
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(data.decode("ascii")), delimiter="\t", comments=None,
+                           ndmin=1, dtype=_TYPED_ROW)
+    except ValueError:
+        return None
+    # copies, so that no column keeps the whole row array alive
+    columns = [table[name].copy() for name in _TYPED_ROW.names]
+    del table
+    query_ids, doc_ids, rank, timestamps, latent_any, latent_fresh = columns
+    bad = ((query_ids == "") | (doc_ids == "") | (rank < 1) | (timestamps < 0)
+           | ~((latent_any >= 0.0) & (latent_any <= 1.0))
+           | ~((latent_fresh >= 0.0) & (latent_fresh <= 1.0)))
+    return None if bad.any() else columns
+
+
+def _query_index(query_ids: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """Each row's query index: each run of one query id takes that query's
+    index, new ids the next one."""
+    head = np.flatnonzero(np.concatenate(([True], query_ids[1:] != query_ids[:-1])))
+    return np.repeat(np.fromiter((index.setdefault(qid, len(index)) for qid in query_ids[head]),
+                                 np.int64, head.size),
+                     np.diff(np.append(head, query_ids.size)))
+
+
+def _split_block(data: bytes, lines: list[bytes], first: int, index: dict[str, int]):
+    """`_parse_block` of any block: split on tabs, each token cast by `int`
+    or `float`, and every check's fault named at its line."""
+    fault = None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -323,11 +389,7 @@ def _parse_block(lines: list[bytes], first: int, index: dict[str, int]):
         return tokens
 
     query_ids, doc_ids = fields[start], fields[start + 1]
-    # each run of one query id takes that query's index, new ids the next one
-    head = np.flatnonzero(np.concatenate(([True], query_ids[1:] != query_ids[:-1])))
-    query = np.repeat(np.fromiter((index.setdefault(qid, len(index)) for qid in query_ids[head]),
-                                  np.int64, head.size),
-                      np.diff(np.append(head, len(rows))))
+    query = _query_index(query_ids, index)
     rank, bad_rank = _parsed(column(2), int, np.int64)
     timestamps, bad_timestamp = _parsed(column(3), int, np.int64)
     latent_any, bad_any = _latents(column(4))

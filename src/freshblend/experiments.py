@@ -619,9 +619,10 @@ def mann_whitney_counts(counts_a, counts_b) -> tuple[float, float]:
 def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
     """U statistic of the first sample and a two-sided p-value from the
     normal approximation with tie and continuity corrections.  One argsort
-    of the pooled values yields the tie runs.  It need not be stable: a
-    run's count of first-sample members does not depend on their order
-    within the run."""
+    of the pooled values marks each sorted place's sample, and the pooled
+    values sorted in place give the tie runs.  The argsort need not be
+    stable: a run's count of first-sample members does not depend on their
+    order within the run."""
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -631,8 +632,8 @@ def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
     pooled = np.concatenate([a, b])
     order = np.argsort(pooled)
     from_a = order < a.size
-    pooled = pooled[order]
     del order
+    pooled.sort()
     starts = np.flatnonzero(np.concatenate(([True], pooled[1:] != pooled[:-1])))
     del pooled
     run_a = np.add.reduceat(from_a, starts, dtype=np.int64)

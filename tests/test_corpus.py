@@ -132,25 +132,39 @@ def _irregular_text(table, random) -> str:
     return "".join(line + random.choice(["\n", "\r\n"]) for line in lines)
 
 
+def _regular_text(table, random) -> str:
+    """The table's rows as rankings.tsv text in a random line order, each
+    line of six fields and ending in '\\n': the text the typed block
+    read takes."""
+    lines = ["\t".join((table.query_ids[table.query[row]], table.doc_ids[row],
+                        str(table.rank[row]), str(table.timestamps[row]),
+                        fmt(table.latent_any[row]), fmt(table.latent_fresh[row])))
+             for row in range(len(table.doc_ids))]
+    random.shuffle(lines)
+    return "".join(line + "\n" for line in lines)
+
+
 class TestAgainstTheRowByRowReader:
     @given(generated_corpora(), st.randoms(use_true_random=False),
+           st.sampled_from([_irregular_text, _regular_text]),
            st.sampled_from([corpus_module.BLOCK_LINES, 1, 2, 7, 64]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_table_equals_the_reference_field_by_field(self, tmp_path_factory, drawn, random,
-                                                       block_lines):
-        path = tmp_path_factory.mktemp("irregular") / "rankings.tsv"
-        path.write_bytes(_irregular_text(drawn[0].rankings, random).encode("utf-8"))
+                                                       text_of, block_lines):
+        path = tmp_path_factory.mktemp("drawn") / "rankings.tsv"
+        path.write_bytes(text_of(drawn[0].rankings, random).encode("utf-8"))
         # one block, or blocks of a few lines, so that queries span several
         with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
             loaded = load_ranking_table(str(path))
         assert_same_table(loaded, ranking_table(load_rankings(str(path))))
 
     @given(generated_corpora(), st.randoms(use_true_random=False),
+           st.sampled_from([_irregular_text, _regular_text]),
            st.sampled_from([corpus_module.BLOCK_LINES, 1, 3, 16]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_faulty_files_get_the_reference_diagnostic(self, tmp_path_factory, drawn, random,
-                                                       block_lines):
-        lines = _irregular_text(drawn[0].rankings, random).encode("utf-8").split(b"\n")
+                                                       text_of, block_lines):
+        lines = text_of(drawn[0].rankings, random).encode("utf-8").split(b"\n")
         for _ in range(random.randint(1, 3)):
             at = random.randrange(len(lines))
             fields = lines[at].rstrip(b"\r").split(b"\t")
@@ -167,6 +181,41 @@ class TestAgainstTheRowByRowReader:
             assert loaded == expected
         else:
             assert_same_table(loaded, ranking_table(expected))
+
+
+class TestTypedBlockRead:
+    """Blocks of regular lines are read by one typed `np.loadtxt`; every
+    other block by the general tab split.  Both accept the same input."""
+
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("token", [
+        "\x1c5", "5\x0c", "1_0", "\u0665", "\uff11\uff12", "+5", " 5", "-0", "00", "1e3",
+        "nan", "inf", ".5", "1" * 20, "", "-5", "1.5",
+    ])
+    def test_a_token_gets_the_reference_outcome(self, tmp_path, field, token):
+        fields = ["q1", "d1", "1", "100", "0.5", "0.25"]
+        fields[field] = token
+        path = _write(tmp_path, "r.tsv", "q0\td0\t1\t90\t0.5\t0.25\n" + "\t".join(fields) + "\n")
+        loaded = _outcome(load_ranking_table, path)
+        expected = _outcome(load_rankings, path)
+        if isinstance(expected, str):
+            assert loaded == expected
+        else:
+            assert_same_table(loaded, ranking_table(expected))
+
+    @pytest.mark.parametrize("mixture, seed", [(corpus_module.TRAFFIC_MIXTURE, 3),
+                                               (JUDGED_POOL_MIXTURE, 11)],
+                             ids=["traffic", "judged"])
+    def test_written_generated_rankings_never_take_the_general_path(self, tmp_path, mixture,
+                                                                    seed):
+        table = generate_corpus(GeneratorConfig(n_queries=400, grade_mixture=mixture),
+                                seed).rankings
+        path = str(tmp_path / "rankings.tsv")
+        write_rankings(table, path)
+        assert len(table.doc_ids) > corpus_module.BLOCK_LINES  # more than one block
+        with mock.patch.object(corpus_module, "_split_block",
+                               side_effect=AssertionError("general path taken")):
+            assert_same_table(load_ranking_table(path), table)
 
 
 def _outcome(load, path):
