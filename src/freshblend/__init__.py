@@ -58,10 +58,8 @@ from .metric import BreakExponent, MetricConfig
 from .recency_classifier import (
     GbrtHyperparams,
     GbrtModel,
-    average_pairwise_kappa,
     cohen_kappa,
     predict_batch,
-    preselect,
     traffic_coverage,
     train_gbrt,
 )

@@ -14,10 +14,10 @@ Rankings are held as one `RankingTable`, a column per field and a row
 per ranked document, from the file or the generator to the blend
 kernel: `load_ranking_table` parses rankings.tsv into it a block of
 lines at a time, and `write_rankings` writes it from its columns.  A
-block as `write_rankings` writes it (six fields of printable ASCII,
-'\\n' line ends, no blank line) is read by one typed `np.loadtxt`; any
-other block, and every faulty one, by a tab split whose tokens `int`
-and `float` parse.
+block whose lines all have the same 4, 5 or 6 fields of printable ASCII,
+with '\\n' or '\\r\\n' line ends and no blank line, is read by one typed
+`np.loadtxt`; any other block, and every faulty one, row by row by
+`fileio.TsvRows`, each row's values checked as `DocEntry` checks them.
 `DocEntry` and `Ranking` describe one hand-built ranking, which
 `ranking_table` turns into a table.
 
@@ -42,7 +42,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -105,16 +105,23 @@ class DocEntry:
     latent_rel_fresh: float | None = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
-        if not 0 <= self.timestamp < 2**63:
-            raise ValidationError(f"timestamp must be in [0, 2**63), got {self.timestamp}")
-        for label, value in (
-            ("latent_rel_any", self.latent_rel_any),
-            ("latent_rel_fresh", self.latent_rel_fresh),
-        ):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{label} out of [0,1]: {value!r}")
+        _document_values(self.rank, self.timestamp, self.latent_rel_any, self.latent_rel_fresh)
+
+
+_LATENT_NAMES = ("latent_rel_any", "latent_rel_fresh")
+
+
+def _document_values(rank: int, timestamp: int, latent_any=None, latent_fresh=None):
+    """A ranked document's values, an absent latent None; a
+    ValidationError names the first one out of range."""
+    if rank < 1:
+        raise ValidationError(f"rank must be >= 1, got {rank}")
+    if not 0 <= timestamp < 2**63:
+        raise ValidationError(f"timestamp must be in [0, 2**63), got {timestamp}")
+    for label, value in zip(_LATENT_NAMES, (latent_any, latent_fresh)):
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{label} out of [0,1]: {value!r}")
+    return rank, timestamp, latent_any, latent_fresh
 
 
 @dataclass(frozen=True)
@@ -246,27 +253,33 @@ def load_ranking_table(path: str) -> RankingTable:
     in any order, and its ranks must run 1, 2, ... once sorted.  A line
     is read under the `fileio` rules with 4-6 fields, its values checked
     as `DocEntry` checks them, and a (query_id, doc_id) pair may appear
-    once.  The checks run on whole columns of a block; a fault names the
-    first bad line with the message a line-by-line reader gives it.
+    once.  A fault names the first bad line with the message a
+    line-by-line reader gives it.
 
-    A regular block, six fields a line of printable ASCII and tabs, lines
-    ended by '\\n' and none blank, is read by one typed `np.loadtxt`,
-    which parses the numbers in C.  Any other block, or one holding a
-    token loadtxt refuses or a value a check refuses, takes the general
-    path: a tab split, each token parsed by `int` or `float`, and the
-    diagnostics.  Both paths accept the same input and build the same
-    columns.
+    A block whose lines all have the same 4, 5 or 6 fields of printable
+    ASCII and tabs, ended by '\\n' or '\\r\\n', is read by one typed
+    `np.loadtxt`, which parses the numbers in C.  Every other block
+    (blank lines, '-' latents, mixed widths, non-ASCII text), and one
+    holding a token loadtxt refuses or a value a check refuses, is read
+    row by row by `TsvRows`, which gives every diagnostic.  Both accept
+    the same input and build the same columns.
     """
     index: dict[str, int] = {}  # query id -> query index, by first appearance
     blocks = []
     with open(path, "rb") as handle:
         first = 1
         while lines := list(islice(handle, BLOCK_LINES)):
-            block, fault = _parse_block(lines, first, index)
+            columns = _typed_columns(lines)
+            if columns is None:
+                block, fault = _row_block(lines, first, index, path)
+            else:
+                query_ids, *values = columns
+                line = np.arange(first, first + len(lines))
+                block, fault = (line, _query_index(query_ids, index), *values), None
             blocks.append(block)
             if fault is not None:
                 _refuse_repeat(*_columns(blocks)[:3], index, path)
-                raise ParseError(fault[1], path, fault[0])
+                raise fault
             first += len(lines)
     line, query, doc_ids, rank, timestamps, latent_any, latent_fresh = _columns(blocks)
     _refuse_repeat(line, query, doc_ids, index, path)
@@ -294,50 +307,49 @@ def _columns(blocks) -> list[np.ndarray]:
     return [np.concatenate(column) for column in zip(*blocks, _EMPTY_BLOCK)]
 
 
-def _parse_block(lines: list[bytes], first: int, index: dict[str, int]):
-    """The columns of a block of lines numbered from `first`, and its first
-    fault as (line, message) or None.  A block with a fault keeps its rows
-    up to the faulty one, whose doc id the repeat check still needs."""
-    data = b"".join(lines)
-    columns = _typed_columns(data)
-    if columns is None:
-        return _split_block(data, lines, first, index)
-    query_ids, doc_ids, *values = columns
-    line = np.arange(first, first + len(lines))
-    return (line, _query_index(query_ids, index), doc_ids, *values), None
-
-
 #: The bytes a block's text may hold to be read by `_typed_columns`.
-_TYPED_BYTES = bytes([ord("\t"), ord("\n"), *range(0x20, 0x7F)])
-_TYPED_ROW = np.dtype([("query_id", object), ("doc_id", object), ("rank", np.int64),
-                       ("timestamp", np.int64), ("latent_any", np.float64),
-                       ("latent_fresh", np.float64)])
+_TYPED_BYTES = bytes([ord("\t"), ord("\n"), ord("\r"), *range(0x20, 0x7F)])
+_TYPED_FIELDS = [("query_id", object), ("doc_id", object), ("rank", np.int64),
+                 ("timestamp", np.int64), ("latent_any", np.float64),
+                 ("latent_fresh", np.float64)]
+#: The row dtype of a block of each width.
+_TYPED_ROWS = {width: np.dtype(_TYPED_FIELDS[:width]) for width in (4, 5, 6)}
 
 
-def _typed_columns(data: bytes):
-    """The columns of a regular block read by one typed `np.loadtxt`, or
-    None if the block is not regular or holds a value the checks refuse.
+def _typed_columns(lines: list[bytes]):
+    """The six columns of a regular block read by one typed `np.loadtxt`,
+    latents the width lacks NaN, or None if the block is not regular or
+    holds a value the checks refuse.
 
-    A regular block is printable ASCII and tabs in lines ended by '\\n',
-    none blank.  On that text loadtxt parses a number only where `int` or
-    `float` parses it to the same value, and refuses the lines that do not
-    have six fields; only the id columns become `str` objects.
+    A regular block is printable ASCII and tabs in lines ended by '\\n'
+    or '\\r\\n', none blank, each with the first line's 4, 5 or 6 fields.
+    On that text loadtxt parses a number only where `int` or `float`
+    parses it to the same value, and refuses a line of another width; only
+    the id columns become `str` objects.
     """
-    if data.translate(None, _TYPED_BYTES) or data.startswith(b"\n") or b"\n\n" in data:
+    data = b"".join(lines)
+    if data.translate(None, _TYPED_BYTES):
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    dtype = _TYPED_ROWS.get(lines[0].count(b"\t") + 1)
+    if dtype is None or b"\r" in data or data.startswith(b"\n") or b"\n\n" in data:
         return None
     try:
         table = np.loadtxt(io.StringIO(data.decode("ascii")), delimiter="\t", comments=None,
-                           ndmin=1, dtype=_TYPED_ROW)
+                           ndmin=1, dtype=dtype)
     except ValueError:
         return None
     # copies, so that no column keeps the whole row array alive
-    columns = [table[name].copy() for name in _TYPED_ROW.names]
+    columns = [table[name].copy() for name in dtype.names]
     del table
-    query_ids, doc_ids, rank, timestamps, latent_any, latent_fresh = columns
-    bad = ((query_ids == "") | (doc_ids == "") | (rank < 1) | (timestamps < 0)
-           | ~((latent_any >= 0.0) & (latent_any <= 1.0))
-           | ~((latent_fresh >= 0.0) & (latent_fresh <= 1.0)))
-    return None if bad.any() else columns
+    query_ids, doc_ids, rank, timestamps, *latents = columns
+    bad = (query_ids == "") | (doc_ids == "") | (rank < 1) | (timestamps < 0)
+    for latent in latents:
+        bad |= ~((latent >= 0.0) & (latent <= 1.0))
+    if bad.any():
+        return None
+    return columns + [np.full(rank.size, np.nan) for _ in range(6 - len(columns))]
 
 
 def _query_index(query_ids: np.ndarray, index: dict[str, int]) -> np.ndarray:
@@ -349,99 +361,35 @@ def _query_index(query_ids: np.ndarray, index: dict[str, int]) -> np.ndarray:
                      np.diff(np.append(head, query_ids.size)))
 
 
-def _split_block(data: bytes, lines: list[bytes], first: int, index: dict[str, int]):
-    """`_parse_block` of any block: split on tabs, each token cast by `int`
-    or `float`, and every check's fault named at its line."""
+def _row_block(lines: list[bytes], first: int, index: dict[str, int], path: str):
+    """The columns of a block of lines numbered from `first`, read row by
+    row by `TsvRows`, and its first fault as a ParseError or None.  A
+    block with a fault keeps only its line, query and doc id columns, of
+    the rows before the faulty one and of a faulty row whose fields were
+    read: the repeat check still needs its pair."""
+    kept, values = [], []  # (line, query_id, doc_id) and the values of each row
     fault = None
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = data.count(b"\n", 0, exc.start)
-        fault = (first + bad, "line is not valid UTF-8")
-        lines = lines[:bad]
-        text = data[:sum(map(len, lines))].decode("utf-8")
-    rows = text.split("\n")[:len(lines)]
-    if "\r" in text:
-        rows = [row.rstrip("\r") for row in rows]
-    line = np.arange(first, first + len(rows))
-    if "" in rows:
-        kept = np.flatnonzero(np.fromiter(map(len, rows), np.int64, len(rows)))
-        rows, line = list(map(rows.__getitem__, kept.tolist())), line[kept]
-
-    width = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows)) + 1
-    bad = np.flatnonzero((width < 4) | (width > 6))
-    if bad.size:
-        cut = bad[0]
-        fault = (int(line[cut]), f"expected 4-6 fields, got {width[cut]}")
-        rows, width, line = rows[:cut], width[:cut], line[:cut]
-    if not rows:
+        with TsvRows(path, (4, 6), lines=(text.decode("utf-8", "surrogateescape")
+                                          for text in lines), first=first) as rows:
+            for query_id, doc_id, rank, timestamp, *latents in rows:
+                kept.append((rows.line, query_id, doc_id))
+                if not query_id or not doc_id:
+                    raise ValidationError("empty query_id or doc_id")
+                values.append(_document_values(parse_int(rank, "rank"),
+                                               parse_int(timestamp, "timestamp"),
+                                               *map(opt_real, latents, _LATENT_NAMES)))
+    except ParseError as exc:
+        fault = exc
+    if not kept:
         return _EMPTY_BLOCK, fault
-
-    fields = np.array("\t".join(rows).split("\t"), dtype=object)
-    start = np.cumsum(width) - width
-
-    def column(j):
-        """Field j of every row, '-' where a row is too short to have it."""
-        if width.min() > j:
-            return fields[start + j]
-        tokens = np.full(len(rows), "-", dtype=object)
-        tokens[width > j] = fields[start[width > j] + j]
-        return tokens
-
-    query_ids, doc_ids = fields[start], fields[start + 1]
-    query = _query_index(query_ids, index)
-    rank, bad_rank = _parsed(column(2), int, np.int64)
-    timestamps, bad_timestamp = _parsed(column(3), int, np.int64)
-    latent_any, bad_any = _latents(column(4))
-    latent_fresh, bad_fresh = _latents(column(5))
-    bad = np.flatnonzero((query_ids == "") | (doc_ids == "") | bad_rank | bad_timestamp
-                         | bad_any | bad_fresh | (rank < 1) | (timestamps < 0))
-    block = (line, query, doc_ids, rank, timestamps, latent_any, latent_fresh)
-    if bad.size:
-        row = bad[0]
-        fault = (int(line[row]), _row_fault(rows[row]))
-        block = tuple(column[:row + 1] for column in block)
+    line, query_ids, doc_ids = zip(*kept)
+    block = (np.array(line, np.int64), _query_index(np.array(query_ids, object), index),
+             np.array(doc_ids, object))
+    if fault is None:
+        block += tuple(np.array(column, dtype) for column, dtype in
+                       zip(zip(*values), (np.int64, np.int64, np.float64, np.float64)))
     return block, fault
-
-
-def _parsed(tokens: np.ndarray, parse, dtype):
-    """The tokens parsed by `parse` (int or float) as `dtype`, and the mask
-    of those it refuses or that do not fit the dtype, parsed as zero.  An
-    object array's cast to a number dtype calls `parse` on each token."""
-    try:
-        return tokens.astype(dtype), np.zeros(tokens.size, bool)
-    except (ValueError, OverflowError):
-        values = np.zeros(tokens.size, dtype)
-        bad = np.zeros(tokens.size, bool)
-        for i, token in enumerate(tokens):
-            try:
-                values[i] = parse(token)
-            except (ValueError, OverflowError):
-                bad[i] = True
-        return values, bad
-
-
-def _latents(tokens: np.ndarray):
-    """A latent column, NaN for '-', and the mask of its tokens that are
-    not a real in [0,1]."""
-    absent = tokens == "-"
-    values, bad = _parsed(np.where(absent, "nan", tokens), float, np.float64)
-    return values, bad | ~(absent | ((values >= 0.0) & (values <= 1.0)))
-
-
-def _row_fault(row: str) -> str:
-    """The message of the first check a refused row fails, in the order
-    the row-by-row reader makes them."""
-    fields = row.split("\t")
-    if not fields[0] or not fields[1]:
-        return "empty query_id or doc_id"
-    try:
-        DocEntry(fields[1], parse_int(fields[2], "rank"), parse_int(fields[3], "timestamp"),
-                 *(opt_real(token, what) for token, what in
-                   zip(fields[4:], ("latent_rel_any", "latent_rel_fresh"))))
-    except ValidationError as exc:
-        return str(exc)
-    raise AssertionError(f"no check refuses {row!r}")
 
 
 _HASH_MIX = -0x61C8864680B583EB  # 2**64 / golden ratio, as a signed 64-bit multiplier

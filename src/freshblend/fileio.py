@@ -20,21 +20,27 @@ class TsvRows:
 
     `width` is the field count, an inclusive (fewest, most) pair or None;
     `key` names the first column when it must be non-empty and unique.
-    Each iteration goes on from where the last one stopped, under the
-    `width` and `key` set when it starts.  A ValidationError raised in
-    the block, by a token parser or a record's own checks, leaves it as a
-    ParseError at the current row's line.
+    Given `lines`, strings decoded as the file is (UTF-8, undecodable
+    bytes as 'surrogateescape') that each keep their line end, it reads
+    them in place of the file's lines, numbered from `first`; `path` then
+    only names them in messages.  Each iteration goes on from where the
+    last one stopped, under the `width` and `key` set when it starts.  A
+    ValidationError raised in the block, by a token parser or a record's
+    own checks, leaves it as a ParseError at the current row's line.
     """
 
-    def __init__(self, path: str, width=None, key: str | None = None):
+    def __init__(self, path: str, width=None, key: str | None = None, lines=None, first=1):
         self.path = path
         self.width = width
         self.key = key
         self.line = 0
-        # Undecodable bytes arrive as lone surrogates, which only a non-ASCII
-        # line can hold and which strict UTF-8 cannot encode again.
-        self._handle = open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
-        self._lines = enumerate(self._handle, start=1)
+        self._handle = None
+        if lines is None:
+            # Undecodable bytes arrive as lone surrogates, which only a non-ASCII
+            # line can hold and which strict UTF-8 cannot encode again.
+            lines = self._handle = open(path, encoding="utf-8", errors="surrogateescape",
+                                        newline="\n")
+        self._lines = enumerate(lines, start=first)
 
     def __iter__(self):
         width, key = self.width, self.key
@@ -65,7 +71,8 @@ class TsvRows:
         return self
 
     def __exit__(self, kind, exc, traceback) -> None:
-        self._handle.close()
+        if self._handle is not None:
+            self._handle.close()
         if isinstance(exc, ValidationError) and getattr(exc, "path", None) is None:
             raise ParseError(str(exc), self.path, self.line) from None
 

@@ -1,6 +1,6 @@
 """Recency-need regression with gradient boosted trees, plus the
-assessment-side statistics: preselection filter, Cohen's kappa and the
-traffic coverage report.
+assessment-side statistics: Cohen's kappa and the traffic coverage
+report.
 
 The ensemble is plain squared-loss boosting: the base prediction is the
 mean target, every tree fits the current residuals by greedy variance
@@ -21,9 +21,8 @@ per-node fit gives, bit for bit.
 """
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -348,13 +347,17 @@ def _tree_from_nodes(nodes: list, n_features: int) -> RegressionTree:
 
 
 def _model_from_document(document: dict) -> GbrtModel:
-    names = tuple(document["feature_names"])
+    names, trees = document["feature_names"], document["trees"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"feature_names must be a list of strings, got {json.dumps(names)}")
+    if json_int(document["n_trees"]) != len(trees):
+        raise ValueError(f"n_trees is {document['n_trees']} but there are {len(trees)} trees")
     return GbrtModel(
-        feature_names=names,
+        feature_names=tuple(names),
         base_prediction=json_real(document["base_prediction"]),
         learning_rate=json_real(document["learning_rate"]),
         max_depth=json_int(document["max_depth"]),
-        trees=tuple(_tree_from_nodes(nodes, len(names)) for nodes in document["trees"]),
+        trees=tuple(_tree_from_nodes(nodes, len(names)) for nodes in trees),
     )
 
 
@@ -376,32 +379,6 @@ def load_model(path: str) -> GbrtModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreselectThresholds:
-    """Per-feature minimum values; features without an entry cannot
-    qualify a query for assessment."""
-
-    thresholds: Mapping[str, float]
-
-    def __post_init__(self):
-        for name, value in self.thresholds.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"threshold for {name!r} is not finite")
-
-
-def preselect(features: Mapping[str, float], thresholds: PreselectThresholds) -> bool:
-    """True when at least one thresholded feature strictly exceeds its
-    threshold; vacuously true when no thresholds are configured."""
-    if not thresholds.thresholds:
-        return True
-    for name, minimum in thresholds.thresholds.items():
-        if name not in features:
-            raise ValidationError(f"threshold names unknown feature {name!r}")
-        if features[name] > minimum:
-            return True
-    return False
-
-
 def cohen_kappa(a: Sequence, b: Sequence) -> float:
     """Chance-corrected agreement; 1.0 when chance agreement is total."""
     if len(a) != len(b):
@@ -419,20 +396,6 @@ def cohen_kappa(a: Sequence, b: Sequence) -> float:
     if expected == 1.0:
         return 1.0
     return (observed - expected) / (1.0 - expected)
-
-
-def average_pairwise_kappa(assessor_matrix: Sequence[Sequence]) -> float:
-    """Mean of cohen_kappa over all unordered assessor pairs."""
-    assessors = [list(column) for column in assessor_matrix]
-    if len(assessors) < 2:
-        raise ValidationError("need at least 2 assessors")
-    total = 0.0
-    pairs = 0
-    for i in range(len(assessors)):
-        for j in range(i + 1, len(assessors)):
-            total += cohen_kappa(assessors[i], assessors[j])
-            pairs += 1
-    return total / pairs
 
 
 def traffic_coverage(records: Iterable[tuple[float, int]]) -> dict[float, float]:

@@ -1,6 +1,7 @@
 """Loaders, writers, and the synthetic generator."""
 
 import collections
+import dataclasses
 import math
 import os
 import re
@@ -185,17 +186,18 @@ class TestAgainstTheRowByRowReader:
 
 class TestTypedBlockRead:
     """Blocks of regular lines are read by one typed `np.loadtxt`; every
-    other block by the general tab split.  Both accept the same input."""
+    other block row by row by `TsvRows`.  Both accept the same input."""
 
-    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("width, field", [(w, f) for w in (4, 5, 6) for f in range(w)])
     @pytest.mark.parametrize("token", [
         "\x1c5", "5\x0c", "1_0", "\u0665", "\uff11\uff12", "+5", " 5", "-0", "00", "1e3",
         "nan", "inf", ".5", "1" * 20, "", "-5", "1.5",
     ])
-    def test_a_token_gets_the_reference_outcome(self, tmp_path, field, token):
-        fields = ["q1", "d1", "1", "100", "0.5", "0.25"]
+    def test_a_token_gets_the_reference_outcome(self, tmp_path, width, field, token):
+        fields = ["q1", "d1", "1", "100", "0.5", "0.25"][:width]
         fields[field] = token
-        path = _write(tmp_path, "r.tsv", "q0\td0\t1\t90\t0.5\t0.25\n" + "\t".join(fields) + "\n")
+        first = "\t".join(["q0", "d0", "1", "90", "0.5", "0.25"][:width])
+        path = _write(tmp_path, "r.tsv", first + "\n" + "\t".join(fields) + "\n")
         loaded = _outcome(load_ranking_table, path)
         expected = _outcome(load_rankings, path)
         if isinstance(expected, str):
@@ -203,19 +205,28 @@ class TestTypedBlockRead:
         else:
             assert_same_table(loaded, ranking_table(expected))
 
+    @pytest.mark.parametrize("ending, width", [("\n", 6), ("\r\n", 6), ("\n", 4), ("\n", 5)],
+                             ids=["lf", "crlf", "4-fields", "5-fields"])
     @pytest.mark.parametrize("mixture, seed", [(corpus_module.TRAFFIC_MIXTURE, 3),
                                                (JUDGED_POOL_MIXTURE, 11)],
                              ids=["traffic", "judged"])
     def test_written_generated_rankings_never_take_the_general_path(self, tmp_path, mixture,
-                                                                    seed):
+                                                                    seed, ending, width):
         table = generate_corpus(GeneratorConfig(n_queries=400, grade_mixture=mixture),
                                 seed).rankings
-        path = str(tmp_path / "rankings.tsv")
-        write_rankings(table, path)
+        path = tmp_path / "rankings.tsv"
+        write_rankings(table, str(path))
         assert len(table.doc_ids) > corpus_module.BLOCK_LINES  # more than one block
-        with mock.patch.object(corpus_module, "_split_block",
-                               side_effect=AssertionError("general path taken")):
-            assert_same_table(load_ranking_table(path), table)
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        path.write_bytes("".join("\t".join(line.split("\t")[:width]) + ending
+                                 for line in lines).encode("utf-8"))
+        absent = np.full(len(table.doc_ids), np.nan)
+        expected = dataclasses.replace(table,
+                                       latent_any=table.latent_any if width > 4 else absent,
+                                       latent_fresh=table.latent_fresh if width > 5 else absent)
+        with mock.patch.object(corpus_module, "_row_block",
+                               side_effect=AssertionError("row path taken")):
+            assert_same_table(load_ranking_table(str(path)), expected)
 
 
 def _outcome(load, path):

@@ -6,9 +6,9 @@ one more train of deep trees on row subsamples, in a scratch directory
 with relative paths, and compares the sha256 of every output with
 tests/golden_digests.json.  Two hand-written rankings files, with lines
 out of rank order, blank lines, CRLF endings and rows without latents,
-go through `blend` and `eval` too, so the parser's irregular-file
-branches are pinned as well as the generated corpus's.  A change that moves any output
-byte fails here, with every differing file named.
+go through `blend` and `eval` too, so the row-by-row read of such blocks
+is pinned as well as the typed read of the generated corpus.  A change
+that moves any output byte fails here, with every differing file named.
 
 Re-record only with `python tests/record_golden.py`, and say in the
 change log which files changed and why.

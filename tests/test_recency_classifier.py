@@ -1,5 +1,5 @@
 """Boosted-tree training, prediction, serialization, and the
-assessment statistics (preselection, kappa, traffic coverage)."""
+assessment statistics (kappa, traffic coverage)."""
 
 import json
 import re
@@ -15,13 +15,10 @@ from freshblend.errors import ValidationError
 from freshblend.recency_classifier import (
     GbrtHyperparams,
     GbrtModel,
-    PreselectThresholds,
-    average_pairwise_kappa,
     cohen_kappa,
     deserialize_model,
     load_model,
     predict_batch,
-    preselect,
     serialize_model,
     traffic_coverage,
     train_gbrt,
@@ -225,11 +222,13 @@ class TestSerialization:
             deserialize_model('{"schema_version": 99, "trees": []}')
 
 
-def one_feature_model_bytes(**split) -> bytes:
-    """A one-feature, one-tree model whose root split is overridden."""
+def one_feature_model_bytes(fields=(), **split) -> bytes:
+    """A one-feature, one-tree model whose root split and top-level
+    `fields` are overridden."""
     model = train_gbrt([[0.0], [1.0]], [0.0, 0.95], GbrtHyperparams(n_trees=1, max_depth=1))
     document = json.loads(serialize_model(model))
     document["trees"][0][0].update(split)
+    document.update(fields)
     return json.dumps(document).encode("utf-8")
 
 
@@ -238,34 +237,17 @@ class TestLoadModel:
         (one_feature_model_bytes(left=0, right=0), "child"),  # predict would never end
         (one_feature_model_bytes(feature=5), "split feature"),  # indexed past the row
         (b"\xff" + one_feature_model_bytes(), "utf-8"),
-    ], ids=["child-loop", "feature-out-of-range", "not-utf-8"])
+        (one_feature_model_bytes({"feature_names": "abc"}), "feature_names"),
+        (one_feature_model_bytes({"feature_names": [1, None]}), "feature_names"),
+        (one_feature_model_bytes({"n_trees": 7, "trees": []}), "n_trees"),
+    ], ids=["child-loop", "feature-out-of-range", "not-utf-8", "feature-names-a-string",
+            "feature-names-not-strings", "n-trees-not-the-tree-count"])
     def test_malformed_model_is_a_validation_error_naming_the_file(self, tmp_path, data,
                                                                    message):
         path = tmp_path / "model.json"
         path.write_bytes(data)
         with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: ") + f".*{message}"):
             load_model(str(path))
-
-
-class TestPreselect:
-    def test_nothing_exceeds(self):
-        thresholds = PreselectThresholds({"a": 0.01, "b": 0.01})
-        assert not preselect({"a": 0.0, "b": 0.0}, thresholds)
-
-    def test_one_feature_over_threshold_is_enough(self):
-        thresholds = PreselectThresholds({"a": 0.01, "b": 0.01})
-        assert preselect({"a": 0.0, "b": 0.02}, thresholds)
-
-    def test_threshold_is_strict(self):
-        thresholds = PreselectThresholds({"a": 0.01})
-        assert not preselect({"a": 0.01}, thresholds)
-
-    def test_no_thresholds_accepts_everything(self):
-        assert preselect({"a": 0.0}, PreselectThresholds({}))
-
-    def test_unknown_threshold_name_rejected(self):
-        with pytest.raises(ValidationError):
-            preselect({"a": 0.0}, PreselectThresholds({"zz": 0.1}))
 
 
 class TestKappa:
@@ -281,21 +263,6 @@ class TestKappa:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             cohen_kappa([0], [0, 1])
-
-    def test_average_of_three_assessors(self):
-        a = (0, 0, 1, 1)
-        b = (0, 0, 1, 1)
-        c = (0, 1, 1, 1)
-        assert average_pairwise_kappa([a, b, c]) == pytest.approx(2 / 3, abs=1e-12)
-
-    def test_two_assessors_reduce_to_plain_kappa(self):
-        a = (0, 0, 1, 1)
-        c = (0, 1, 1, 1)
-        assert average_pairwise_kappa([a, c]) == cohen_kappa(a, c)
-
-    def test_requires_two_assessors(self):
-        with pytest.raises(ValidationError):
-            average_pairwise_kappa([(0, 1)])
 
 
 class TestTrafficCoverage:
