@@ -11,21 +11,18 @@ from .calibration import (
     DEFAULT_PRIORS,
     PositionPriorTable,
     build_candidates,
-    position_prior,
 )
 from .corpus import (
     Corpus,
-    DocEntry,
+    FeatureTable,
     GeneratorConfig,
-    JudgedQuery,
-    QueryRecord,
-    Ranking,
+    JudgmentTable,
+    QueryTable,
     RankingTable,
     generate_corpus,
     load_corpus,
     load_judgments,
     load_ranking_table,
-    ranking_table,
     training_set,
     write_corpus,
 )

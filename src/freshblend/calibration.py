@@ -37,14 +37,6 @@ class PositionPriorTable:
 DEFAULT_PRIOR_TABLE = PositionPriorTable()
 
 
-def position_prior(rank: int, table: PositionPriorTable = DEFAULT_PRIOR_TABLE) -> float:
-    """Prior at `rank`; ranks beyond the table clamp to its last entry."""
-    if rank < 1:
-        raise ValidationError(f"rank must be >= 1, got {rank}")
-    priors = table.priors
-    return priors[rank - 1] if rank <= len(priors) else priors[-1]
-
-
 def build_candidates(
     table: RankingTable,
     fresh_rank: np.ndarray,

@@ -37,7 +37,7 @@ from .corpus import (
     MAX_GENERATED_ROWS,
     TRAFFIC_MIXTURE,
     GeneratorConfig,
-    QueryRecord,
+    QueryTable,
     RankingTable,
     generate_corpus,
     load_corpus,
@@ -46,7 +46,6 @@ from .corpus import (
     load_predictions,
     load_queries,
     load_ranking_table,
-    require_queries,
     training_set,
     write_corpus,
 )
@@ -112,7 +111,13 @@ def _reals(value) -> tuple[float, ...]:
 
 
 def _split_reals(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part != ""]
+    """A comma list of numbers, the empty text the empty list."""
+    if not text:
+        return []
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"empty item in the list {text!r}")
+    return [float(part) for part in parts]
 
 
 @dataclass(frozen=True)
@@ -356,10 +361,8 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = generate_corpus(gen, config.seed)
     write_corpus(corpus, out)
     _echo_config(args, config)
-    coverage = traffic_coverage(
-        (q.true_grade, q.volume) for q in corpus.queries.values()
-        if q.true_grade is not None and q.volume is not None
-    )
+    coverage = traffic_coverage(zip(corpus.queries.true_grade.tolist(),
+                                    corpus.queries.volume.tolist()))
     for grade in sorted(coverage):
         print(f"traffic coverage of grade {fmt(grade)}: {coverage[grade]:.2f}%")
     return 0
@@ -373,7 +376,7 @@ def _cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     out = _require_out(args)
     features = load_features(_require_file(args.features, "features"))
     judgments = load_judgments(_require_file(args.judgments, "judgments"))
-    x, y = training_set(features, judgments, list(features.rows))
+    x, y = training_set(features, judgments, features.query_ids)
     model = train_gbrt(x, y, _hyperparams(args), seed=config.seed, feature_names=features.names)
     save_model(model, os.path.join(out, "model.json"))
     _echo_config(args, config)
@@ -400,25 +403,27 @@ def _cmd_predict(args: argparse.Namespace, config: RunConfig) -> int:
     model = load_model(_require_file(args.model, "model"))
     path = _require_file(args.features, "features")
     features = load_features(path)
-    qids = list(features.rows)
+    qids = features.query_ids
     if features.names or qids:  # an empty file has no header to check
         _check_feature_header(path, features.names, model.feature_names)
-    p_hat = predict_batch(model, features.matrix(qids)) if qids else ()
+    p_hat = predict_batch(model, features.rows) if qids else ()
     lines = [f"{qid}\t{fmt(p)}" for qid, p in zip(qids, p_hat)]
     write_lines(os.path.join(out, "predictions.tsv"), lines)
     _echo_config(args, config)
     return 0
 
 
-def _blend_queries(args: argparse.Namespace, rankings: RankingTable) -> dict[str, QueryRecord]:
-    """The query records to blend: one per ranked query, in ranking order,
-    carrying the issue time its freshness checks use."""
+def _blend_queries(args: argparse.Namespace, rankings: RankingTable) -> QueryTable:
+    """The queries to blend: one per ranked query, in ranking order, with
+    the issue time its freshness checks use."""
     if args.queries is not None:
-        queries = load_queries(_require_file(args.queries, "queries"))
-        require_queries(rankings, queries)
-        return {qid: queries[qid] for qid in rankings.query_ids}
+        return load_queries(_require_file(args.queries, "queries")).select(rankings.query_ids)
     if args.query_time is not None:
-        return {qid: QueryRecord(qid, args.query_time) for qid in rankings.query_ids}
+        if not -2**63 <= args.query_time < 2**63:
+            raise ValidationError(f"issue_time does not fit in 64 bits: {args.query_time}")
+        n = len(rankings.query_ids)
+        return QueryTable(rankings.query_ids, np.full(n, args.query_time, np.int64),
+                          np.full(n, np.nan), np.zeros(n, np.int64))
     raise ValidationError("blend needs --queries or --query-time for freshness checks")
 
 
@@ -496,14 +501,14 @@ def _cmd_abtest(args: argparse.Namespace, config: RunConfig) -> int:
     check_ab_impressions(args.n_queries)
     out = _require_out(args)
     corpus = load_corpus(_require_file(args.corpus, "corpus"))
-    if not corpus.judgments or not corpus.features.rows:
+    if not corpus.judgments or not corpus.features:
         raise ValidationError("abtest needs judgments.tsv and features.tsv in the corpus")
-    qids = list(corpus.features.rows)
+    qids = corpus.features.query_ids
     x, y = training_set(corpus.features, corpus.judgments, qids)
     model = train_gbrt(x, y, _hyperparams(args), seed=config.seed,
                        feature_names=corpus.features.names)
     p_hat = predict_batch(model, x)
-    p_by_query = {qid: float(p) for qid, p in zip(qids, p_hat)}
+    p_by_query = dict(zip(qids, p_hat.tolist()))
     report = ab_test(
         corpus,
         control_policy=initial_ranking_policy(),

@@ -1,25 +1,27 @@
 """Data model, TSV ingestion and synthetic corpus generation.
 
-The corpus bundles four aligned pieces of data, keyed by query_id:
+The corpus bundles four tables, keyed by query_id, each a column per
+field, from the file or the generator to the experiments:
 
-* queries     - issue time, graded recency need, traffic volume
-* rankings    - the initial (ordinary) document ranking per query,
-                optionally carrying latent per-intent relevances used as
-                simulation ground truth
-* judgments   - three assessor grades per query; their mean is the
-                consensus the classifier trains on
-* features    - the numeric feature vector the classifier consumes
+* queries     - `QueryTable`: issue time, graded recency need (NaN where
+                absent), traffic volume (0 where absent)
+* rankings    - `RankingTable`: the initial (ordinary) document ranking
+                of every query, a row per ranked document, optionally
+                carrying latent per-intent relevances (NaN where absent)
+                used as simulation ground truth
+* judgments   - `JudgmentTable`: three assessor grades per query; their
+                mean is the consensus the classifier trains on
+* features    - `FeatureTable`: the numeric feature vector the
+                classifier consumes
 
-Rankings are held as one `RankingTable`, a column per field and a row
-per ranked document, from the file or the generator to the blend
-kernel: `load_ranking_table` parses rankings.tsv into it a block of
-lines at a time, and `write_rankings` writes it from its columns.  A
+One helper joins them by query id (`RankingTable.select`,
+`QueryTable.select`, `training_set`).  The small files are read row by
+row by `fileio.TsvRows`, each row's values checked as it is read.
+`load_ranking_table` parses rankings.tsv a block of lines at a time: a
 block whose lines all have the same 4, 5 or 6 fields of printable ASCII,
 with '\\n' or '\\r\\n' line ends and no blank line, is read by one typed
 `np.loadtxt`; any other block, and every faulty one, row by row by
-`fileio.TsvRows`, each row's values checked as `DocEntry` checks them.
-`DocEntry` and `Ranking` describe one hand-built ranking, which
-`ranking_table` turns into a table.
+`TsvRows`.  The writers format the columns.
 
 File formats (read under the shared rules of `fileio`: UTF-8, '-' for an
 absent optional value, '.' decimal separator):
@@ -43,12 +45,11 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .fileio import TsvRows, fmt, fmt_opt, opt_real, parse_int, parse_real, write_lines
+from .fileio import TsvRows, fmt, opt_real, parse_int, parse_real, write_lines
 
 GRADE_VALUES = (0.0, 0.25, 0.75, 0.95)
 
@@ -76,38 +77,6 @@ MAX_GENERATED_ROWS = 10**8  # ranked documents, n_queries x ranking_depth
 BLOCK_LINES = 1 << 13
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    query_id: str
-    issue_time: int
-    true_grade: float | None = None
-    volume: int | None = None
-
-    def __post_init__(self):
-        if not self.query_id:
-            raise ValidationError("query_id must be non-empty")
-        if not -2**63 <= self.issue_time < 2**63:
-            raise ValidationError(f"issue_time does not fit in 64 bits: {self.issue_time}")
-        if self.true_grade is not None and self.true_grade not in GRADE_VALUES:
-            raise ValidationError(
-                f"true_grade {self.true_grade!r} not in {GRADE_VALUES}"
-            )
-        if self.volume is not None and self.volume < 1:
-            raise ValidationError(f"volume must be positive, got {self.volume}")
-
-
-@dataclass(frozen=True)
-class DocEntry:
-    doc_id: str
-    rank: int
-    timestamp: int
-    latent_rel_any: float | None = None
-    latent_rel_fresh: float | None = None
-
-    def __post_init__(self):
-        _document_values(self.rank, self.timestamp, self.latent_rel_any, self.latent_rel_fresh)
-
-
 _LATENT_NAMES = ("latent_rel_any", "latent_rel_fresh")
 
 
@@ -124,23 +93,22 @@ def _document_values(rank: int, timestamp: int, latent_any=None, latent_fresh=No
     return rank, timestamp, latent_any, latent_fresh
 
 
-@dataclass(frozen=True)
-class Ranking:
-    entries: tuple[DocEntry, ...]
+def _on_scale(grade: float, what: str) -> float:
+    """Refuse a grade that is not one of GRADE_VALUES."""
+    if grade not in GRADE_VALUES:
+        raise ValidationError(f"{what} {grade!r} not in {GRADE_VALUES}")
+    return grade
 
-    def __post_init__(self):
-        seen = set()
-        for i, entry in enumerate(self.entries):
-            if entry.doc_id in seen:
-                raise ValidationError(f"duplicate doc_id {entry.doc_id!r} in ranking")
-            seen.add(entry.doc_id)
-            if entry.rank != i + 1:
-                raise ValidationError(
-                    f"ranks must be contiguous from 1; position {i + 1} has rank {entry.rank}"
-                )
 
-    def __len__(self) -> int:
-        return len(self.entries)
+def _positions(query_ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
+    """The position in `query_ids` of each id of `wanted`, in its order: the
+    one join by query id.  The first id absent is refused with the message
+    `missing`, formatted with it."""
+    index = dict(zip(query_ids, range(len(query_ids))))
+    try:
+        return np.fromiter(map(index.__getitem__, wanted), np.int64, len(wanted))
+    except KeyError as exc:
+        raise ValidationError(missing.format(exc.args[0])) from None
 
 
 @dataclass(frozen=True)
@@ -172,11 +140,7 @@ class RankingTable:
         query_ids = tuple(query_ids)
         if query_ids == self.query_ids:
             return self
-        index = dict(zip(self.query_ids, range(len(self.query_ids))))
-        try:
-            picked = np.fromiter(map(index.__getitem__, query_ids), np.int64, len(query_ids))
-        except KeyError as exc:
-            raise ValidationError(f"query {exc.args[0]!r} has no ranking") from None
+        picked = _positions(self.query_ids, query_ids, "query {!r} has no ranking")
         lengths = np.diff(self.offsets)[picked]
         offsets = np.concatenate(([0], np.cumsum(lengths)))
         query = np.repeat(np.arange(len(picked)), lengths)
@@ -187,57 +151,58 @@ class RankingTable:
                             self.latent_fresh[rows])
 
 
-def ranking_table(rankings: Mapping[str, Ranking]) -> RankingTable:
-    """The table of hand-built rankings, in the mapping's order."""
-    query_ids = tuple(rankings)
-    held = [rankings[qid].entries for qid in query_ids]
-    entries = [entry for ranking in held for entry in ranking]
-    lengths = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    query = np.repeat(np.arange(len(held)), lengths)
-    timestamps = np.fromiter((e.timestamp for e in entries), dtype=np.int64, count=len(entries))
-    latent_any, latent_fresh = np.array([[e.latent_rel_any for e in entries],
-                                         [e.latent_rel_fresh for e in entries]], dtype=np.float64)
-    rank = np.arange(1, len(entries) + 1) - offsets[query]
-    return RankingTable(query_ids, offsets, query, rank, tuple(e.doc_id for e in entries),
-                        timestamps, latent_any, latent_fresh)
+class _ByQuery:
+    """A table of one row per query id."""
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
 
 
 @dataclass(frozen=True)
-class JudgedQuery:
-    query_id: str
-    assessor_grades: tuple[float, float, float]
+class QueryTable(_ByQuery):
+    """Queries as columns: each one's issue time (int64), true grade
+    (NaN where absent) and volume (0 where absent)."""
 
-    def __post_init__(self):
-        if len(self.assessor_grades) != 3:
-            raise ValidationError(
-                f"expected exactly 3 assessor grades, got {len(self.assessor_grades)}"
-            )
-        for grade in self.assessor_grades:
-            if grade not in GRADE_VALUES:
-                raise ValidationError(f"assessor grade {grade!r} not in {GRADE_VALUES}")
+    query_ids: tuple[str, ...]
+    issue_time: np.ndarray
+    true_grade: np.ndarray
+    volume: np.ndarray
 
-    @property
-    def consensus_grade(self) -> float:
-        """Consensus label: arithmetic mean of the assessor grades."""
-        return sum(self.assessor_grades) / len(self.assessor_grades)
+    def select(self, query_ids) -> "QueryTable":
+        """The rows of the ranked queries `query_ids`, in that order; the
+        table itself when that is already its order."""
+        query_ids = tuple(query_ids)
+        if query_ids == self.query_ids:
+            return self
+        rows = _positions(self.query_ids, query_ids,
+                          "query {!r} in rankings but not in queries file")
+        return QueryTable(query_ids, self.issue_time[rows], self.true_grade[rows],
+                          self.volume[rows])
 
 
 @dataclass(frozen=True)
-class FeatureTable:
+class JudgmentTable(_ByQuery):
+    """Each query's three assessor grades, a row of the (n, 3) `grades`."""
+
+    query_ids: tuple[str, ...]
+    grades: np.ndarray
+
+
+@dataclass(frozen=True)
+class FeatureTable(_ByQuery):
+    """Each query's feature vector, a row of the (n, k) `rows`, a column
+    per name."""
+
     names: tuple[str, ...]
-    rows: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def matrix(self, query_ids) -> np.ndarray:
-        rows = [self.rows[qid] for qid in query_ids]
-        return np.stack(rows) if rows else np.empty((0, len(self.names)))
+    query_ids: tuple[str, ...]
+    rows: np.ndarray
 
 
 @dataclass(frozen=True)
 class Corpus:
-    queries: dict[str, QueryRecord]
+    queries: QueryTable
     rankings: RankingTable
-    judgments: dict[str, JudgedQuery]
+    judgments: JudgmentTable
     features: FeatureTable
 
 
@@ -252,7 +217,7 @@ def load_ranking_table(path: str) -> RankingTable:
     Queries keep the order of their first line; a query's lines may come
     in any order, and its ranks must run 1, 2, ... once sorted.  A line
     is read under the `fileio` rules with 4-6 fields, its values checked
-    as `DocEntry` checks them, and a (query_id, doc_id) pair may appear
+    by `_document_values`, and a (query_id, doc_id) pair may appear
     once.  A fault names the first bad line with the message a
     line-by-line reader gives it.
 
@@ -417,61 +382,73 @@ def _refuse_repeat(line, query, doc_ids, index: dict[str, int], path: str) -> No
         raise ParseError(f"duplicate query_id/doc_id {pair!r}", path, int(line[row]))
 
 
-def load_judgments(path: str) -> dict[str, JudgedQuery]:
+def load_judgments(path: str) -> JudgmentTable:
     """Read a judgments TSV of three assessor grades per query."""
-    judgments: dict[str, JudgedQuery] = {}
+    query_ids, grades = [], []
     with TsvRows(path, 4, key="query_id") as rows:
         for qid, *tokens in rows:
-            judgments[qid] = JudgedQuery(qid, tuple(parse_real(t, "grade") for t in tokens))
-    return judgments
+            row = [parse_real(token, "grade") for token in tokens]
+            for grade in row:
+                _on_scale(grade, "assessor grade")
+            query_ids.append(qid)
+            grades.append(row)
+    return JudgmentTable(tuple(query_ids), np.array(grades, np.float64).reshape(-1, 3))
 
 
 def load_features(path: str) -> FeatureTable:
-    """Read a features TSV (header `query_id` and the names, one row per
-    query)."""
-    rows: dict[str, np.ndarray] = {}
+    """Read a features TSV (header `query_id` and the names, each once, then
+    one row per query)."""
+    query_ids, rows = [], []
     with TsvRows(path) as reader:
         header = next(iter(reader), None)
         if header is None:
-            return FeatureTable(names=())
+            return FeatureTable((), (), np.empty((0, 0)))
         if header[0] != "query_id":
             raise ValidationError(f"header must start with 'query_id', got {header[0]!r}")
         names = tuple(header[1:])
         if not all(names):
             raise ValidationError("empty feature name in header")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"duplicate feature name {name!r}")
         reader.width, reader.key = len(names) + 1, "query_id"
         for qid, *tokens in reader:
-            rows[qid] = np.asarray([parse_real(token, "feature value") for token in tokens],
-                                   dtype=np.float64)
-    return FeatureTable(names=names, rows=rows)
+            query_ids.append(qid)
+            rows.append([parse_real(token, "feature value") for token in tokens])
+    return FeatureTable(names, tuple(query_ids),
+                        np.array(rows, np.float64).reshape(len(rows), len(names)))
 
 
-def training_set(features: FeatureTable, judgments: dict[str, JudgedQuery],
+def training_set(features: FeatureTable, judgments: JudgmentTable,
                  query_ids) -> tuple[np.ndarray, np.ndarray]:
-    """The classifier's training data for `query_ids`, in order: their
-    feature matrix and consensus grades.  Names the first query that has
-    no feature vector or no judgment."""
-    for qid in query_ids:
-        if qid not in features.rows:
-            raise ValidationError(f"query {qid!r} has no feature vector")
-        if qid not in judgments:
-            raise ValidationError(f"query {qid!r} has no judgment")
-    y = np.asarray([judgments[qid].consensus_grade for qid in query_ids], dtype=np.float64)
-    return features.matrix(query_ids), y
+    """The classifier's training data for `query_ids`, in order, each a
+    gather of table rows: their feature matrix and consensus grades, the
+    mean of each query's three.  Names the first query that has no feature
+    vector, else the first that has no judgment."""
+    query_ids = tuple(query_ids)
+    x = features.rows[_positions(features.query_ids, query_ids,
+                                 "query {!r} has no feature vector")]
+    grades = judgments.grades[_positions(judgments.query_ids, query_ids,
+                                         "query {!r} has no judgment")]
+    return x, grades.sum(axis=1) / 3
 
 
-def load_queries(path: str) -> dict[str, QueryRecord]:
-    """Read a queries TSV (query_id, issue_time, true_grade, volume)."""
-    queries: dict[str, QueryRecord] = {}
+def load_queries(path: str) -> QueryTable:
+    """Read a queries TSV (query_id, issue_time, true_grade, volume), '-'
+    for an absent grade or volume."""
+    query_ids, times, grades, volumes = [], [], [], []
     with TsvRows(path, 4, key="query_id") as rows:
         for qid, issue_time, grade, volume in rows:
-            queries[qid] = QueryRecord(
-                qid,
-                parse_int(issue_time, "issue_time"),
-                opt_real(grade, "true_grade"),
-                None if volume == "-" else parse_int(volume, "volume"),
-            )
-    return queries
+            times.append(parse_int(issue_time, "issue_time"))
+            grade = opt_real(grade, "true_grade")
+            volume = None if volume == "-" else parse_int(volume, "volume")
+            grades.append(math.nan if grade is None else _on_scale(grade, "true_grade"))
+            if volume is not None and volume < 1:
+                raise ValidationError(f"volume must be positive, got {volume}")
+            query_ids.append(qid)
+            volumes.append(volume or 0)
+    return QueryTable(tuple(query_ids), np.array(times, np.int64),
+                      np.array(grades, np.float64), np.array(volumes, np.int64))
 
 
 def load_predictions(path: str) -> dict[str, float]:
@@ -482,24 +459,19 @@ def load_predictions(path: str) -> dict[str, float]:
         return {qid: parse_real(p_fresh, "p_fresh") for qid, p_fresh in rows}
 
 
-def require_queries(rankings: RankingTable, queries) -> None:
-    """Refuse a ranked query that has no query record."""
-    for qid in rankings.query_ids:
-        if qid not in queries:
-            raise ValidationError(f"query {qid!r} in rankings but not in queries file")
-
-
 def load_corpus(directory: str) -> Corpus:
     """Load the four corpus files from a directory.  Judgments and
-    features are optional; each file is held once, keyed by query_id.
-    Every ranked query needs a record in queries.tsv."""
+    features are optional; each file is held once, as a table.  Every
+    ranked query needs a record in queries.tsv."""
     queries = load_queries(os.path.join(directory, "queries.tsv"))
     rankings = load_ranking_table(os.path.join(directory, "rankings.tsv"))
-    require_queries(rankings, queries)
+    queries.select(rankings.query_ids)  # refuses a ranked query without a record
     judgments_path = os.path.join(directory, "judgments.tsv")
-    judgments = load_judgments(judgments_path) if os.path.exists(judgments_path) else {}
+    judgments = (load_judgments(judgments_path) if os.path.exists(judgments_path)
+                 else JudgmentTable((), np.empty((0, 3))))
     features_path = os.path.join(directory, "features.tsv")
-    features = load_features(features_path) if os.path.exists(features_path) else FeatureTable(())
+    features = (load_features(features_path) if os.path.exists(features_path)
+                else FeatureTable((), (), np.empty((0, 0))))
     return Corpus(queries, rankings, judgments, features)
 
 
@@ -534,27 +506,22 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     return text
 
 
-def write_judgments(judgments: dict[str, JudgedQuery], path: str) -> None:
-    lines = [
-        "\t".join((qid, *(fmt(g) for g in judged.assessor_grades)))
-        for qid, judged in judgments.items()
-    ]
-    write_lines(path, lines)
+def write_judgments(judgments: JudgmentTable, path: str) -> None:
+    write_lines(path, ("\t".join((qid, *map(fmt, row)))
+                       for qid, row in zip(judgments.query_ids, judgments.grades.tolist())))
 
 
 def write_features(features: FeatureTable, path: str) -> None:
-    lines = ["\t".join(("query_id", *features.names))]
-    for qid, values in features.rows.items():
-        lines.append("\t".join((qid, *(fmt(v) for v in values))))
-    write_lines(path, lines)
+    rows = zip(features.query_ids, features.rows.tolist())
+    write_lines(path, ["\t".join(("query_id", *features.names)),
+                       *("\t".join((qid, *map(fmt, row))) for qid, row in rows)])
 
 
-def write_queries(queries: dict[str, QueryRecord], path: str) -> None:
-    lines = []
-    for qid, record in queries.items():
-        volume = "-" if record.volume is None else str(record.volume)
-        lines.append("\t".join((qid, str(record.issue_time), fmt_opt(record.true_grade), volume)))
-    write_lines(path, lines)
+def write_queries(queries: QueryTable, path: str) -> None:
+    """'-' for an absent grade or volume."""
+    volumes = ["-" if volume == 0 else str(volume) for volume in queries.volume.tolist()]
+    write_lines(path, map("\t".join, zip(queries.query_ids, map(str, queries.issue_time.tolist()),
+                                          _fmt_column(queries.true_grade), volumes)))
 
 
 def write_corpus(corpus: Corpus, directory: str) -> None:
@@ -639,8 +606,8 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     flags, fresh and stale ages, Beta latents (a document's any-intent draw
     before its fresh-intent one, in document order), feature noise and
     assessor draws.  The loop only draws; timestamps, features and grades
-    are then computed a column at a time, and the rankings go straight
-    into the columns of a `RankingTable`.
+    are then computed a column at a time, straight into the columns of
+    the four tables.
     """
     rng = np.random.default_rng(seed)
     grades = tuple(config.grade_mixture)
@@ -660,7 +627,7 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     beta_a, beta_b = prior * kappa, (1.0 - prior) * kappa
 
     issue_offset = np.empty(n, dtype=np.int64)
-    volumes = []
+    volume = np.empty(n, dtype=np.int64)
     is_fresh = np.empty((n, depth), dtype=bool)
     ages = np.empty((2, n, depth), dtype=np.int64)  # fresh, stale
     # latents[i, r] holds document r's any-intent and fresh-intent latents;
@@ -673,8 +640,8 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
 
     for i in range(n):
         issue_offset[i] = rng.integers(0, 86_400)
-        volumes.append(max(1, int(round(rng.lognormal(config.volume_log_mean,
-                                                       config.volume_log_sigma)))))
+        volume[i] = max(1, int(round(rng.lognormal(config.volume_log_mean,
+                                                   config.volume_log_sigma))))
         fresh = is_fresh[i] = rng.random(depth) < fresh_rate[i]
         ages[0, i] = rng.integers(0, config.window_seconds, size=depth)
         ages[1, i] = rng.integers(config.window_seconds + 1, year, size=depth)
@@ -708,7 +675,6 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
                0.80 * np.sqrt(grade) + noise[:, 2], 0.10 + 0.70 * grade + noise[:, 3])
     values = np.column_stack([*(np.minimum(1.0, np.maximum(0.0, v)) for v in signals),
                               uniforms[:, :2]])
-    features = FeatureTable(names=FEATURE_NAMES, rows=dict(zip(query_ids, values)))
 
     # an assessor keeps the true grade, or else steps one grade up or down
     true_index = np.asarray([GRADE_VALUES.index(g) for g in grades])[grade_draw][:, None]
@@ -716,10 +682,6 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
     assessed = np.where(uniforms[:, 2:5] < config.assessor_accuracy, true_index,
                         np.where(uniforms[:, 5:] < 0.5, np.minimum(true_index + 1, top),
                                  np.maximum(true_index - 1, 0)))
-    assessor = np.asarray(GRADE_VALUES)[assessed].tolist()
-    judgments = {qid: JudgedQuery(qid, tuple(row)) for qid, row in zip(query_ids, assessor)}
-
-    true_grades = [grades[k] for k in grade_draw.tolist()]
-    queries = {qid: QueryRecord(qid, t, g, v)
-               for qid, t, g, v in zip(query_ids, issue_time.tolist(), true_grades, volumes)}
-    return Corpus(queries, rankings, judgments, features)
+    return Corpus(QueryTable(query_ids, issue_time, grade, volume), rankings,
+                  JudgmentTable(query_ids, np.asarray(GRADE_VALUES)[assessed]),
+                  FeatureTable(FEATURE_NAMES, query_ids, values))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .calibration import DEFAULT_PRIOR_TABLE, PositionPriorTable, build_candidates
-from .corpus import Corpus, QueryRecord, RankingTable, training_set
+from .corpus import Corpus, QueryTable, RankingTable, training_set
 from .errors import ValidationError
 from .fileio import atomic_write_text, fmt, write_lines
 from .freshness import DEFAULT_WINDOW, FreshnessWindow, derive_fresh_ranking
@@ -132,20 +132,19 @@ Policy = Callable[[PreparedQueries, MetricConfig], np.ndarray]
 
 
 def prepare_queries(
-    queries: Mapping[str, QueryRecord],
+    queries: QueryTable,
     rankings: RankingTable,
     metric_config: MetricConfig = DEFAULT_METRIC_CONFIG,
     window: FreshnessWindow = DEFAULT_WINDOW,
     table: PositionPriorTable = DEFAULT_PRIOR_TABLE,
     require_latents: bool = True,
 ) -> PreparedQueries:
-    """Derive, calibrate and pack the candidate pool of every query in
-    `queries`, in that order, from the rows of their rankings in the
-    table `rankings`."""
-    ranked = rankings.select(queries)
-    records = queries.values()
-    fresh_rank = derive_fresh_ranking(
-        ranked, np.fromiter((r.issue_time for r in records), np.int64, len(queries)), window)
+    """Derive, calibrate and pack the candidate pool of every query of the
+    table `queries`, in its order, from the rows of their rankings in the
+    table `rankings`.  Issue times, true grades and volumes are read from
+    the query table's columns; an absent volume counts as 1."""
+    ranked = rankings.select(queries.query_ids)
+    fresh_rank = derive_fresh_ranking(ranked, queries.issue_time, window)
     pool, r_any, r_fresh = build_candidates(ranked, fresh_rank, table, metric_config.depth)
     rows, cal_fresh, cal_any, sizes = candidate_arrays(ranked, pool, r_any, r_fresh)
 
@@ -167,12 +166,8 @@ def prepare_queries(
     return PreparedQueries(
         query_ids=ranked.query_ids,
         table=ranked,
-        true_grade=np.asarray(
-            [np.nan if r.true_grade is None else r.true_grade for r in records],
-            dtype=np.float64,
-        ),
-        volume=np.asarray([1 if r.volume is None else r.volume for r in records],
-                          dtype=np.float64),
+        true_grade=queries.true_grade,
+        volume=np.maximum(queries.volume, 1).astype(np.float64),
         candidates=rows,
         sizes=sizes,
         cal_fresh=cal_fresh,
@@ -286,6 +281,8 @@ def sweep_estimate(
     the mean score of that grade's queries at one estimate.
     """
     grid = tuple(DEFAULT_SWEEP_GRID if grid is None else grid)
+    if not grid:
+        raise ValidationError("the sweep grid is empty")
     for p_hat in grid:
         if not 0.0 <= p_hat <= 1.0:
             raise ValidationError(f"grid value out of [0,1]: {p_hat!r}")
@@ -327,7 +324,7 @@ def bucket_comparison(
     """
     prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     _require_grades(prepared)
-    qids = list(prepared.query_ids)
+    qids = prepared.query_ids
     if len(qids) < 2:
         raise ValidationError("bucket comparison needs at least 2 queries")
     x, y = training_set(corpus.features, corpus.judgments, qids)

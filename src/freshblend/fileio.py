@@ -25,8 +25,8 @@ class TsvRows:
     them in place of the file's lines, numbered from `first`; `path` then
     only names them in messages.  Each iteration goes on from where the
     last one stopped, under the `width` and `key` set when it starts.  A
-    ValidationError raised in the block, by a token parser or a record's
-    own checks, leaves it as a ParseError at the current row's line.
+    ValidationError raised in the block, by a token parser or a loader's
+    value checks, leaves it as a ParseError at the current row's line.
     """
 
     def __init__(self, path: str, width=None, key: str | None = None, lines=None, first=1):
@@ -115,10 +115,6 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
     return value
-
-
-def fmt_opt(value) -> str:
-    return "-" if value is None else fmt(value)
 
 
 def write_lines(path: str, lines) -> None:

@@ -350,6 +350,9 @@ def _model_from_document(document: dict) -> GbrtModel:
     names, trees = document["feature_names"], document["trees"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ValueError(f"feature_names must be a list of strings, got {json.dumps(names)}")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"feature_names repeats {repeated[0]!r}")
     if json_int(document["n_trees"]) != len(trees):
         raise ValueError(f"n_trees is {document['n_trees']} but there are {len(trees)} trees")
     return GbrtModel(

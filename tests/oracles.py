@@ -9,11 +9,12 @@ time, the greedy step folded into per-intent survival masses,
 from-scratch evaluations of the objective, exhaustive searches,
 rank-based Mann-Whitney tests, the A/B test drawn whole in one shot and
 the rankings reader and the corpus generator one line and one
-`DocEntry` at a time.  A page or
-pool here is a list of `Candidate` records; `page_arrays` packs one into
-the (1, n) rows the page kernels read.  It also holds the hypothesis
-strategy that draws generated corpora with the tables and metric
-settings to prepare them under.
+`DocEntry` at a time.  A ranking here is a `Ranking` of `DocEntry`
+records, and `hand_built` turns such rankings into the tables the
+library reads.  A page or pool is a list of `Candidate` records;
+`page_arrays` packs one into the (1, n) rows the page kernels read.  It
+also holds the hypothesis strategy that draws generated corpora with the
+tables and metric settings to prepare them under.
 """
 
 import itertools
@@ -24,9 +25,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from freshblend import experiments, kernels
-from freshblend.calibration import PositionPriorTable, position_prior
-from freshblend.corpus import (GRADE_VALUES, DocEntry, GeneratorConfig, JudgedQuery, QueryRecord,
-                               Ranking, RankingTable, generate_corpus)
+from freshblend.calibration import PositionPriorTable
+from freshblend.corpus import (GRADE_VALUES, GeneratorConfig, QueryTable, RankingTable,
+                               _document_values, generate_corpus)
 from freshblend.errors import ParseError, ValidationError
 from freshblend.fileio import TsvRows, opt_real, parse_int
 from freshblend.freshness import FreshnessWindow, is_fresh
@@ -331,6 +332,61 @@ def brute_err_iaa(page, p_fresh, config):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DocEntry:
+    """One ranked document, its values checked as the rankings reader
+    checks a row's; an absent latent is None."""
+
+    doc_id: str
+    rank: int
+    timestamp: int
+    latent_rel_any: float | None = None
+    latent_rel_fresh: float | None = None
+
+    def __post_init__(self):
+        _document_values(self.rank, self.timestamp, self.latent_rel_any, self.latent_rel_fresh)
+
+
+@dataclass(frozen=True)
+class Ranking:
+    """One query's documents in rank order, each doc id once."""
+
+    entries: tuple[DocEntry, ...]
+
+    def __post_init__(self):
+        seen = set()
+        for i, entry in enumerate(self.entries):
+            if entry.doc_id in seen:
+                raise ValidationError(f"duplicate doc_id {entry.doc_id!r} in ranking")
+            seen.add(entry.doc_id)
+            if entry.rank != i + 1:
+                raise ValidationError(
+                    f"ranks must be contiguous from 1; position {i + 1} has rank {entry.rank}"
+                )
+
+
+def hand_built(rankings: dict[str, Ranking], issue_time=0) -> tuple[QueryTable, RankingTable]:
+    """The tables of hand-built rankings, in the mapping's order: their
+    queries, issued at `issue_time` (one time, or one per query) with no
+    grade or volume, and their RankingTable."""
+    query_ids = tuple(rankings)
+    held = [rankings[qid].entries for qid in query_ids]
+    entries = [entry for ranking in held for entry in ranking]
+    lengths = np.fromiter(map(len, held), dtype=np.int64, count=len(held))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    query = np.repeat(np.arange(len(held)), lengths)
+    timestamps = np.fromiter((e.timestamp for e in entries), dtype=np.int64, count=len(entries))
+    latent_any, latent_fresh = np.array([[e.latent_rel_any for e in entries],
+                                         [e.latent_rel_fresh for e in entries]], dtype=np.float64)
+    rank = np.arange(1, len(entries) + 1) - offsets[query]
+    table = RankingTable(query_ids, offsets, query, rank, tuple(e.doc_id for e in entries),
+                         timestamps, latent_any, latent_fresh)
+    n = len(query_ids)
+    queries = QueryTable(query_ids, np.broadcast_to(np.asarray(issue_time, np.int64), n).copy(),
+                         np.full(n, np.nan), np.zeros(n, dtype=np.int64))
+    return queries, table
+
+
 def load_rankings(path: str) -> dict[str, Ranking]:
     """Read a rankings TSV into per-query rankings sorted by rank, each
     line checked by `TsvRows`, for a new (query_id, doc_id) pair and by
@@ -366,8 +422,8 @@ def load_rankings(path: str) -> dict[str, Ranking]:
 
 def generate_per_document(config: GeneratorConfig, seed: int):
     """The generated corpus drawn one query and one document at a time:
-    (queries, rankings as `Ranking`s, judgments, feature rows), each a
-    dict by query id."""
+    (queries as (issue_time, true_grade, volume), rankings as `Ranking`s,
+    judgments as three grades, feature rows), each a dict by query id."""
     rng = np.random.default_rng(seed)
     grades = tuple(config.grade_mixture)
     probs = np.asarray([config.grade_mixture[g] for g in grades], dtype=np.float64)
@@ -420,12 +476,12 @@ def generate_per_document(config: GeneratorConfig, seed: int):
         true_index = GRADE_VALUES.index(grade)
         keep = rng.random(3) < config.assessor_accuracy
         step_up = rng.random(3) < 0.5
-        judgments[qid] = JudgedQuery(qid, tuple(
+        judgments[qid] = tuple(
             GRADE_VALUES[true_index] if keep[j]
             else GRADE_VALUES[min(true_index + 1, len(GRADE_VALUES) - 1)] if step_up[j]
             else GRADE_VALUES[max(true_index - 1, 0)]
-            for j in range(3)))
-        queries[qid] = QueryRecord(qid, issue_time, grade, volume)
+            for j in range(3))
+        queries[qid] = (issue_time, grade, volume)
     return queries, rankings, judgments, feature_rows
 
 
@@ -456,6 +512,11 @@ def build_candidates(ordinary: Ranking, fresh: Ranking, table, depth: int):
     """One query's pool joined from its two rankings by doc id: the
     ordinary top page by ordinary rank, then the fresh-only candidates by
     fresh rank."""
+    priors = table.priors
+
+    def prior(rank):
+        return priors[min(rank, len(priors)) - 1]
+
     ordinary_ranks = {e.doc_id: e.rank for e in ordinary.entries}
     fresh_ranks = {e.doc_id: e.rank for e in fresh.entries}
     in_ordinary_top = {e.doc_id for e in ordinary.entries[:depth]}
@@ -463,9 +524,9 @@ def build_candidates(ordinary: Ranking, fresh: Ranking, table, depth: int):
     def make(doc_id: str) -> Candidate:
         ord_rank = ordinary_ranks[doc_id]
         frs_rank = fresh_ranks.get(doc_id)
-        r_any = position_prior(ord_rank if doc_id in in_ordinary_top else frs_rank, table)
+        r_any = prior(ord_rank if doc_id in in_ordinary_top else frs_rank)
         in_fresh_top = frs_rank is not None and frs_rank <= depth
-        r_fresh = position_prior(frs_rank, table) if in_fresh_top else 0.0
+        r_fresh = prior(frs_rank) if in_fresh_top else 0.0
         return Candidate(doc_id, r_any, r_fresh, ord_rank, frs_rank)
 
     pool = [make(e.doc_id) for e in ordinary.entries[:depth]]
@@ -474,12 +535,12 @@ def build_candidates(ordinary: Ranking, fresh: Ranking, table, depth: int):
     return pool
 
 
-def prepared_pools(queries, rankings, depth, window, table):
+def prepared_pools(queries: QueryTable, rankings, depth, window, table):
     """Each query's fresh ranking and its pool sorted by tie_key, in the
-    order of `queries`."""
+    order of the table `queries`."""
     pools = []
-    for qid, record in queries.items():
-        fresh = derive_fresh_ranking(rankings[qid], record.issue_time, window)
+    for qid, issue_time in zip(queries.query_ids, queries.issue_time.tolist()):
+        fresh = derive_fresh_ranking(rankings[qid], issue_time, window)
         pool = build_candidates(rankings[qid], fresh, table, depth)
         pools.append((fresh, sorted(pool, key=tie_key)))
     return pools

@@ -16,13 +16,9 @@ import pytest
 from freshblend import experiments
 from freshblend.cli import run
 from freshblend.corpus import (
-    DocEntry,
     GeneratorConfig,
     JUDGED_POOL_MIXTURE,
-    QueryRecord,
-    Ranking,
     generate_corpus,
-    ranking_table,
     training_set,
 )
 from freshblend.experiments import (
@@ -46,10 +42,13 @@ from freshblend.recency_classifier import (
 )
 from oracles import (
     Candidate,
+    DocEntry,
+    Ranking,
     advance,
     brute_err_iaa,
     brute_force_best,
     exact_two_sided_p,
+    hand_built,
     initial_state,
     marginal_gain,
     page_arrays,
@@ -133,8 +132,7 @@ def test_criterion_02_greedy_soundness():
 def _blend_one_query(ranking, now, p_fresh):
     """Blend a one-query table; returns the page's doc ids and each one's
     calibrated r_fresh, and the pool's r_fresh values."""
-    prepared = prepare_queries({"q": QueryRecord("q", now)}, ranking_table({"q": ranking}), CFG,
-                               require_latents=False)
+    prepared = prepare_queries(*hand_built({"q": ranking}, now), CFG, require_latents=False)
     orders, _ = blend_pages(prepared, p_fresh, CFG)
     page = orders[0][orders[0] >= 0]
     doc_ids = tuple(prepared.table.doc_ids[row] for row in prepared.candidates[0, page])
@@ -205,9 +203,9 @@ def test_criterion_05_bucket_comparison(experiment_corpus):
 def test_criterion_06_classifier_quality(experiment_corpus):
     t0 = time.perf_counter()
     corpus = experiment_corpus
-    qids = list(corpus.queries)
+    qids = corpus.queries.query_ids
     x, y_consensus = training_set(corpus.features, corpus.judgments, qids)
-    y_true = np.asarray([corpus.queries[q].true_grade for q in qids])
+    y_true = corpus.queries.true_grade
 
     rng = np.random.default_rng(3)
     perm = rng.permutation(len(qids))
@@ -260,10 +258,10 @@ def test_criterion_07_click_model_consistency():
 def test_criterion_08_ab_direction(experiment_corpus):
     t0 = time.perf_counter()
     corpus = experiment_corpus
-    qids = list(corpus.queries)
+    qids = corpus.queries.query_ids
     x, y = training_set(corpus.features, corpus.judgments, qids)
     model = train_gbrt(x, y, GbrtHyperparams(), seed=1, feature_names=corpus.features.names)
-    p_by_query = {qid: float(p) for qid, p in zip(qids, predict_batch(model, x))}
+    p_by_query = dict(zip(qids, predict_batch(model, x).tolist()))
     report = ab_test(corpus, initial_ranking_policy(), blend_policy(p_by_query),
                      n_queries=100_000, seed=11)
     m = report.metrics

@@ -95,6 +95,12 @@ def test_worker_runs_every_stage(tmp_path, trace):
         # only the train stage fits trees
         assert stats["recency_classifier.train_gbrt"][0] == 1
         assert stats["kernels.best_split"][0] >= 1
+        # the loader items perfbench sums into corpus.rows_parsed: the 50
+        # feature rows read by train and by predict, the judgments read by
+        # train and the queries read by blend
+        items = {name: stats[f"corpus.{name}"][2]
+                 for name in ("load_features", "load_judgments", "load_queries")}
+        assert items == {"load_features": 100, "load_judgments": 50, "load_queries": 50}
         _assert_no_silent_layer(stats, "quickstart", STAGES)
 
 

@@ -10,11 +10,10 @@ from freshblend.calibration import (
     DEFAULT_PRIORS,
     PositionPriorTable,
     build_candidates,
-    position_prior,
 )
-from freshblend.corpus import DocEntry, Ranking, ranking_table
 from freshblend.errors import ValidationError
 from freshblend.freshness import DEFAULT_WINDOW, derive_fresh_ranking
+from oracles import DocEntry, Ranking, hand_built
 
 DAY = 86_400
 NOW = 100 * DAY
@@ -39,7 +38,7 @@ class Candidate:
 
 def pool_for(ordinary, depth=10):
     """The pool of a one-query table, by doc id in table order."""
-    table = ranking_table({"q": ordinary})
+    _, table = hand_built({"q": ordinary})
     fresh_rank = derive_fresh_ranking(table, [NOW], DEFAULT_WINDOW)
     pool, r_any, r_fresh = build_candidates(table, fresh_rank, DEFAULT_PRIOR_TABLE, depth)
     return {table.doc_ids[row]: Candidate(float(r_any[row]), float(r_fresh[row]),
@@ -48,17 +47,6 @@ def pool_for(ordinary, depth=10):
 
 
 class TestPositionPrior:
-    def test_head_of_default_table(self):
-        assert position_prior(1) == 0.60
-
-    def test_ranks_beyond_table_clamp_to_tail(self):
-        beyond = len(DEFAULT_PRIORS) + 7
-        assert position_prior(beyond) == DEFAULT_PRIORS[-1]
-
-    def test_rank_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            position_prior(0)
-
     def test_table_validation(self):
         with pytest.raises(ValidationError):
             PositionPriorTable((0.5, 0.6))

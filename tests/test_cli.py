@@ -321,6 +321,8 @@ class TestConfigPrecedence:
         (None, ["--window-days", "inf"], 2, "--window-days"),
         (None, ["--depth", "2.7"], 2, "--depth"),
         (None, ["--priors", "0.5,nan"], 2, "--priors"),
+        (None, ["--priors", "0.5,,0.4"], 2, "--priors"),
+        (None, ["--priors", "0.5,0.4,"], 2, "--priors"),
         (None, ["--break-exponent", "r-2"], 2, "--break-exponent"),
     ])
     def test_wrongly_typed_values_are_refused(self, tmp_path, capsys, config, flags, code,
@@ -338,6 +340,17 @@ class TestConfigPrecedence:
         if code == 1:
             assert err.startswith("freshblend: error: ") and err.count("\n") == 1
             assert not (tmp_path / "out" / "blended.tsv").exists()
+
+    @pytest.mark.parametrize("config, flags", [(None, ["--grid", ""]), (b'{"grid": []}', [])],
+                             ids=["empty-flag", "empty-config-list"])
+    def test_an_empty_sweep_grid_exits_one(self, tmp_path, corpus_dir, capsys, config, flags):
+        argv = ["sweep", "--corpus", corpus_dir, "--out", str(tmp_path / "out"), *flags]
+        if config is not None:
+            (tmp_path / "config.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "freshblend: error: the sweep grid is empty\n"
+        assert not (tmp_path / "out").exists()
 
     @given(key=st.sampled_from(SHARED_KEYS), value=st.floats() | st.integers() | st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -417,8 +430,8 @@ class TestPredictFeatureHeader:
         code, _, predictions = self._predict(tmp_path, model_path, features)
         assert code == 0
         table = load_features(os.path.join(corpus_dir, "features.tsv"))
-        qids = list(table.rows)
-        expected = predict_batch(load_model(model_path), table.matrix(qids))
+        qids = table.query_ids
+        expected = predict_batch(load_model(model_path), table.rows)
         assert predictions.read_text(encoding="utf-8") == "".join(
             f"{qid}\t{fmt(p)}\n" for qid, p in zip(qids, expected))
 

@@ -17,12 +17,9 @@ from freshblend.corpus import (
     GRADE_VALUES,
     JUDGED_POOL_MIXTURE,
     Corpus,
-    DocEntry,
     FeatureTable,
     GeneratorConfig,
-    JudgedQuery,
-    QueryRecord,
-    Ranking,
+    JudgmentTable,
     generate_corpus,
     load_corpus,
     load_features,
@@ -30,15 +27,16 @@ from freshblend.corpus import (
     load_predictions,
     load_queries,
     load_ranking_table,
-    ranking_table,
     training_set,
     write_corpus,
+    write_queries,
     write_rankings,
 )
 from freshblend.errors import ConfigError, ParseError, ValidationError
 from freshblend.fileio import fmt
 from freshblend.freshness import FreshnessWindow, is_fresh, load_query_log
-from oracles import generate_per_document, generated_corpora, load_rankings, rankings_of
+from oracles import (DocEntry, Ranking, generate_per_document, generated_corpora, hand_built,
+                     load_rankings, rankings_of)
 
 TABLE_FIELDS = ("query_ids", "offsets", "query", "rank", "doc_ids", "timestamps",
                 "latent_any", "latent_fresh")
@@ -64,7 +62,7 @@ def _write(tmp_path, name, text):
 class TestLoadRankings:
     def test_empty_file_gives_empty_table(self, tmp_path):
         table = load_ranking_table(_write(tmp_path, "r.tsv", ""))
-        assert_same_table(table, ranking_table({}))
+        assert_same_table(table, hand_built({})[1])
 
     def test_two_rows_one_query(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\t0.5\t-\nq1\td2\t2\t90\t0.25\t0.1\n")
@@ -157,7 +155,7 @@ class TestAgainstTheRowByRowReader:
         # one block, or blocks of a few lines, so that queries span several
         with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
             loaded = load_ranking_table(str(path))
-        assert_same_table(loaded, ranking_table(load_rankings(str(path))))
+        assert_same_table(loaded, hand_built(load_rankings(str(path)))[1])
 
     @given(generated_corpora(), st.randoms(use_true_random=False),
            st.sampled_from([_irregular_text, _regular_text]),
@@ -181,7 +179,7 @@ class TestAgainstTheRowByRowReader:
         if isinstance(expected, str):
             assert loaded == expected
         else:
-            assert_same_table(loaded, ranking_table(expected))
+            assert_same_table(loaded, hand_built(expected)[1])
 
 
 class TestTypedBlockRead:
@@ -203,7 +201,7 @@ class TestTypedBlockRead:
         if isinstance(expected, str):
             assert loaded == expected
         else:
-            assert_same_table(loaded, ranking_table(expected))
+            assert_same_table(loaded, hand_built(expected)[1])
 
     @pytest.mark.parametrize("ending, width", [("\n", 6), ("\r\n", 6), ("\n", 4), ("\n", 5)],
                              ids=["lf", "crlf", "4-fields", "5-fields"])
@@ -260,16 +258,22 @@ FAULTS = (
 )
 
 
+def _consensus(path):
+    """The consensus grades of a judgments file, in file order."""
+    judged = load_judgments(path)
+    no_features = FeatureTable((), judged.query_ids, np.empty((len(judged), 0)))
+    return training_set(no_features, judged, judged.query_ids)[1].tolist()
+
+
 class TestLoadJudgments:
     def test_unanimous_grades(self, tmp_path):
         path = _write(tmp_path, "j.tsv", "q1\t0.75\t0.75\t0.75\n")
-        judged = load_judgments(path)["q1"]
-        assert judged.consensus_grade == pytest.approx(0.75, abs=1e-15)
+        assert _consensus(path) == [pytest.approx(0.75, abs=1e-15)]
 
     def test_consensus_is_the_mean(self, tmp_path):
-        path = _write(tmp_path, "j.tsv", "q1\t0.95\t0.75\t0.25\n")
-        judged = load_judgments(path)["q1"]
-        assert judged.consensus_grade == pytest.approx(0.65, abs=1e-12)
+        path = _write(tmp_path, "j.tsv", "q2\t0.0\t0.0\t0.25\nq1\t0.95\t0.75\t0.25\n")
+        assert load_judgments(path).grades.tolist() == [[0.0, 0.0, 0.25], [0.95, 0.75, 0.25]]
+        assert _consensus(path) == [0.25 / 3, pytest.approx(0.65, abs=1e-12)]
 
     def test_off_scale_grade_rejected(self, tmp_path):
         path = _write(tmp_path, "j.tsv", "q1\t0.5\t0.75\t0.25\n")
@@ -307,15 +311,25 @@ class TestLineFormat:
         (load_ranking_table, b"q1\td1\t1\t99999999999999999999\n", 1,
          "timestamp does not fit in 64 bits"),
         (load_ranking_table, b"q1\td1\t1\t100\t1.5\n", 1, "latent_rel_any out of [0,1]: 1.5"),
+        (load_ranking_table, b"q1\td1\t0\t100\n", 1, "rank must be >= 1, got 0"),
+        (load_ranking_table, b"q1\td1\t1\t-5\n", 1, "timestamp must be in [0, 2**63), got -5"),
+        (load_ranking_table, b"q1\td1\t1\t100\nq1\td1\t2\t90\n", 2,
+         "duplicate query_id/doc_id ('q1', 'd1')"),
         (load_judgments, b"q1\t0.25\t0.25\t0.25\nq1\t0\t0\t0\n", 2, "duplicate query_id 'q1'"),
         (load_judgments, b"q1\t0.5\t0.75\t0.25\n", 1, "assessor grade 0.5 not in"),
+        (load_judgments, b"q1\t0.25\t0.1\t0.75\n", 1, "assessor grade 0.1 not in"),
         (load_queries, b"\t100\t-\t-\n", 1, "empty query_id"),
         (load_queries, b"q1\t100\t-\tmany\n", 1, "bad volume: 'many'"),
         (load_queries, b"q1\t100\t0.5\t3\n", 1, "true_grade 0.5 not in"),
+        (load_queries, b"q1\t100\t-\t-\nq2\t100\t0.25\t0\n", 2,
+         "volume must be positive, got 0"),
+        (load_queries, b"q1\t99999999999999999999\t-\t-\n", 1,
+         "issue_time does not fit in 64 bits"),
         (load_features, b"query_id\ta\tb\nq1\t0.5\n", 2, "expected 3 fields, got 2"),
         (load_features, b"query_id\ta\nq1\tinf\n", 2, "feature value is not finite: 'inf'"),
         (load_features, b"q1\t0.5\t0.25\nq2\t0.1\t0.2\n", 1,
          "header must start with 'query_id', got 'q1'"),
+        (load_features, b"query_id\ta\ta\nq1\t0.5\t0.25\n", 1, "duplicate feature name 'a'"),
         (load_predictions, b"q1\tnan\n", 1, "p_fresh is not finite: 'nan'"),
         (load_query_log, b"q1\t1\tmany\n", 1, "bad count: 'many'"),
         (load_query_log, b"q1\t1\t3\r\nq1\t2\t-3\r\n", 2, "negative count -3"),
@@ -330,7 +344,7 @@ class TestLineFormat:
         path = tmp_path / "r.tsv"
         path.write_bytes(b"\r\nq1\td1\t1\t100\t-\t-\r\n\n\r\nq1\td2\t2\t90\t0.5\t0.25\r\n")
         expected = {"q1": Ranking((DocEntry("d1", 1, 100), DocEntry("d2", 2, 90, 0.5, 0.25)))}
-        assert_same_table(load_ranking_table(str(path)), ranking_table(expected))
+        assert_same_table(load_ranking_table(str(path)), hand_built(expected)[1])
 
     def test_a_fault_without_a_line_names_the_file(self, tmp_path):
         path = _write(tmp_path, "r.tsv", "q1\td1\t1\t100\nq1\td3\t3\t90\n")
@@ -387,30 +401,9 @@ class TestBlockedDiagnostics:
                 load_ranking_table(str(path))
 
 
-class TestTypes:
-    def test_query_grade_must_be_on_the_scale(self):
-        with pytest.raises(ValidationError):
-            QueryRecord("q1", 0, true_grade=0.5)
-
-    def test_rank_and_timestamp_bounds(self):
-        with pytest.raises(ValidationError):
-            DocEntry("d", 0, 100)
-        with pytest.raises(ValidationError):
-            DocEntry("d", 1, -5)
-
-    def test_ranking_rejects_duplicates(self):
-        with pytest.raises(ValidationError):
-            Ranking((DocEntry("d", 1, 0), DocEntry("d", 2, 0)))
-
-    def test_judged_query_grade_scale(self):
-        with pytest.raises(ValidationError):
-            JudgedQuery("q", (0.1, 0.25, 0.75))
-
-
 class TestTrainingSet:
-    TABLE = FeatureTable(("a", "b"), {"q1": np.array([0.1, 0.2]), "q2": np.array([0.3, 0.4])})
-    JUDGMENTS = {"q1": JudgedQuery("q1", (0.95, 0.75, 0.25)),
-                 "q2": JudgedQuery("q2", (0.0, 0.0, 0.25))}
+    TABLE = FeatureTable(("a", "b"), ("q1", "q2"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+    JUDGMENTS = JudgmentTable(("q1", "q2"), np.array([[0.95, 0.75, 0.25], [0.0, 0.0, 0.25]]))
 
     def test_rows_follow_the_given_order(self):
         x, y = training_set(self.TABLE, self.JUDGMENTS, ["q2", "q1"])
@@ -422,12 +415,14 @@ class TestTrainingSet:
         (["q1", "q3"], "query 'q3' has no judgment"),
     ])
     def test_first_unmatched_query_is_named(self, qids, message):
-        table = FeatureTable(("a", "b"), {**self.TABLE.rows, "q3": np.array([0.0, 0.0])})
+        table = FeatureTable(("a", "b"), ("q1", "q2", "q3"),
+                             np.vstack([self.TABLE.rows, [0.0, 0.0]]))
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             training_set(table, self.JUDGMENTS, qids)
 
     def test_no_queries_give_an_empty_matrix_of_the_table_width(self):
-        x, y = training_set(FeatureTable(("a", "b")), {}, [])
+        x, y = training_set(FeatureTable(("a", "b"), (), np.empty((0, 2))),
+                            JudgmentTable((), np.empty((0, 3))), [])
         assert x.shape == (0, 2) and y.shape == (0,)
 
 
@@ -459,7 +454,7 @@ class TestGenerator:
     def test_requested_count_is_delivered(self):
         corpus = generate_corpus(GeneratorConfig(n_queries=50, ranking_depth=5), seed=1)
         assert len(corpus.queries) == 50
-        assert corpus.rankings.query_ids == tuple(corpus.queries)
+        assert corpus.rankings.query_ids == corpus.queries.query_ids
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         config = GeneratorConfig(n_queries=40, ranking_depth=8)
@@ -470,7 +465,7 @@ class TestGenerator:
 
     def test_traffic_mixture_shares_at_100k(self):
         corpus = generate_corpus(GeneratorConfig(n_queries=100_000, ranking_depth=1), seed=123)
-        counts = collections.Counter(q.true_grade for q in corpus.queries.values())
+        counts = collections.Counter(corpus.queries.true_grade.tolist())
         for grade, target in ((0.25, 4.9), (0.75, 1.11), (0.95, 0.73)):
             share = counts[grade] * 100.0 / 100_000
             assert abs(share - target) <= 0.5
@@ -479,7 +474,7 @@ class TestGenerator:
         config = GeneratorConfig(n_queries=30, ranking_depth=10)
         corpus = generate_corpus(config, seed=4)
         table = corpus.rankings
-        issued = np.asarray([q.issue_time for q in corpus.queries.values()])[table.query]
+        issued = corpus.queries.issue_time[table.query]
         fresh = is_fresh(table.timestamps, issued, FreshnessWindow(config.window_seconds))
         assert fresh.any() and not fresh.all()
         assert np.array_equal(fresh, table.latent_fresh > 0)
@@ -488,8 +483,8 @@ class TestGenerator:
         corpus = generate_corpus(GeneratorConfig(n_queries=30, ranking_depth=10), seed=5)
         for latents in (corpus.rankings.latent_any, corpus.rankings.latent_fresh):
             assert np.all((latents >= 0.0) & (latents <= 1.0))
-        for values in corpus.features.rows.values():
-            assert np.all((values >= 0.0) & (values <= 1.0))
+        values = corpus.features.rows
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     @given(st.builds(
         GeneratorConfig,
@@ -506,13 +501,15 @@ class TestGenerator:
     def test_corpus_equals_the_per_document_generator(self, config, seed):
         corpus = generate_corpus(config, seed)
         queries, rankings, judgments, feature_rows = generate_per_document(config, seed)
-        assert corpus.queries == queries
-        assert corpus.judgments == judgments
+        for table in (corpus.queries, corpus.judgments, corpus.features):
+            assert table.query_ids == tuple(queries)
+        columns = (corpus.queries.issue_time, corpus.queries.true_grade, corpus.queries.volume)
+        assert [column.dtype for column in columns] == [np.int64, np.float64, np.int64]
+        assert list(zip(*(column.tolist() for column in columns))) == list(queries.values())
+        assert corpus.judgments.grades.tolist() == list(map(list, judgments.values()))
         assert rankings_of(corpus.rankings) == rankings
-        assert_same_table(corpus.rankings, ranking_table(rankings))
-        assert list(corpus.features.rows) == list(feature_rows)
-        for qid, values in feature_rows.items():
-            assert corpus.features.rows[qid].tolist() == values.tolist()
+        assert_same_table(corpus.rankings, hand_built(rankings)[1])
+        assert corpus.features.rows.tolist() == [row.tolist() for row in feature_rows.values()]
 
     def test_signal_features_rise_with_grade(self):
         corpus = generate_corpus(
@@ -520,10 +517,8 @@ class TestGenerator:
                             grade_mixture=dict(JUDGED_POOL_MIXTURE)),
             seed=6,
         )
-        by_grade = {g: [] for g in GRADE_VALUES}
-        for qid, record in corpus.queries.items():
-            by_grade[record.true_grade].append(corpus.features.rows[qid][0])
-        means = [float(np.mean(by_grade[g])) for g in GRADE_VALUES]
+        means = [float(corpus.features.rows[corpus.queries.true_grade == g, 0].mean())
+                 for g in GRADE_VALUES]
         assert means == sorted(means)
 
 
@@ -546,9 +541,9 @@ class TestRoundTrip:
             ))
         }
         path = tmp_path / "r.tsv"
-        write_rankings(ranking_table(rankings), str(path))
+        write_rankings(hand_built(rankings)[1], str(path))
         assert load_rankings(str(path)) == rankings
-        assert_same_table(load_ranking_table(str(path)), ranking_table(rankings))
+        assert_same_table(load_ranking_table(str(path)), hand_built(rankings)[1])
 
     def test_generated_table_equals_its_written_file_reread(self, tmp_path):
         corpus = generate_corpus(GeneratorConfig(n_queries=25, ranking_depth=6), seed=12)
@@ -561,9 +556,16 @@ class TestRoundTrip:
         write_corpus(corpus, str(tmp_path))
         reloaded = load_corpus(str(tmp_path))
         assert reloaded.features.names == corpus.features.names
-        assert list(reloaded.features.rows) == list(corpus.features.rows)
-        for qid, values in corpus.features.rows.items():
-            assert np.array_equal(reloaded.features.rows[qid], values)
-        assert list(reloaded.queries) == list(corpus.queries)
-        for qid, record in reloaded.queries.items():
-            assert record.true_grade == corpus.queries[qid].true_grade
+        assert reloaded.features.query_ids == corpus.features.query_ids
+        assert np.array_equal(reloaded.features.rows, corpus.features.rows)
+        assert reloaded.queries.query_ids == corpus.queries.query_ids
+        assert np.array_equal(reloaded.queries.true_grade, corpus.queries.true_grade)
+
+    def test_absent_grades_and_volumes_read_as_nan_and_zero_and_write_as_dashes(self, tmp_path):
+        text = "q1\t100\t-\t-\nq2\t200\t0.25\t7\nq3\t300\t0.95\t-\nq4\t400\t-\t1\n"
+        queries = load_queries(_write(tmp_path, "queries.tsv", text))
+        assert queries.query_ids == ("q1", "q2", "q3", "q4")
+        assert np.array_equal(queries.true_grade, [np.nan, 0.25, 0.95, np.nan], equal_nan=True)
+        assert queries.volume.tolist() == [0, 7, 0, 1]
+        write_queries(queries, str(tmp_path / "again.tsv"))
+        assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == text

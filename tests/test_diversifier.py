@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from freshblend.corpus import QueryRecord, Ranking, ranking_table
 from freshblend.errors import ValidationError
 from freshblend.experiments import blend_pages, prepare_queries
 from freshblend.kernels import err_iaa_batch, greedy_blend
 from freshblend.metric import BreakExponent, MetricConfig
 from oracles import (
     Candidate,
+    Ranking,
     advance,
     brute_force_best,
     generated_corpora,
+    hand_built,
     initial_state,
     marginal_gain,
     page_arrays,
@@ -62,8 +63,8 @@ class TestBlendFixtures:
             assert (order >= 0).all()
 
     def test_empty_pool_blends_to_an_empty_page(self):
-        prepared = prepare_queries({"q": QueryRecord("q", 1000)},
-                                   ranking_table({"q": Ranking(())}), CFG, require_latents=False)
+        prepared = prepare_queries(*hand_built({"q": Ranking(())}, 1000), CFG,
+                                   require_latents=False)
         orders, gains = blend_pages(prepared, 0.5, CFG)
         assert prepared.sizes.tolist() == [0]
         assert orders.shape == gains.shape == (1, 0)

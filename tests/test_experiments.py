@@ -14,13 +14,9 @@ from hypothesis import strategies as st
 from freshblend import experiments
 from freshblend.calibration import DEFAULT_PRIOR_TABLE, PositionPriorTable
 from freshblend.corpus import (
-    DocEntry,
     GeneratorConfig,
     JUDGED_POOL_MIXTURE,
-    QueryRecord,
-    Ranking,
     generate_corpus,
-    ranking_table,
 )
 from freshblend.errors import ValidationError
 from freshblend.experiments import (
@@ -42,7 +38,10 @@ from freshblend.freshness import FreshnessWindow
 from freshblend.kernels import err_iaa_batch
 from freshblend.metric import BreakExponent, MetricConfig
 from oracles import (
+    DocEntry,
+    Ranking,
     exact_two_sided_p,
+    hand_built,
     midrank_mann_whitney,
     one_shot_ab_report,
     one_shot_bucket,
@@ -306,10 +305,10 @@ def check_prepared_rows(queries, ranked, config, window, table, require_latents)
     m = prepared.cal_fresh.shape[1]
     # pages are as wide as the longest pool allows, never wider than the depth
     width = min(depth, int(prepared.sizes.max(initial=0)))
-    assert prepared.query_ids == prepared.table.query_ids == tuple(queries)
+    assert prepared.query_ids == prepared.table.query_ids == queries.query_ids
     assert prepared.initial_order.shape == prepared.fresh_order.shape == (len(queries), width)
     expected = prepared_pools(queries, rankings, depth, window, table)
-    for b, (qid, (fresh, pool)) in enumerate(zip(queries, expected)):
+    for b, (qid, (fresh, pool)) in enumerate(zip(queries.query_ids, expected)):
         ranking = rankings[qid]
         size = len(pool)
         offset = int(prepared.table.offsets[b])
@@ -336,11 +335,12 @@ def check_prepared_rows(queries, ranked, config, window, table, require_latents)
 
 @st.composite
 def ranking_batches(draw):
-    """Up to five queries of 0-40 documents each, fresh, stale or
-    future-dated, with and without latents, and a window, a prior table and
-    a depth to prepare them under."""
+    """Up to five hand-built queries of 0-40 documents each, fresh, stale or
+    future-dated, with and without latents, as their query and ranking
+    tables, and a window, a prior table and a depth to prepare them
+    under."""
     window = draw(st.integers(1, 10**6))
-    queries, rankings = {}, {}
+    issue_times, rankings = [], {}
     for i in range(draw(st.integers(1, 5))):
         qid = f"q{i}"
         issue_time = draw(st.integers(2 * 10**6, 10**7))
@@ -352,31 +352,29 @@ def ranking_batches(draw):
             latent = st.one_of(st.none(), st.floats(0.0, 1.0))
             entries.append(DocEntry(f"{qid}-d{rank}", rank, issue_time - age,
                                     draw(latent), draw(latent)))
-        queries[qid] = QueryRecord(qid, issue_time)
+        issue_times.append(issue_time)
         rankings[qid] = Ranking(tuple(entries))
     priors = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                            min_size=1, max_size=12))
     table = PositionPriorTable(tuple(sorted(priors, reverse=True)))
     config = MetricConfig(depth=draw(st.integers(1, 14)))
-    return queries, rankings, FreshnessWindow(window), table, config
+    return (*hand_built(rankings, issue_times), FreshnessWindow(window), table, config)
 
 
 class TestPreparedTable:
     @given(ranking_batches(), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_table_path_equals_the_per_query_reference(self, batch, random):
-        queries, rankings, window, table, config = batch
-        ranked = ranking_table(rankings)
+        queries, ranked, window, table, config = batch
         check_prepared_rows(queries, ranked, config, window, table, require_latents=False)
 
         # a query's rows do not depend on the batch it is prepared in
-        order = list(queries)
+        order = list(queries.query_ids)
         random.shuffle(order)
-        shuffled = {qid: queries[qid] for qid in order}
-        together = prepare_queries(shuffled, ranked, config, window, table,
+        together = prepare_queries(queries.select(order), ranked, config, window, table,
                                    require_latents=False)
         for b, qid in enumerate(together.query_ids):
-            alone = prepare_queries({qid: queries[qid]}, ranked, config, window, table,
+            alone = prepare_queries(queries.select([qid]), ranked, config, window, table,
                                     require_latents=False)
             size = int(alone.sizes[0])
             assert together.sizes[b] == size
@@ -396,19 +394,17 @@ class TestPrepareQueries:
     @pytest.mark.parametrize("depth", [1, 4, 10])
     @pytest.mark.parametrize("table", [DEFAULT_PRIOR_TABLE, PositionPriorTable((0.5, 0.3))])
     def test_hand_rows_match_a_doc_id_lookup(self, depth, table):
-        queries = {qid: QueryRecord(qid, 1000) for qid in HAND_RANKINGS}
-        check_prepared_rows(queries, ranking_table(HAND_RANKINGS), MetricConfig(depth=depth),
+        check_prepared_rows(*hand_built(HAND_RANKINGS, 1000), MetricConfig(depth=depth),
                             FreshnessWindow(100), table, require_latents=True)
 
     def test_rows_without_latents_pad_with_zeros(self):
         rankings = {**HAND_RANKINGS,
                     "bare": ranking_of([STALE, FRESH, STALE, FRESH], latents=False)}
-        queries = {qid: QueryRecord(qid, 1000) for qid in rankings}
-        check_prepared_rows(queries, ranking_table(rankings), MetricConfig(depth=3),
+        queries, ranked = hand_built(rankings, 1000)
+        check_prepared_rows(queries, ranked, MetricConfig(depth=3),
                             FreshnessWindow(100), DEFAULT_PRIOR_TABLE, require_latents=False)
         with pytest.raises(ValidationError, match="'bare' doc 'd1' lacks latent"):
-            prepare_queries(queries, ranking_table(rankings), MetricConfig(depth=3),
-                            FreshnessWindow(100))
+            prepare_queries(queries, ranked, MetricConfig(depth=3), FreshnessWindow(100))
 
     def test_generated_rows_match_a_doc_id_lookup(self):
         corpus = small_corpus(seed=21, n=60)
@@ -418,7 +414,7 @@ class TestPrepareQueries:
 
     def test_query_without_ranking_rejected(self):
         with pytest.raises(ValidationError, match="has no ranking"):
-            prepare_queries({"q": QueryRecord("q", 1000)}, ranking_table({}))
+            prepare_queries(hand_built({"q": Ranking(())}, 1000)[0], hand_built({})[1])
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +457,7 @@ class TestSweep:
     def test_curves_cover_every_grade_present(self, tmp_path):
         corpus = small_corpus(seed=9, n=200)
         curves = sweep_estimate(corpus, grid=(0.0, 0.5, 0.95))
-        grades = {q.true_grade for q in corpus.queries.values()}
+        grades = set(corpus.queries.true_grade.tolist())
         assert {c.true_grade for c in curves} == grades
         out = tmp_path / "sweep.csv"
         write_sweep_csv(curves, str(out))
@@ -525,7 +521,7 @@ class TestAbTest:
 
     def test_metric_ranges(self):
         corpus = small_corpus(seed=14, n=150)
-        grades = {qid: q.true_grade for qid, q in corpus.queries.items()}
+        grades = dict(zip(corpus.queries.query_ids, corpus.queries.true_grade.tolist()))
         report = ab_test(corpus, initial_ranking_policy(), blend_policy(grades),
                          n_queries=4000, seed=18)
         for key in ("abandonment_rate", "ctr_position_1", "ctr_position_2"):
@@ -536,7 +532,7 @@ class TestAbTest:
 
     def test_deterministic_in_seed(self):
         corpus = small_corpus(seed=15, n=100)
-        grades = {qid: q.true_grade for qid, q in corpus.queries.items()}
+        grades = dict(zip(corpus.queries.query_ids, corpus.queries.true_grade.tolist()))
         a = ab_test(corpus, initial_ranking_policy(), blend_policy(grades),
                     n_queries=2000, seed=4)
         b = ab_test(corpus, initial_ranking_policy(), blend_policy(grades),
@@ -704,7 +700,7 @@ class TestStreamedSimulation:
     @pytest.mark.parametrize("treatment", ["blend", "empty_pages"])
     def test_ab_report_equals_the_one_shot_oracle(self, monkeypatch, config, treatment):
         corpus = small_corpus(seed=23, n=90)
-        grades = {qid: q.true_grade for qid, q in corpus.queries.items()}
+        grades = dict(zip(corpus.queries.query_ids, corpus.queries.true_grade.tolist()))
         if treatment == "blend":
             treatment_policy = blend_policy(grades)
         else:

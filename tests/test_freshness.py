@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshblend.corpus import DocEntry, Ranking, ranking_table
 from freshblend.errors import ConfigError, ParseError, UnknownQueryError, ValidationError
 from freshblend.freshness import (
     DEFAULT_WINDOW,
@@ -17,6 +16,7 @@ from freshblend.freshness import (
     load_query_log,
     write_burst_csv,
 )
+from oracles import DocEntry, Ranking, hand_built
 
 DAY = 86_400
 
@@ -47,7 +47,7 @@ class TestIsFresh:
         window = FreshnessWindow(window)
         assert is_fresh(timestamp, query_time, window) is fresh
         # the same document in a one-query table, in int64
-        table = ranking_table({"q": Ranking((DocEntry("d", 1, timestamp),))})
+        _, table = hand_built({"q": Ranking((DocEntry("d", 1, timestamp),))})
         assert derive_fresh_ranking(table, [query_time], window).tolist() == [int(fresh)]
 
     def test_window_must_be_positive(self):
@@ -57,9 +57,9 @@ class TestIsFresh:
 
 def table_with_ages(ages, query_time):
     """A one-query table of documents d0, d1, ... of the given ages."""
-    return ranking_table({"q": Ranking(tuple(
+    return hand_built({"q": Ranking(tuple(
         DocEntry(f"d{i}", i + 1, query_time - age) for i, age in enumerate(ages)
-    ))})
+    ))})[1]
 
 
 def fresh_ranks(table, query_time, window=DEFAULT_WINDOW):

@@ -240,8 +240,9 @@ class TestLoadModel:
         (one_feature_model_bytes({"feature_names": "abc"}), "feature_names"),
         (one_feature_model_bytes({"feature_names": [1, None]}), "feature_names"),
         (one_feature_model_bytes({"n_trees": 7, "trees": []}), "n_trees"),
+        (one_feature_model_bytes({"feature_names": ["a", "b", "a"]}), "feature_names repeats 'a'"),
     ], ids=["child-loop", "feature-out-of-range", "not-utf-8", "feature-names-a-string",
-            "feature-names-not-strings", "n-trees-not-the-tree-count"])
+            "feature-names-not-strings", "n-trees-not-the-tree-count", "feature-name-repeated"])
     def test_malformed_model_is_a_validation_error_naming_the_file(self, tmp_path, data,
                                                                    message):
         path = tmp_path / "model.json"
@@ -290,8 +291,7 @@ class TestOnSyntheticCorpus:
         config = GeneratorConfig(n_queries=1500, ranking_depth=1,
                                  grade_mixture=dict(JUDGED_POOL_MIXTURE))
         corpus = generate_corpus(config, seed=21)
-        qids = list(corpus.queries)
-        x, y = training_set(corpus.features, corpus.judgments, qids)
+        x, y = training_set(corpus.features, corpus.judgments, corpus.queries.query_ids)
         model = train_gbrt(x, y, GbrtHyperparams(n_trees=60),
                            feature_names=corpus.features.names)
         predictions = predict_batch(model, x)
