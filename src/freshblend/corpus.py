@@ -15,13 +15,10 @@ field, from the file or the generator to the experiments:
                 classifier consumes
 
 One helper joins them by query id (`RankingTable.select`,
-`QueryTable.select`, `training_set`).  The small files are read row by
-row by `fileio.TsvRows`, each row's values checked as it is read.
-`load_ranking_table` parses rankings.tsv a block of lines at a time: a
-block whose lines all have the same 4, 5 or 6 fields of printable ASCII,
-with '\\n' or '\\r\\n' line ends and no blank line, is read by one typed
-`np.loadtxt`; any other block, and every faulty one, row by row by
-`TsvRows`.  The writers format the columns.
+`QueryTable.select`, `training_set`).  Every file but features.tsv is
+read by `fileio.read_tsv`, a block of lines at a time, into the columns
+its loader declares, each with its value rule; the writers format the
+columns.
 
 File formats (read under the shared rules of `fileio`: UTF-8, '-' for an
 absent optional value, '.' decimal separator):
@@ -40,16 +37,14 @@ position-prior table, so that calibrated probabilities are unbiased
 estimates of the latent ground truth.
 """
 
-import io
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .fileio import TsvRows, fmt, opt_real, parse_int, parse_real, write_lines
+from .fileio import BLOCK_LINES, Column, TsvRows, fmt, parse_real, read_tsv, write_lines
 
 GRADE_VALUES = (0.0, 0.25, 0.75, 0.95)
 
@@ -71,33 +66,6 @@ FEATURE_NAMES = (
 
 _BASE_ISSUE_TIME = 1_300_000_000  # arbitrary fixed epoch for generated data
 MAX_GENERATED_ROWS = 10**8  # ranked documents, n_queries x ranking_depth
-
-#: Lines of rankings.tsv parsed or formatted at a time: only one block's
-#: fields are held as strings at once besides the columns.
-BLOCK_LINES = 1 << 13
-
-
-_LATENT_NAMES = ("latent_rel_any", "latent_rel_fresh")
-
-
-def _document_values(rank: int, timestamp: int, latent_any=None, latent_fresh=None):
-    """A ranked document's values, an absent latent None; a
-    ValidationError names the first one out of range."""
-    if rank < 1:
-        raise ValidationError(f"rank must be >= 1, got {rank}")
-    if not 0 <= timestamp < 2**63:
-        raise ValidationError(f"timestamp must be in [0, 2**63), got {timestamp}")
-    for label, value in zip(_LATENT_NAMES, (latent_any, latent_fresh)):
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{label} out of [0,1]: {value!r}")
-    return rank, timestamp, latent_any, latent_fresh
-
-
-def _on_scale(grade: float, what: str) -> float:
-    """Refuse a grade that is not one of GRADE_VALUES."""
-    if grade not in GRADE_VALUES:
-        raise ValidationError(f"{what} {grade!r} not in {GRADE_VALUES}")
-    return grade
 
 
 def _positions(query_ids: tuple[str, ...], wanted, missing: str) -> np.ndarray:
@@ -211,43 +179,37 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 
+def _on_scale(label: str, what: str, optional: bool = False) -> Column:
+    """A grade column: a grade is one of GRADE_VALUES."""
+    return Column(label, np.float64, optional, lambda grades: ~np.isin(grades, GRADE_VALUES),
+                  f"{what} {{!r}} not in {GRADE_VALUES}")
+
+
+_RANKING_COLUMNS = (
+    Column("query_id"), Column("doc_id"),
+    Column("rank", np.int64, False, lambda rank: rank < 1, "rank must be >= 1, got {}"),
+    Column("timestamp", np.int64, False, lambda timestamp: timestamp < 0,
+           "timestamp must be in [0, 2**63), got {}"),
+    *(Column(label, np.float64, True, lambda latent: (latent < 0.0) | (latent > 1.0),
+             label + " out of [0,1]: {!r}") for label in ("latent_rel_any", "latent_rel_fresh")))
+_QUERY_COLUMNS = (Column("query_id"), Column("issue_time", np.int64),
+                  _on_scale("true_grade", "true_grade", True),
+                  Column("volume", np.int64, True, lambda volume: volume < 1,
+                         "volume must be positive, got {}"))
+_JUDGMENT_COLUMNS = (Column("query_id"), *[_on_scale("grade", "assessor grade")] * 3)
+
+
 def load_ranking_table(path: str) -> RankingTable:
-    """Read a rankings TSV into a table, `BLOCK_LINES` lines at a time.
+    """Read a rankings TSV into a table by `fileio.read_tsv`.
 
     Queries keep the order of their first line; a query's lines may come
     in any order, and its ranks must run 1, 2, ... once sorted.  A line
-    is read under the `fileio` rules with 4-6 fields, its values checked
-    by `_document_values`, and a (query_id, doc_id) pair may appear
-    once.  A fault names the first bad line with the message a
-    line-by-line reader gives it.
-
-    A block whose lines all have the same 4, 5 or 6 fields of printable
-    ASCII and tabs, ended by '\\n' or '\\r\\n', is read by one typed
-    `np.loadtxt`, which parses the numbers in C.  Every other block
-    (blank lines, '-' latents, mixed widths, non-ASCII text), and one
-    holding a token loadtxt refuses or a value a check refuses, is read
-    row by row by `TsvRows`, which gives every diagnostic.  Both accept
-    the same input and build the same columns.
+    has 4-6 fields, and a (query_id, doc_id) pair may appear once; a rank
+    is >= 1, a timestamp in [0, 2**63) and a latent in [0,1].
     """
-    index: dict[str, int] = {}  # query id -> query index, by first appearance
-    blocks = []
-    with open(path, "rb") as handle:
-        first = 1
-        while lines := list(islice(handle, BLOCK_LINES)):
-            columns = _typed_columns(lines)
-            if columns is None:
-                block, fault = _row_block(lines, first, index, path)
-            else:
-                query_ids, *values = columns
-                line = np.arange(first, first + len(lines))
-                block, fault = (line, _query_index(query_ids, index), *values), None
-            blocks.append(block)
-            if fault is not None:
-                _refuse_repeat(*_columns(blocks)[:3], index, path)
-                raise fault
-            first += len(lines)
-    line, query, doc_ids, rank, timestamps, latent_any, latent_fresh = _columns(blocks)
-    _refuse_repeat(line, query, doc_ids, index, path)
+    query_ids, doc_ids, rank, timestamps, latent_any, latent_fresh = read_tsv(
+        path, _RANKING_COLUMNS, fewest=4, key=2)
+    index, query = _query_index(query_ids)
 
     order = np.lexsort((rank, query))
     query, rank = query[order], rank[order]
@@ -262,157 +224,50 @@ def load_ranking_table(path: str) -> RankingTable:
                         timestamps[order], latent_any[order], latent_fresh[order])
 
 
-# A block's columns: line numbers, query index, doc ids, rank, timestamp and
-# the two latents, NaN where absent.
-_EMPTY_BLOCK = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, object),
-                np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
-
-
-def _columns(blocks) -> list[np.ndarray]:
-    return [np.concatenate(column) for column in zip(*blocks, _EMPTY_BLOCK)]
-
-
-#: The bytes a block's text may hold to be read by `_typed_columns`.
-_TYPED_BYTES = bytes([ord("\t"), ord("\n"), ord("\r"), *range(0x20, 0x7F)])
-_TYPED_FIELDS = [("query_id", object), ("doc_id", object), ("rank", np.int64),
-                 ("timestamp", np.int64), ("latent_any", np.float64),
-                 ("latent_fresh", np.float64)]
-#: The row dtype of a block of each width.
-_TYPED_ROWS = {width: np.dtype(_TYPED_FIELDS[:width]) for width in (4, 5, 6)}
-
-
-def _typed_columns(lines: list[bytes]):
-    """The six columns of a regular block read by one typed `np.loadtxt`,
-    latents the width lacks NaN, or None if the block is not regular or
-    holds a value the checks refuse.
-
-    A regular block is printable ASCII and tabs in lines ended by '\\n'
-    or '\\r\\n', none blank, each with the first line's 4, 5 or 6 fields.
-    On that text loadtxt parses a number only where `int` or `float`
-    parses it to the same value, and refuses a line of another width; only
-    the id columns become `str` objects.
-    """
-    data = b"".join(lines)
-    if data.translate(None, _TYPED_BYTES):
-        return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    dtype = _TYPED_ROWS.get(lines[0].count(b"\t") + 1)
-    if dtype is None or b"\r" in data or data.startswith(b"\n") or b"\n\n" in data:
-        return None
-    try:
-        table = np.loadtxt(io.StringIO(data.decode("ascii")), delimiter="\t", comments=None,
-                           ndmin=1, dtype=dtype)
-    except ValueError:
-        return None
-    # copies, so that no column keeps the whole row array alive
-    columns = [table[name].copy() for name in dtype.names]
-    del table
-    query_ids, doc_ids, rank, timestamps, *latents = columns
-    bad = (query_ids == "") | (doc_ids == "") | (rank < 1) | (timestamps < 0)
-    for latent in latents:
-        bad |= ~((latent >= 0.0) & (latent <= 1.0))
-    if bad.any():
-        return None
-    return columns + [np.full(rank.size, np.nan) for _ in range(6 - len(columns))]
-
-
-def _query_index(query_ids: np.ndarray, index: dict[str, int]) -> np.ndarray:
-    """Each row's query index: each run of one query id takes that query's
-    index, new ids the next one."""
+def _query_index(query_ids: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
+    """Each query id's index, by first appearance, and each row's: a run
+    of one query id takes that query's index."""
+    index: dict[str, int] = {}
     head = np.flatnonzero(np.concatenate(([True], query_ids[1:] != query_ids[:-1])))
-    return np.repeat(np.fromiter((index.setdefault(qid, len(index)) for qid in query_ids[head]),
-                                 np.int64, head.size),
-                     np.diff(np.append(head, query_ids.size)))
-
-
-def _row_block(lines: list[bytes], first: int, index: dict[str, int], path: str):
-    """The columns of a block of lines numbered from `first`, read row by
-    row by `TsvRows`, and its first fault as a ParseError or None.  A
-    block with a fault keeps only its line, query and doc id columns, of
-    the rows before the faulty one and of a faulty row whose fields were
-    read: the repeat check still needs its pair."""
-    kept, values = [], []  # (line, query_id, doc_id) and the values of each row
-    fault = None
-    try:
-        with TsvRows(path, (4, 6), lines=(text.decode("utf-8", "surrogateescape")
-                                          for text in lines), first=first) as rows:
-            for query_id, doc_id, rank, timestamp, *latents in rows:
-                kept.append((rows.line, query_id, doc_id))
-                if not query_id or not doc_id:
-                    raise ValidationError("empty query_id or doc_id")
-                values.append(_document_values(parse_int(rank, "rank"),
-                                               parse_int(timestamp, "timestamp"),
-                                               *map(opt_real, latents, _LATENT_NAMES)))
-    except ParseError as exc:
-        fault = exc
-    if not kept:
-        return _EMPTY_BLOCK, fault
-    line, query_ids, doc_ids = zip(*kept)
-    block = (np.array(line, np.int64), _query_index(np.array(query_ids, object), index),
-             np.array(doc_ids, object))
-    if fault is None:
-        block += tuple(np.array(column, dtype) for column, dtype in
-                       zip(zip(*values), (np.int64, np.int64, np.float64, np.float64)))
-    return block, fault
-
-
-_HASH_MIX = -0x61C8864680B583EB  # 2**64 / golden ratio, as a signed 64-bit multiplier
-
-
-def _refuse_repeat(line, query, doc_ids, index: dict[str, int], path: str) -> None:
-    """Refuse the first row whose (query_id, doc_id) pair an earlier row
-    has.  Rows are sorted by a hash of the pair; a run of equal hashes,
-    rare unless a pair repeats, is then compared pair by pair."""
-    key = np.fromiter(map(hash, doc_ids), np.int64, doc_ids.size) ^ (query * _HASH_MIX)
-    order = np.argsort(key)
-    tied = np.flatnonzero(np.diff(key[order]) == 0)
-    repeats = []
-    for run in np.split(tied, np.flatnonzero(np.diff(tied) > 1) + 1) if tied.size else ():
-        seen = set()
-        for row in np.sort(order[run[0]:run[-1] + 2]).tolist():
-            pair = (int(query[row]), doc_ids[row])
-            if pair in seen:
-                repeats.append(row)
-                break
-            seen.add(pair)
-    if repeats:
-        row = min(repeats)
-        pair = (list(index)[query[row]], doc_ids[row])
-        raise ParseError(f"duplicate query_id/doc_id {pair!r}", path, int(line[row]))
+    head = head[:query_ids.size]  # no run in an empty column
+    query = np.fromiter((index.setdefault(qid, len(index)) for qid in query_ids[head]),
+                        np.int64, head.size)
+    return index, np.repeat(query, np.diff(np.append(head, query_ids.size)))
 
 
 def load_judgments(path: str) -> JudgmentTable:
     """Read a judgments TSV of three assessor grades per query."""
-    query_ids, grades = [], []
-    with TsvRows(path, 4, key="query_id") as rows:
-        for qid, *tokens in rows:
-            row = [parse_real(token, "grade") for token in tokens]
-            for grade in row:
-                _on_scale(grade, "assessor grade")
-            query_ids.append(qid)
-            grades.append(row)
-    return JudgmentTable(tuple(query_ids), np.array(grades, np.float64).reshape(-1, 3))
+    query_ids, *grades = read_tsv(path, _JUDGMENT_COLUMNS, key=1)
+    return JudgmentTable(tuple(query_ids), np.column_stack(grades))
 
 
 def load_features(path: str) -> FeatureTable:
-    """Read a features TSV (header `query_id` and the names, each once, then
-    one row per query)."""
-    query_ids, rows = [], []
+    """Read a features TSV (header `query_id` and the names, at least one
+    and each once, then one row per query).
+
+    Its rows are still read one at a time: read by `read_tsv`, `predict`
+    often ends within one 50 ms period of perfbench's host probe, which
+    fails the `quickstart` run (ROADMAP item 1)."""
+    query_ids, rows, seen = [], [], set()
     with TsvRows(path) as reader:
-        header = next(iter(reader), None)
-        if header is None:
+        names = next(iter(reader), None)
+        if names is None:
             return FeatureTable((), (), np.empty((0, 0)))
-        if header[0] != "query_id":
-            raise ValidationError(f"header must start with 'query_id', got {header[0]!r}")
-        names = tuple(header[1:])
+        if names[0] != "query_id":
+            raise ValidationError(f"header must start with 'query_id', got {names[0]!r}")
+        names = tuple(names[1:])
+        if not names:
+            raise ValidationError("header names no feature")
         if not all(names):
             raise ValidationError("empty feature name in header")
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValidationError(f"duplicate feature name {name!r}")
-        reader.width, reader.key = len(names) + 1, "query_id"
+        reader.width, reader.key = (len(names) + 1, len(names) + 1), ("query_id",)
         for qid, *tokens in reader:
+            if qid in seen:
+                raise ValidationError(f"duplicate query_id {qid!r}")
+            seen.add(qid)
             query_ids.append(qid)
             rows.append([parse_real(token, "feature value") for token in tokens])
     return FeatureTable(names, tuple(query_ids),
@@ -436,27 +291,16 @@ def training_set(features: FeatureTable, judgments: JudgmentTable,
 def load_queries(path: str) -> QueryTable:
     """Read a queries TSV (query_id, issue_time, true_grade, volume), '-'
     for an absent grade or volume."""
-    query_ids, times, grades, volumes = [], [], [], []
-    with TsvRows(path, 4, key="query_id") as rows:
-        for qid, issue_time, grade, volume in rows:
-            times.append(parse_int(issue_time, "issue_time"))
-            grade = opt_real(grade, "true_grade")
-            volume = None if volume == "-" else parse_int(volume, "volume")
-            grades.append(math.nan if grade is None else _on_scale(grade, "true_grade"))
-            if volume is not None and volume < 1:
-                raise ValidationError(f"volume must be positive, got {volume}")
-            query_ids.append(qid)
-            volumes.append(volume or 0)
-    return QueryTable(tuple(query_ids), np.array(times, np.int64),
-                      np.array(grades, np.float64), np.array(volumes, np.int64))
+    query_ids, issue_time, true_grade, volume = read_tsv(path, _QUERY_COLUMNS, key=1)
+    return QueryTable(tuple(query_ids), issue_time, true_grade, volume)
 
 
 def load_predictions(path: str) -> dict[str, float]:
     """Read a predictions TSV (query_id, p_fresh).  The range of p_fresh
     is checked where it is used, so that every estimate source is
     checked alike."""
-    with TsvRows(path, 2, key="query_id") as rows:
-        return {qid: parse_real(p_fresh, "p_fresh") for qid, p_fresh in rows}
+    query_ids, p_fresh = read_tsv(path, (Column("query_id"), Column("p_fresh", np.float64)), key=1)
+    return dict(zip(query_ids.tolist(), p_fresh.tolist()))
 
 
 def load_corpus(directory: str) -> Corpus:

@@ -274,8 +274,9 @@ def sweep_estimate(
     window: FreshnessWindow = DEFAULT_WINDOW,
     table: PositionPriorTable = DEFAULT_PRIOR_TABLE,
 ) -> list[SweepCurve]:
-    """Blend every query with each estimate on the grid and score the
-    result under the true intent distribution.
+    """Blend every query with each estimate on the grid, values in [0,1]
+    and each once, and score the result under the true intent
+    distribution.
 
     Returns one curve per true grade present in the corpus, each point
     the mean score of that grade's queries at one estimate.
@@ -283,9 +284,11 @@ def sweep_estimate(
     grid = tuple(DEFAULT_SWEEP_GRID if grid is None else grid)
     if not grid:
         raise ValidationError("the sweep grid is empty")
-    for p_hat in grid:
+    for i, p_hat in enumerate(grid):
         if not 0.0 <= p_hat <= 1.0:
             raise ValidationError(f"grid value out of [0,1]: {p_hat!r}")
+        if p_hat in grid[:i]:
+            raise ValidationError(f"the sweep grid repeats {p_hat!r}")
     prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
     _require_grades(prepared)
     grades = [float(g) for g in np.unique(prepared.true_grade)]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .corpus import RankingTable
 from .errors import ConfigError, UnknownQueryError, ValidationError
-from .fileio import TsvRows, fmt, parse_int, write_lines
+from .fileio import Column, fmt, read_tsv, write_lines
 
 #: 3 days, in seconds.
 DEFAULT_WINDOW_SECONDS = 259_200
@@ -121,14 +121,10 @@ def burst_profile(log) -> BurstProfile:
 
 def load_query_log(path: str) -> list[tuple[str, int, int]]:
     """Read a query log TSV: query_id<TAB>day_index<TAB>count."""
-    log: list[tuple[str, int, int]] = []
-    with TsvRows(path, 3) as rows:
-        for qid, day, count in rows:
-            day, count = parse_int(day, "day_index"), parse_int(count, "count")
-            if count < 0:
-                raise ValidationError(f"negative count {count}")
-            log.append((qid, day, count))
-    return log
+    query_ids, day, count = read_tsv(path, (
+        Column("query_id"), Column("day_index", np.int64),
+        Column("count", np.int64, False, lambda count: count < 0, "negative count {}")))
+    return list(zip(query_ids.tolist(), day.tolist(), count.tolist()))
 
 
 def write_burst_csv(profile: BurstProfile, path: str) -> None:

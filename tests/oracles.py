@@ -7,14 +7,16 @@ float64 operations one element at a time, the boosted-tree fit one node
 at a time, the candidate pools built one query and one document at a
 time, the greedy step folded into per-intent survival masses,
 from-scratch evaluations of the objective, exhaustive searches,
-rank-based Mann-Whitney tests, the A/B test drawn whole in one shot and
+rank-based Mann-Whitney tests, the A/B test drawn whole in one shot,
 the rankings reader and the corpus generator one line and one
-`DocEntry` at a time.  A ranking here is a `Ranking` of `DocEntry`
-records, and `hand_built` turns such rankings into the tables the
-library reads.  A page or pool is a list of `Candidate` records;
-`page_arrays` packs one into the (1, n) rows the page kernels read.  It
-also holds the hypothesis strategy that draws generated corpora with the
-tables and metric settings to prepare them under.
+`DocEntry` at a time, and the small-file loaders one row at a time, each
+value checked as it is read (`load_queries_rows` and the others).  A
+ranking here is a `Ranking` of `DocEntry` records, and `hand_built`
+turns such rankings into the tables the library reads.  A page or pool
+is a list of `Candidate` records; `page_arrays` packs one into the (1, n)
+rows the page kernels read.  It also holds the hypothesis strategy that
+draws generated corpora with the tables and metric settings to prepare
+them under.
 """
 
 import itertools
@@ -26,10 +28,10 @@ from hypothesis import strategies as st
 
 from freshblend import experiments, kernels
 from freshblend.calibration import PositionPriorTable
-from freshblend.corpus import (GRADE_VALUES, GeneratorConfig, QueryTable, RankingTable,
-                               _document_values, generate_corpus)
+from freshblend.corpus import (GRADE_VALUES, FeatureTable, GeneratorConfig, JudgmentTable,
+                               QueryTable, RankingTable, generate_corpus)
 from freshblend.errors import ParseError, ValidationError
-from freshblend.fileio import TsvRows, opt_real, parse_int
+from freshblend.fileio import TsvRows, parse_int, parse_real
 from freshblend.freshness import FreshnessWindow, is_fresh
 from freshblend.metric import DEFAULT_METRIC_CONFIG, BreakExponent, MetricConfig
 from freshblend.recency_classifier import (GbrtHyperparams, GbrtModel, RegressionTree,
@@ -344,7 +346,14 @@ class DocEntry:
     latent_rel_fresh: float | None = None
 
     def __post_init__(self):
-        _document_values(self.rank, self.timestamp, self.latent_rel_any, self.latent_rel_fresh)
+        if self.rank < 1:
+            raise ValidationError(f"rank must be >= 1, got {self.rank}")
+        if not 0 <= self.timestamp < 2**63:
+            raise ValidationError(f"timestamp must be in [0, 2**63), got {self.timestamp}")
+        for label in ("latent_rel_any", "latent_rel_fresh"):
+            value = getattr(self, label)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{label} out of [0,1]: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -418,6 +427,100 @@ def load_rankings(path: str) -> dict[str, Ranking]:
         except ValidationError as exc:
             raise ParseError(f"query {qid!r}: {exc}", path) from None
     return rankings
+
+
+def opt_real(token: str, what: str) -> float | None:
+    return None if token == "-" else parse_real(token, what)
+
+
+# ---------------------------------------------------------------------------
+# the small files, one row at a time
+# ---------------------------------------------------------------------------
+
+
+def _new_key(qid: str, seen: set) -> str:
+    """A row's query_id, which must be non-empty and new."""
+    if not qid:
+        raise ParseError("empty query_id")
+    if qid in seen:
+        raise ParseError(f"duplicate query_id {qid!r}")
+    seen.add(qid)
+    return qid
+
+
+def _on_scale(grade: float, what: str) -> float:
+    if grade not in GRADE_VALUES:
+        raise ValidationError(f"{what} {grade!r} not in {GRADE_VALUES}")
+    return grade
+
+
+def load_queries_rows(path: str) -> QueryTable:
+    query_ids, times, grades, volumes, seen = [], [], [], [], set()
+    with TsvRows(path, (4, 4)) as rows:
+        for qid, issue_time, grade, volume in rows:
+            _new_key(qid, seen)
+            times.append(parse_int(issue_time, "issue_time"))
+            grade = opt_real(grade, "true_grade")
+            volume = None if volume == "-" else parse_int(volume, "volume")
+            grades.append(math.nan if grade is None else _on_scale(grade, "true_grade"))
+            if volume is not None and volume < 1:
+                raise ValidationError(f"volume must be positive, got {volume}")
+            query_ids.append(qid)
+            volumes.append(volume or 0)
+    return QueryTable(tuple(query_ids), np.array(times, np.int64),
+                      np.array(grades, np.float64), np.array(volumes, np.int64))
+
+
+def load_judgments_rows(path: str) -> JudgmentTable:
+    query_ids, grades, seen = [], [], set()
+    with TsvRows(path, (4, 4)) as rows:
+        for qid, *tokens in rows:
+            query_ids.append(_new_key(qid, seen))
+            grades.append([parse_real(token, "grade") for token in tokens])
+            for grade in grades[-1]:
+                _on_scale(grade, "assessor grade")
+    return JudgmentTable(tuple(query_ids), np.array(grades, np.float64).reshape(-1, 3))
+
+
+def load_features_rows(path: str) -> FeatureTable:
+    query_ids, rows, seen = [], [], set()
+    with TsvRows(path) as reader:
+        header = next(iter(reader), None)
+        if header is None:
+            return FeatureTable((), (), np.empty((0, 0)))
+        if header[0] != "query_id":
+            raise ValidationError(f"header must start with 'query_id', got {header[0]!r}")
+        names = tuple(header[1:])
+        if not names:
+            raise ValidationError("header names no feature")
+        if not all(names):
+            raise ValidationError("empty feature name in header")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"duplicate feature name {name!r}")
+        reader.width = (len(names) + 1, len(names) + 1)
+        for qid, *tokens in reader:  # goes on after the header
+            query_ids.append(_new_key(qid, seen))
+            rows.append([parse_real(token, "feature value") for token in tokens])
+    return FeatureTable(names, tuple(query_ids),
+                        np.array(rows, np.float64).reshape(len(rows), len(names)))
+
+
+def load_predictions_rows(path: str) -> dict[str, float]:
+    seen = set()
+    with TsvRows(path, (2, 2)) as rows:
+        return {_new_key(qid, seen): parse_real(p_fresh, "p_fresh") for qid, p_fresh in rows}
+
+
+def load_query_log_rows(path: str) -> list[tuple[str, int, int]]:
+    log = []
+    with TsvRows(path, (3, 3)) as rows:
+        for qid, day, count in rows:
+            day, count = parse_int(day, "day_index"), parse_int(count, "count")
+            if count < 0:
+                raise ValidationError(f"negative count {count}")
+            log.append((qid, day, count))
+    return log
 
 
 def generate_per_document(config: GeneratorConfig, seed: int):

@@ -352,6 +352,21 @@ class TestConfigPrecedence:
         assert capsys.readouterr().err == "freshblend: error: the sweep grid is empty\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, flags", [(None, ["--grid", "0.5,0.5,0.25"]),
+                                               (b'{"grid": [0.25, 0.5, 0.25]}', [])],
+                             ids=["repeat-flag", "repeat-config-list"])
+    def test_a_repeated_sweep_grid_value_exits_one(self, tmp_path, corpus_dir, capsys, config,
+                                                   flags):
+        argv = ["sweep", "--corpus", corpus_dir, "--out", str(tmp_path / "out"), *flags]
+        if config is not None:
+            (tmp_path / "config.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert run(argv) == 1
+        repeated = "0.5" if config is None else "0.25"
+        assert capsys.readouterr().err == (
+            f"freshblend: error: the sweep grid repeats {repeated}\n")
+        assert not (tmp_path / "out").exists()
+
     @given(key=st.sampled_from(SHARED_KEYS), value=st.floats() | st.integers() | st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
         lambda children: st.lists(children) | st.dictionaries(st.text(), children),
@@ -463,6 +478,17 @@ class TestTrainingSetErrors:
                     os.path.join(corpus_dir, "judgments.tsv"),
                     "--out", str(tmp_path / "model")]) == 1
         assert capsys.readouterr().err == "freshblend: error: training dataset is empty\n"
+
+    def test_train_on_a_header_that_names_no_feature_exits_one(self, tmp_path, corpus_dir,
+                                                                capsys):
+        features = tmp_path / "features.tsv"
+        features.write_text("query_id\nq000000\nq000001\n", encoding="utf-8")
+        assert run(["train", "--features", str(features), "--judgments",
+                    os.path.join(corpus_dir, "judgments.tsv"),
+                    "--out", str(tmp_path / "model")]) == 1
+        assert capsys.readouterr().err == (
+            f"freshblend: error: {features}:1: header names no feature\n")
+        assert not (tmp_path / "model").exists()
 
     def test_buckets_names_the_first_query_without_features(self, tmp_path, corpus_dir,
                                                              capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshblend import corpus as corpus_module
+from freshblend import fileio
 from freshblend.corpus import (
     GRADE_VALUES,
     JUDGED_POOL_MIXTURE,
@@ -36,21 +37,22 @@ from freshblend.errors import ConfigError, ParseError, ValidationError
 from freshblend.fileio import fmt
 from freshblend.freshness import FreshnessWindow, is_fresh, load_query_log
 from oracles import (DocEntry, Ranking, generate_per_document, generated_corpora, hand_built,
-                     load_rankings, rankings_of)
-
-TABLE_FIELDS = ("query_ids", "offsets", "query", "rank", "doc_ids", "timestamps",
-                "latent_any", "latent_fresh")
-
+                     load_features_rows, load_judgments_rows, load_predictions_rows,
+                     load_queries_rows, load_query_log_rows, load_rankings, rankings_of)
 
 def assert_same_table(actual, expected):
-    """Every column equal, NaN to NaN, and of the same dtype."""
-    for name in TABLE_FIELDS:
+    """The same table, every column equal, NaN to NaN, and of the same
+    dtype and shape; or, for what is not a table, the same value."""
+    if not dataclasses.is_dataclass(expected):
+        assert actual == expected
+        return
+    for name in (field.name for field in dataclasses.fields(expected)):
         a, b = getattr(actual, name), getattr(expected, name)
-        if isinstance(b, tuple):
-            assert a == b, name
-        else:
-            assert a.dtype == b.dtype, name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), name
+        else:
+            assert a == b, name
 
 
 def _write(tmp_path, name, text):
@@ -106,7 +108,7 @@ class TestLoadRankings:
         # every doc id hashes alike, so the repeat check compares the ids
         text = "q1\td1\t1\t100\nq1\td2\t2\t90\nq1\td3\t3\t80\n"
         path = _write(tmp_path, "r.tsv", text + "q1\td2\t4\t70\n")
-        with mock.patch.object(corpus_module, "hash", lambda _: 7, create=True):
+        with mock.patch.object(fileio, "hash", lambda _: 7, create=True):
             assert load_ranking_table(_write(tmp_path, "ok.tsv", text)).doc_ids == (
                 "d1", "d2", "d3")
             with pytest.raises(ParseError, match="^" + re.escape(
@@ -146,20 +148,20 @@ def _regular_text(table, random) -> str:
 class TestAgainstTheRowByRowReader:
     @given(generated_corpora(), st.randoms(use_true_random=False),
            st.sampled_from([_irregular_text, _regular_text]),
-           st.sampled_from([corpus_module.BLOCK_LINES, 1, 2, 7, 64]))
+           st.sampled_from([fileio.BLOCK_LINES, 1, 2, 7, 64]))
     @settings(max_examples=80, deadline=None)
     def test_table_equals_the_reference_field_by_field(self, tmp_path_factory, drawn, random,
                                                        text_of, block_lines):
         path = tmp_path_factory.mktemp("drawn") / "rankings.tsv"
         path.write_bytes(text_of(drawn[0].rankings, random).encode("utf-8"))
         # one block, or blocks of a few lines, so that queries span several
-        with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+        with mock.patch.object(fileio, "BLOCK_LINES", block_lines):
             loaded = load_ranking_table(str(path))
         assert_same_table(loaded, hand_built(load_rankings(str(path)))[1])
 
     @given(generated_corpora(), st.randoms(use_true_random=False),
            st.sampled_from([_irregular_text, _regular_text]),
-           st.sampled_from([corpus_module.BLOCK_LINES, 1, 3, 16]))
+           st.sampled_from([fileio.BLOCK_LINES, 1, 3, 16]))
     @settings(max_examples=120, deadline=None)
     def test_faulty_files_get_the_reference_diagnostic(self, tmp_path_factory, drawn, random,
                                                        text_of, block_lines):
@@ -173,7 +175,7 @@ class TestAgainstTheRowByRowReader:
                 lines[at] = random.choice(FAULTS)(fields, random)
         path = tmp_path_factory.mktemp("faulty") / "rankings.tsv"
         path.write_bytes(b"\n".join(lines))
-        with mock.patch.object(corpus_module, "BLOCK_LINES", block_lines):
+        with mock.patch.object(fileio, "BLOCK_LINES", block_lines):
             loaded = _outcome(load_ranking_table, str(path))
         expected = _outcome(load_rankings, str(path))
         if isinstance(expected, str):
@@ -182,15 +184,18 @@ class TestAgainstTheRowByRowReader:
             assert_same_table(loaded, hand_built(expected)[1])
 
 
+#: Tokens on which a typed `np.loadtxt` and the row-by-row token parsers
+#: could disagree.
+TYPED_TOKENS = ["\x1c5", "5\x0c", "1_0", "\u0665", "\uff11\uff12", "+5", " 5", "-0", "00",
+                "1e3", "nan", "inf", ".5", "1" * 20, "", "-5", "1.5"]
+
+
 class TestTypedBlockRead:
     """Blocks of regular lines are read by one typed `np.loadtxt`; every
     other block row by row by `TsvRows`.  Both accept the same input."""
 
     @pytest.mark.parametrize("width, field", [(w, f) for w in (4, 5, 6) for f in range(w)])
-    @pytest.mark.parametrize("token", [
-        "\x1c5", "5\x0c", "1_0", "\u0665", "\uff11\uff12", "+5", " 5", "-0", "00", "1e3",
-        "nan", "inf", ".5", "1" * 20, "", "-5", "1.5",
-    ])
+    @pytest.mark.parametrize("token", TYPED_TOKENS)
     def test_a_token_gets_the_reference_outcome(self, tmp_path, width, field, token):
         fields = ["q1", "d1", "1", "100", "0.5", "0.25"][:width]
         fields[field] = token
@@ -214,7 +219,7 @@ class TestTypedBlockRead:
                                 seed).rankings
         path = tmp_path / "rankings.tsv"
         write_rankings(table, str(path))
-        assert len(table.doc_ids) > corpus_module.BLOCK_LINES  # more than one block
+        assert len(table.doc_ids) > fileio.BLOCK_LINES  # more than one block
         lines = path.read_bytes().decode("utf-8").splitlines()
         path.write_bytes("".join("\t".join(line.split("\t")[:width]) + ending
                                  for line in lines).encode("utf-8"))
@@ -222,9 +227,29 @@ class TestTypedBlockRead:
         expected = dataclasses.replace(table,
                                        latent_any=table.latent_any if width > 4 else absent,
                                        latent_fresh=table.latent_fresh if width > 5 else absent)
-        with mock.patch.object(corpus_module, "_row_block",
-                               side_effect=AssertionError("row path taken")):
+        with mock.patch.object(fileio, "_row_block", side_effect=AssertionError("row path taken")):
             assert_same_table(load_ranking_table(str(path)), expected)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("mixture, seed", [(corpus_module.TRAFFIC_MIXTURE, 3),
+                                               (JUDGED_POOL_MIXTURE, 11)],
+                             ids=["traffic", "judged"])
+    def test_written_generated_corpus_files_never_take_the_general_path(self, tmp_path, mixture,
+                                                                       seed, ending):
+        # features.tsv is still read row by row, outside `read_tsv`
+        corpus = generate_corpus(GeneratorConfig(n_queries=400, ranking_depth=3,
+                                                 grade_mixture=mixture), seed)
+        write_corpus(corpus, str(tmp_path))
+        loaders = {"queries": load_queries, "rankings": load_ranking_table,
+                   "judgments": load_judgments}
+        row_path = AssertionError("row path taken")
+        for name, load in loaders.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+            # blocks of 64 lines, so that each file spans several
+            with mock.patch.object(fileio, "_row_block", side_effect=row_path), \
+                    mock.patch.object(fileio, "BLOCK_LINES", 64):
+                assert_same_table(load(str(path)), getattr(corpus, name))
 
 
 def _outcome(load, path):
@@ -316,6 +341,17 @@ class TestLineFormat:
         (load_ranking_table, b"q1\td1\t1\t100\nq1\td1\t2\t90\n", 2,
          "duplicate query_id/doc_id ('q1', 'd1')"),
         (load_judgments, b"q1\t0.25\t0.25\t0.25\nq1\t0\t0\t0\n", 2, "duplicate query_id 'q1'"),
+        # on one line a repeat comes before a refused token or value
+        (load_ranking_table, b"q1\td1\t1\t100\nq1\td1\tx\t90\n", 2,
+         "duplicate query_id/doc_id ('q1', 'd1')"),
+        (load_ranking_table, b"q1\td1\t1\t100\nq1\td1\t0\t90\n", 2,
+         "duplicate query_id/doc_id ('q1', 'd1')"),
+        (load_judgments, b"q1\t0\t0\t0\nq1\tx\t0.5\t0\n", 2, "duplicate query_id 'q1'"),
+        (load_queries, b"q1\t1\t-\t-\nq1\t1\t0.5\t0\n", 2, "duplicate query_id 'q1'"),
+        # on one line the value rules are checked in field order
+        (load_ranking_table, b"q1\td1\t0\t-5\t2\n", 1, "rank must be >= 1, got 0"),
+        (load_judgments, b"q1\t0.25\t0.5\t0.1\n", 1, "assessor grade 0.5 not in"),
+        (load_queries, b"q1\t1\t0.5\t0\n", 1, "true_grade 0.5 not in"),
         (load_judgments, b"q1\t0.5\t0.75\t0.25\n", 1, "assessor grade 0.5 not in"),
         (load_judgments, b"q1\t0.25\t0.1\t0.75\n", 1, "assessor grade 0.1 not in"),
         (load_queries, b"\t100\t-\t-\n", 1, "empty query_id"),
@@ -330,6 +366,8 @@ class TestLineFormat:
         (load_features, b"q1\t0.5\t0.25\nq2\t0.1\t0.2\n", 1,
          "header must start with 'query_id', got 'q1'"),
         (load_features, b"query_id\ta\ta\nq1\t0.5\t0.25\n", 1, "duplicate feature name 'a'"),
+        (load_features, b"query_id\nq1\nq2\n", 1, "header names no feature"),
+        (load_features, b"\r\n\nquery_id\r\n", 3, "header names no feature"),
         (load_predictions, b"q1\tnan\n", 1, "p_fresh is not finite: 'nan'"),
         (load_query_log, b"q1\t1\tmany\n", 1, "bad count: 'many'"),
         (load_query_log, b"q1\t1\t3\r\nq1\t2\t-3\r\n", 2, "negative count -3"),
@@ -396,9 +434,101 @@ class TestBlockedDiagnostics:
         expected = "^" + re.escape(f"{path}:{line}: {message}")
         with pytest.raises(ParseError, match=expected):
             load_rankings(str(path))  # the row-by-row reader agrees
-        with mock.patch.object(corpus_module, "BLOCK_LINES", 3):
+        with mock.patch.object(fileio, "BLOCK_LINES", 3):
             with pytest.raises(ParseError, match=expected):
                 load_ranking_table(str(path))
+
+
+def _queries_lines(corpus, random):
+    queries = corpus.queries
+    return [f"{qid}\t{time}\t{random.choice([fmt(grade), '-'])}\t{random.choice([volume, '-'])}"
+            for qid, time, grade, volume in zip(queries.query_ids, queries.issue_time.tolist(),
+                                                 queries.true_grade.tolist(),
+                                                 queries.volume.tolist())]
+
+
+def _judgments_lines(corpus, random):
+    judgments = corpus.judgments
+    return ["\t".join((qid, *map(fmt, row)))
+            for qid, row in zip(judgments.query_ids, judgments.grades.tolist())]
+
+
+def _features_lines(corpus, random):
+    features = corpus.features
+    return ["\t".join(("query_id", *features.names)),
+            *("\t".join((qid, *map(fmt, row)))
+              for qid, row in zip(features.query_ids, features.rows.tolist()))]
+
+
+def _predictions_lines(corpus, random):
+    return [f"{qid}\t{fmt(row[0])}" for qid, row in zip(corpus.features.query_ids,
+                                                        corpus.features.rows.tolist())]
+
+
+def _query_log_lines(corpus, random):
+    return [f"{random.choice(corpus.queries.query_ids)}\t{random.randint(-3, 40)}\t"
+            f"{random.randint(0, 10**6)}" for _ in range(random.randint(0, 60))]
+
+
+#: Each small-file loader, its row-by-row reference and the lines of a
+#: generated file it reads.
+SMALL_FILES = [
+    (load_queries, load_queries_rows, _queries_lines),
+    (load_judgments, load_judgments_rows, _judgments_lines),
+    (load_features, load_features_rows, _features_lines),
+    (load_predictions, load_predictions_rows, _predictions_lines),
+    (load_query_log, load_query_log_rows, _query_log_lines),
+]
+
+#: Tokens a fault writes into a field of a small file.
+SMALL_FAULT_TOKENS = (b"", b"x", b"-", b"nan", b"inf", b"1e3", b"-5", b"0", b"-0.0", b"0.5",
+                      b"0.25", b" 1_0 ", b"1.5", str(2**63).encode(), b"q000001")
+
+
+class TestSmallFilesAgainstTheRowByRowReaders:
+    """Each small-file loader gives its row-by-row reference's table, or
+    its message, wherever the block boundaries fall."""
+
+    @pytest.mark.parametrize("load, reference, lines_of", SMALL_FILES,
+                             ids=[load.__name__ for load, _, _ in SMALL_FILES])
+    @given(drawn=generated_corpora(), random=st.randoms(use_true_random=False),
+           block_lines=st.sampled_from([fileio.BLOCK_LINES, 1, 2, 5]), faults=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_loader_equals_its_reference(self, tmp_path_factory, load, reference, lines_of,
+                                         drawn, random, block_lines, faults):
+        lines = [line.encode() for line in lines_of(drawn[0], random)]
+        at = random.randrange(len(lines)) if lines else None
+        for _ in range(faults if lines else 0):
+            if random.random() < 0.5:  # else one more fault on the same line
+                at = random.randrange(len(lines))
+            fields = lines[at].split(b"\t")
+            fault = random.randrange(5)
+            if fault == 0:  # too few or too many fields
+                fields = fields[:random.randrange(len(fields))] or fields + [b"0.5"] * 3
+            elif fault == 1:
+                fields[-1] += b"\xff"
+            elif fault == 2:  # another line's query id: a repeat
+                fields[0] = random.choice(lines).split(b"\t")[0]
+            else:
+                fields[random.randrange(len(fields))] = random.choice(SMALL_FAULT_TOKENS)
+            lines[at] = b"\t".join(fields)
+        for _ in range(random.randint(0, 3)):
+            lines.insert(random.randint(0, len(lines)), b"")
+        path = tmp_path_factory.mktemp("small") / "input.tsv"
+        path.write_bytes(b"".join(line + random.choice([b"\n", b"\r\n"]) for line in lines))
+        with mock.patch.object(fileio, "BLOCK_LINES", block_lines):
+            loaded = _outcome(load, str(path))
+        assert_same_table(loaded, _outcome(reference, str(path)))
+
+    @pytest.mark.parametrize("load, reference, field", [
+        (load_queries, load_queries_rows, 1), (load_judgments, load_judgments_rows, 2),
+    ], ids=["issue_time", "grade"])
+    @pytest.mark.parametrize("token", TYPED_TOKENS)
+    def test_a_token_gets_the_reference_outcome(self, tmp_path, load, reference, field, token):
+        fields = ["q1", "100", "0.25", "0.75"]
+        fields[field] = token
+        path = _write(tmp_path, "small.tsv", "q0\t90\t0.25\t0.75\n" + "\t".join(fields) + "\n")
+        assert_same_table(_outcome(load, path), _outcome(reference, path))
 
 
 class TestTrainingSet:
