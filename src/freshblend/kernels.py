@@ -1,10 +1,13 @@
 """Hot numeric kernels in vectorized numpy.
 
-Each kernel works on a whole batch at once and loops in Python only over
+Each kernel works on a whole batch per call and loops in Python only over
 the short axis, or not at all: pools or pages by page position
 (`greedy_blend`, `err_iaa_batch`), impressions by position
 (`simulate_clicks_batch`), every feature row of one tree node at once
-(`best_split`), and rows by tree depth (`tree_apply`).
+(`best_split`), and rows by tree depth (`tree_apply`).  `greedy_blend`
+also walks its rows in cache-sized chunks of `_CHUNK` pools, each blended
+position by position in preallocated buffers; a row's result does not
+depend on the chunk it falls in.
 tests/test_kernels.py checks every kernel bit-for-bit against a
 scalar-loop reference in tests/oracles.py that performs the same float64
 operations one element at a time; `best_split` row by row.
@@ -33,32 +36,72 @@ def backend_name() -> str:
 # positive per-position discount cannot change it.  Returns (order, gains),
 # both (B, min(depth, M)): order holds the placed column per position, -1
 # once a row's pool is exhausted, where its gain is 0.
+#
+# Rows are blended _CHUNK at a time, so that a chunk's (chunk, M) float64
+# buffers stay in cache, and every position writes into them with out=
+# instead of allocating.  Padded and placed columns are excluded by one
+# additive penalty, 0 on open columns and -2 elsewhere.  Precondition: the
+# (B, M) r_fresh, r_any and the (B,) p_fresh, p_any are float64 arrays with
+# values in [0, 1] and p_fresh + p_any = 1, as every caller passes them, so
+# every gain lies in [0, 1] up to rounding.  Adding 0.0 then leaves an open
+# gain exact, and a penalized one lies below -0.9, under every open one, so
+# the argmax and its first-maximum tie-break see what masking the placed
+# columns would show.  Picks, gathers and placements go through flat
+# indices row * M + column.  A row whose pool is exhausted keeps picking
+# some penalized column; its order and gains are set to -1 and 0 once,
+# after the loop.
 # ---------------------------------------------------------------------------
+
+_CHUNK = 1024
 
 
 def greedy_blend(r_fresh, r_any, sizes, p_fresh, p_any, p_break, shift, depth):
     b, m = r_fresh.shape
     k = depth if depth < m else m
-    rows = np.arange(b)
-    order = np.full((b, k), -1, dtype=np.int64)
-    gains = np.zeros((b, k), dtype=np.float64)
-    placed = np.arange(m)[None, :] >= sizes[:, None]
-    sf = np.ones(b, dtype=np.float64)
-    sa = np.ones(b, dtype=np.float64)
-    disc = 1.0 if shift == 1 else p_break
-    for pos in range(k):
-        wf = p_fresh * sf
-        wa = p_any * sa
-        u = wf[:, None] * r_fresh + wa[:, None] * r_any
-        u[placed] = -1.0
-        pick = np.argmax(u, axis=1)
-        live = pos < sizes
-        order[live, pos] = pick[live]
-        gains[live, pos] = disc * u[rows[live], pick[live]]
-        placed[rows, pick] = True
-        sf = sf * (1.0 - r_fresh[rows, pick])
-        sa = sa * (1.0 - r_any[rows, pick])
-        disc = disc * p_break
+    order = np.empty((b, k), dtype=np.int64)
+    gains = np.empty((b, k), dtype=np.float64)
+    c = max(min(_CHUNK, b), 1)
+    u, tmp, penalty = np.empty((3, c, m))
+    wf, wa, sf, sa, taken = np.empty((5, c))
+    pick, flat = np.empty((2, c), dtype=np.intp)
+    row_start = np.arange(c, dtype=np.intp) * m
+    columns = np.arange(m)
+    for lo in range(0, b, c):
+        hi = min(lo + c, b)
+        n = hi - lo
+        rf, ra = r_fresh[lo:hi], r_any[lo:hi]
+        pf, pa = p_fresh[lo:hi], p_any[lo:hi]
+        uc, tc, pc = u[:n], tmp[:n], penalty[:n]
+        wfc, wac, sfc, sac = wf[:n], wa[:n], sf[:n], sa[:n]
+        tk, pk, fl = taken[:n], pick[:n], flat[:n]
+        pc.fill(0.0)
+        pc[columns >= sizes[lo:hi, None]] = -2.0
+        sfc.fill(1.0)
+        sac.fill(1.0)
+        disc = 1.0 if shift == 1 else p_break
+        for pos in range(k):
+            np.multiply(pf, sfc, out=wfc)
+            np.multiply(pa, sac, out=wac)
+            np.multiply(wfc[:, None], rf, out=uc)
+            np.multiply(wac[:, None], ra, out=tc)
+            uc += tc
+            uc += pc
+            np.argmax(uc, axis=1, out=pk)
+            order[lo:hi, pos] = pk
+            np.add(row_start[:n], pk, out=fl)
+            np.take(uc, fl, out=tk)
+            np.multiply(disc, tk, out=gains[lo:hi, pos])
+            np.put(pc, fl, -2.0)
+            np.take(rf, fl, out=tk)
+            np.subtract(1.0, tk, out=tk)
+            sfc *= tk
+            np.take(ra, fl, out=tk)
+            np.subtract(1.0, tk, out=tk)
+            sac *= tk
+            disc = disc * p_break
+    past = np.arange(k) >= sizes[:, None]
+    order[past] = -1
+    gains[past] = 0.0
     return order, gains
 
 

@@ -1,10 +1,16 @@
 """Greedy blending against hand fixtures, exhaustive per-step rechecks
 and the brute-force oracle, on one-pool batches of `kernels.greedy_blend`;
-and the pure-fresh-intent page on prepared tables through `blend_pages`."""
+and, on prepared tables through `blend_pages`, the pure-fresh-intent page
+and the independence of each row's blend from the batch it is blended in."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freshblend import kernels
 
 from freshblend.errors import ValidationError
 from freshblend.experiments import blend_pages, prepare_queries
@@ -212,3 +218,32 @@ class TestPureFreshIntent:
             assert (np.diff(r_fresh[:lead]) <= 0).all()
             ranks = prepared.table.rank[prepared.candidates[b, page[lead:]]]
             assert (np.diff(ranks) > 0).all()
+
+
+def rows_of(prepared, lo, hi):
+    """The prepared queries of rows lo:hi, every per-query field sliced."""
+    per_query = {field.name: getattr(prepared, field.name)[lo:hi]
+                 for field in dataclasses.fields(prepared) if field.name != "table"}
+    return dataclasses.replace(prepared, **per_query)
+
+
+class TestSplitBatches:
+    @given(generated_corpora(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_whole_batch_equals_the_blends_of_a_split(self, drawn, data):
+        # the kernel walks its rows in chunks of kernels._CHUNK; however the
+        # rows are split into batches and chunks, each row's page and gains
+        # are the same
+        corpus, window, table, config = drawn
+        prepared = prepare_queries(corpus.queries, corpus.rankings, config, window, table)
+        b = len(prepared.query_ids)
+        p_fresh = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=b, max_size=b)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, b), max_size=4)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_CHUNK", data.draw(st.integers(1, b + 1)))
+            whole = blend_pages(prepared, p_fresh, config)
+            patch.setattr(kernels, "_CHUNK", data.draw(st.integers(1, 8)))
+            pieces = [blend_pages(rows_of(prepared, lo, hi), p_fresh[lo:hi], config)
+                      for lo, hi in zip([0, *cuts], [*cuts, b])]
+        for whole_part, piece_parts in zip(whole, zip(*pieces)):
+            assert np.array_equal(whole_part, np.concatenate(piece_parts))

@@ -16,11 +16,13 @@ from freshblend.calibration import DEFAULT_PRIOR_TABLE, PositionPriorTable
 from freshblend.corpus import (
     GeneratorConfig,
     JUDGED_POOL_MIXTURE,
+    TRAFFIC_MIXTURE,
     generate_corpus,
 )
 from freshblend.errors import ValidationError
 from freshblend.experiments import (
     DEFAULT_SWEEP_GRID,
+    METRIC_NAMES,
     STRATEGIES,
     ab_test,
     blend_policy,
@@ -713,3 +715,89 @@ class TestStreamedSimulation:
         report = ab_test(corpus, initial_ranking_policy(), treatment_policy,
                          n_queries=3000, seed=29, metric_config=config)
         assert report == expected
+
+
+# ---------------------------------------------------------------------------
+# the simulated A/B test against its own click model
+# ---------------------------------------------------------------------------
+
+
+def first_click_shares(prepared, orders, config):
+    """The volume-weighted analytic probability that an impression's first
+    click falls within the first 1, 2, ... positions of its page: the cascade
+    that `err_iaa_batch` scores, under each query's true intent mixture."""
+    pages = experiments._page_matrices(prepared, orders)
+    weights = prepared.volume / prepared.volume.sum()
+    p = prepared.true_grade
+    return np.array([weights @ err_iaa_batch(pages[0][:, :k], pages[1][:, :k], p, 1.0 - p,
+                                             config.p_break, config.break_exponent.shift)
+                     for k in range(1, pages.shape[2] + 1)])
+
+
+class TestBucketMeans:
+    # raw traffic, as the A/B test sees it, and the judged-pool mix, whose
+    # fresh intents are common enough to check the per-impression intent draw
+    @pytest.mark.parametrize("mixture", [TRAFFIC_MIXTURE, JUDGED_POOL_MIXTURE],
+                             ids=["traffic", "judged"])
+    @pytest.mark.parametrize("exponent", list(BreakExponent))
+    def test_whole_buckets_match_the_analytic_click_model(self, exponent, mixture):
+        # each bucket's abandonment, CTR@1 and CTR@2 against the model it
+        # simulates; the treatment pages come from the greedy kernel
+        n = 500_000
+        corpus = small_corpus(seed=31, n=400, mixture=mixture)
+        config = MetricConfig(break_exponent=exponent)
+        grades = dict(zip(corpus.queries.query_ids, corpus.queries.true_grade.tolist()))
+        policies = {"control": initial_ranking_policy(), "treatment": blend_policy(grades)}
+        report = ab_test(corpus, *policies.values(), n_queries=n, seed=37, metric_config=config)
+        prepared = prepare_queries(corpus.queries, corpus.rankings, config)
+        for bucket, policy in policies.items():
+            within = first_click_shares(prepared, policy(prepared, config), config)
+            expected = {"abandonment_rate": 1.0 - within[-1], "ctr_position_1": within[0],
+                        "ctr_position_2": within[1] - within[0]}
+            for name, share in expected.items():
+                simulated = getattr(report.metrics[name], bucket) / 100.0
+                z = (simulated - share) / np.sqrt(share * (1.0 - share) / n)
+                assert abs(z) <= 4.0, (bucket, name, simulated, share, z)
+
+
+class TestAaCalibration:
+    def test_p_values_of_identical_buckets_are_uniform(self):
+        # A/A: both buckets show the same pages, so every metric's p-value is
+        # uniform; each run draws two buckets from the one prepared page stack
+        runs, n, alpha = 500, 4000, 0.05
+        corpus = small_corpus(seed=3, n=300, mixture=TRAFFIC_MIXTURE)
+        config = MetricConfig()
+        prepared = prepare_queries(corpus.queries, corpus.rankings, config)
+        pages = experiments._page_matrices(prepared, initial_ranking_policy()(prepared, config))
+        weights = prepared.volume / prepared.volume.sum()
+        levels = max(3, 1 + pages.shape[2])
+        p_values = {name: [] for name in METRIC_NAMES}
+        for run in range(runs):
+            (counts_a, times_a), (counts_b, times_b) = (
+                experiments._simulate_bucket(child, pages, prepared.true_grade, weights, n,
+                                             config, levels)
+                for child in np.random.SeedSequence(1000 + run).spawn(2))
+
+            def indicator(position):
+                return [np.array([n - c[position], c[position]]) for c in (counts_a, counts_b)]
+
+            comparisons = {
+                "abandonment_rate": experiments._level_comparison(*indicator(0), 0, 100.0),
+                "time_to_first_click": experiments._sample_comparison(times_a, times_b),
+                "ctr_position_1": experiments._level_comparison(*indicator(1), 0, 100.0),
+                "ctr_position_2": experiments._level_comparison(*indicator(2), 0, 100.0),
+                "first_click_position": experiments._level_comparison(
+                    counts_a[1:], counts_b[1:], 1, 1.0),
+            }
+            for name, comparison in comparisons.items():
+                p_values[name].append(comparison.p_value)
+        # each metric's rejections are Binomial(runs, alpha)
+        most_rejections = scipy.stats.binom.ppf(0.999, runs, alpha)
+        for name, values in p_values.items():
+            assert sum(p < alpha for p in values) <= most_rejections, name
+        # the pooled empirical cdf is the mean of the five metrics' cdfs, so
+        # its distance from uniform is at most the largest of theirs; a union
+        # bound over the five gives a 99.9% limit however the metrics correlate
+        pooled = np.concatenate(list(p_values.values()))
+        distance = scipy.stats.kstest(pooled, "uniform").statistic
+        assert distance <= scipy.stats.kstwo.ppf(1.0 - 0.001 / len(p_values), runs)

@@ -35,8 +35,20 @@ def random_pool(rng, m):
     return r_fresh, r_any, tie_rank
 
 
+# patched kernels._CHUNK values: every seam between chunks, a short last
+# chunk, and (None, the default) a batch smaller than one chunk
+CHUNKS = {"chunk1": 1, "chunk2": 2, "chunk3": 3, "chunk7": 7, "default": None}
+
+
+def patch_chunk(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+
+
 class TestLoopOracles:
-    def test_greedy_blend_row_by_row(self):
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+    def test_greedy_blend_row_by_row(self, monkeypatch, chunk):
+        patch_chunk(monkeypatch, chunk)
         rng = np.random.default_rng(0)
         for _ in range(60):
             b = int(rng.integers(1, 10))
@@ -69,6 +81,50 @@ class TestLoopOracles:
                 assert np.array_equal(gains[i, :k], gains_i)
                 assert (order[i, k:] == -1).all()
                 assert (gains[i, k:] == 0.0).all()
+
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+    @pytest.mark.parametrize("b, m, depth", [(0, 5, 3), (0, 0, 2), (4, 0, 3), (5, 4, 9)])
+    def test_greedy_blend_empty_batches_and_depth_past_the_pool(self, monkeypatch, chunk,
+                                                                b, m, depth):
+        patch_chunk(monkeypatch, chunk)
+        rng = np.random.default_rng(b + m)
+        r_fresh, r_any = rng.random((b, m)), rng.random((b, m))
+        sizes = np.full(b, m)
+        p_fresh = rng.random(b)
+        order, gains = kernels.greedy_blend(r_fresh, r_any, sizes, p_fresh, 1.0 - p_fresh,
+                                            0.85, 0, depth)
+        assert order.dtype == np.int64 and gains.dtype == np.float64
+        assert order.shape == gains.shape == (b, min(depth, m))
+        for i in range(b):
+            order_i, gains_i = greedy_blend_loop(r_fresh[i], r_any[i], np.arange(m),
+                                                 p_fresh[i], 1.0 - p_fresh[i], 0.85, 0, depth)
+            assert np.array_equal(order[i], order_i)
+            assert np.array_equal(gains[i], gains_i)
+
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_greedy_blend_all_padding_rows(self, monkeypatch, chunk, shift):
+        # rows of size 0 beside full and partial rows, at every chunk seam:
+        # an all-padding row places nothing and leaves its neighbours alone
+        patch_chunk(monkeypatch, chunk)
+        rng = np.random.default_rng(5 + shift)
+        sizes = np.array([0, 6, 0, 0, 3, 6, 0, 1, 0])
+        b, m = sizes.size, 6
+        padding = np.arange(m)[None, :] >= sizes[:, None]
+        r_fresh = np.where(padding, 0.0, rng.random((b, m)))
+        r_any = np.where(padding, 0.0, rng.random((b, m)))
+        p_fresh = rng.random(b)
+        order, gains = kernels.greedy_blend(r_fresh, r_any, sizes, p_fresh, 1.0 - p_fresh,
+                                            0.85, shift, 4)
+        assert (order[sizes == 0] == -1).all() and (gains[sizes == 0] == 0.0).all()
+        for i, size in enumerate(sizes):
+            order_i, gains_i = greedy_blend_loop(r_fresh[i, :size], r_any[i, :size],
+                                                 np.arange(size), p_fresh[i], 1.0 - p_fresh[i],
+                                                 0.85, shift, 4)
+            k = order_i.size
+            assert np.array_equal(order[i, :k], order_i)
+            assert np.array_equal(gains[i, :k], gains_i)
+            assert (order[i, k:] == -1).all() and (gains[i, k:] == 0.0).all()
 
     def test_err_iaa_batch(self):
         rng = np.random.default_rng(1)
