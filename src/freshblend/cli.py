@@ -421,6 +421,8 @@ def _blend_queries(args: argparse.Namespace, rankings: RankingTable) -> QueryTab
     if args.query_time is not None:
         if not -2**63 <= args.query_time < 2**63:
             raise ValidationError(f"issue_time does not fit in 64 bits: {args.query_time}")
+        if args.query_time < 0:
+            raise ValidationError(f"issue_time must be in [0, 2**63), got {args.query_time}")
         n = len(rankings.query_ids)
         return QueryTable(rankings.query_ids, np.full(n, args.query_time, np.int64),
                           np.full(n, np.nan), np.zeros(n, np.int64))

@@ -192,7 +192,9 @@ _RANKING_COLUMNS = (
            "timestamp must be in [0, 2**63), got {}"),
     *(Column(label, np.float64, True, lambda latent: (latent < 0.0) | (latent > 1.0),
              label + " out of [0,1]: {!r}") for label in ("latent_rel_any", "latent_rel_fresh")))
-_QUERY_COLUMNS = (Column("query_id"), Column("issue_time", np.int64),
+_QUERY_COLUMNS = (Column("query_id"),
+                  Column("issue_time", np.int64, False, lambda issue_time: issue_time < 0,
+                         "issue_time must be in [0, 2**63), got {}"),
                   _on_scale("true_grade", "true_grade", True),
                   Column("volume", np.int64, True, lambda volume: volume < 1,
                          "volume must be positive, got {}"))
@@ -290,7 +292,7 @@ def training_set(features: FeatureTable, judgments: JudgmentTable,
 
 def load_queries(path: str) -> QueryTable:
     """Read a queries TSV (query_id, issue_time, true_grade, volume), '-'
-    for an absent grade or volume."""
+    for an absent grade or volume; an issue_time is in [0, 2**63)."""
     query_ids, issue_time, true_grade, volume = read_tsv(path, _QUERY_COLUMNS, key=1)
     return QueryTable(tuple(query_ids), issue_time, true_grade, volume)
 
@@ -496,7 +498,7 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> Corpus:
         mean_rank[:, 1] = fresh_rank
         drawn[:, 1] = fresh
         means = mean_rank[drawn]
-        latents[i][drawn] = list(map(rng.beta, beta_a[means].tolist(), beta_b[means].tolist()))
+        latents[i][drawn] = rng.beta(beta_a[means], beta_b[means])
 
         noise[i] = rng.normal(0.0, config.feature_noise, size=4)
         rng.random(out=uniforms[i])  # a double per draw: one call or three alike

@@ -484,8 +484,15 @@ def _level_comparison(counts_a, counts_b, first_level: int, scale: float) -> Met
 
 
 def _sample_comparison(a: np.ndarray, b: np.ndarray) -> MetricComparison:
+    """Compare two float samples, sorting both in place so that their test
+    reads them without a copy.  The means are taken first: a float sum
+    depends on the order of its terms."""
     means = [float(x.mean()) if x.size else None for x in (a, b)]
-    u, p = (None, None) if None in means else mann_whitney_u(a, b)
+    if None in means:
+        return MetricComparison(means[0], means[1], None, None)
+    a.sort()
+    b.sort()
+    u, p = mann_whitney_u(a, b)
     return MetricComparison(means[0], means[1], u, p)
 
 
@@ -521,8 +528,8 @@ def ab_test(
     equals drawing each segment whole.  A bucket keeps only its count of
     impressions per click position, from which the four discrete metrics
     and their tests follow without a sort, and the click times of its
-    clicked impressions.  Those times, and the one argsort of both
-    buckets' times in their test, are the memory that still grows with n.
+    clicked impressions, sorted in place once their means are taken.  Those
+    times are the memory that still grows with n.
     """
     check_ab_impressions(n_queries)
     prepared = prepare_queries(corpus.queries, corpus.rankings, metric_config, window, table)
@@ -566,38 +573,75 @@ def ab_test(
 # ---------------------------------------------------------------------------
 
 
-def _mann_whitney_runs(run_a: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """Mann-Whitney U over tie runs in ascending order: run i holds
-    counts[i] > 0 tied observations, run_a[i] of them from the first
-    sample.  Returns the U statistic of the first sample and a two-sided
-    p-value from the normal approximation with tie and continuity
-    corrections.
+# Each sample is walked in value-range chunks cut at every _MW_CHUNK-th value
+# of either sorted sample, so a chunk holds at most _MW_CHUNK values of each
+# sample beyond the tie run at its lower edge.
+_MW_CHUNK = 1 << 16
+
+
+def _pairwise_sum(at: np.ndarray, terms: np.ndarray, lo: int, n: int) -> float:
+    """``np.sum`` of the n floats from position lo of a vector that is zero
+    but for terms[k] at the ascending positions at[k].  numpy sums
+    pairwise: a range of more than 128 floats is summed as two, split after
+    its first n // 2 rounded down to a multiple of 8.  So the split is
+    followed down to ranges short enough to hand to ``np.sum`` whole; a
+    range that holds no term sums to 0.0."""
+    i, j = at.searchsorted([lo, lo + n])
+    if i == j:
+        return 0.0
+    if n <= 1 << 16:
+        dense = np.zeros(n)
+        dense[at[i:j] - lo] = terms[i:j]
+        return float(dense.sum())
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(at, terms, lo, half) + _pairwise_sum(at, terms, lo + half, n - half)
+
+
+def _mann_whitney_runs(chunks) -> tuple[float, float]:
+    """Mann-Whitney U over tie runs in ascending order, given as chunks
+    (run_a, counts): run i of a chunk holds counts[i] > 0 tied
+    observations, run_a[i] of them from the first sample.  Returns the U
+    statistic of the first sample and a two-sided p-value from the normal
+    approximation with tie and continuity corrections.
 
     Each run's members share the midrank of its ranks, so the first
     sample's rank sum is a sum of half-integers.  It is summed exactly, as
     an integer count of halves; a float sum in any order gives the same
     value while it stays below 2**52, which holds whenever n(n + 1) / 2 <
     2**52, n the two samples' total: up to about 9 x 10**7 observations.
+
+    The tie term sums t**3 - t in float64 over the runs of t observations.
+    Past 2**53 the terms and their sum round, so the sum is the one
+    ``np.sum`` takes over one term per run, runs of one included; only the
+    runs of two or more are kept.
     """
-    n_a = int(run_a.sum())
-    n = int(counts.sum())
+    n_a = n = halves = runs = 0
+    tie_at, tie_terms = [], []
+    for run_a, counts in chunks:
+        # twice each run's midrank is 2 * run_end - counts + 1
+        twice = np.cumsum(counts)
+        twice += n
+        twice *= 2
+        twice -= counts
+        twice += 1
+        halves += int(twice @ run_a)
+        tied = np.flatnonzero(counts > 1)
+        ties = counts[tied].astype(np.float64)
+        ties **= 3
+        ties -= counts[tied]
+        tie_at.append(tied + runs)
+        tie_terms.append(ties)
+        runs += counts.size
+        n_a += int(run_a.sum())
+        n += int(counts.sum())
     n_b = n - n_a
     if n_a == 0 or n_b == 0:
         raise ValidationError("both samples must be non-empty")
-    # twice each run's midrank is 2 * run_end - counts + 1
-    halves = np.cumsum(counts)
-    halves *= 2
-    halves -= counts
-    halves += 1
-    halves *= run_a
-    u_a = int(halves.sum()) / 2.0 - n_a * (n_a + 1) / 2.0
-    del halves
+    u_a = halves / 2.0 - n_a * (n_a + 1) / 2.0
 
+    tie_term = _pairwise_sum(np.concatenate(tie_at), np.concatenate(tie_terms), 0, runs)
     mean = n_a * n_b / 2.0
-    ties = counts.astype(np.float64)
-    ties **= 3
-    ties -= counts
-    tie_term = float(ties.sum())
     variance = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0.0:
         return u_a, 1.0
@@ -613,33 +657,49 @@ def mann_whitney_counts(counts_a, counts_b) -> tuple[float, float]:
     counts_a = np.asarray(counts_a, dtype=np.int64)
     counts = counts_a + np.asarray(counts_b, dtype=np.int64)
     taken = counts > 0
-    return _mann_whitney_runs(counts_a[taken], counts[taken])
+    return _mann_whitney_runs([(counts_a[taken], counts[taken])])
+
+
+def _ascending(sample) -> np.ndarray:
+    """The sample as float64, itself if it is already in ascending order,
+    else a sorted copy."""
+    x = np.asarray(sample, dtype=np.float64)
+    return x if bool((x[1:] >= x[:-1]).all()) else np.sort(x)
+
+
+def _tie_runs(a: np.ndarray, b: np.ndarray):
+    """The tie runs of the ascending samples a and b pooled, in ascending
+    order, one value-range chunk at a time: yields each chunk's (run_a,
+    counts) as `_mann_whitney_runs` reads them.  The chunks are cut with a
+    left search at values of the samples, so a tie run never straddles two
+    chunks.  A run longer than _MW_CHUNK can leave a chunk empty; it is
+    skipped."""
+    edges = np.unique(np.concatenate([a[_MW_CHUNK::_MW_CHUNK], b[_MW_CHUNK::_MW_CHUNK]]))
+    cuts_a = np.concatenate(([0], a.searchsorted(edges, "left"), [a.size]))
+    cuts_b = np.concatenate(([0], b.searchsorted(edges, "left"), [b.size]))
+    for lo_a, hi_a, lo_b, hi_b in zip(cuts_a[:-1], cuts_a[1:], cuts_b[:-1], cuts_b[1:]):
+        if lo_a == hi_a and lo_b == hi_b:
+            continue
+        chunk_a, chunk_b = a[lo_a:hi_a], b[lo_b:hi_b]
+        # merged, each value of a goes after the values of b below it
+        at = np.arange(chunk_a.size) + chunk_b.searchsorted(chunk_a, "left")
+        from_a = np.zeros(chunk_a.size + chunk_b.size, dtype=bool)
+        from_a[at] = True
+        pooled = np.empty(from_a.size)
+        pooled[at] = chunk_a
+        pooled[~from_a] = chunk_b
+        starts = np.flatnonzero(np.concatenate(([True], pooled[1:] != pooled[:-1])))
+        yield np.add.reduceat(from_a, starts, dtype=np.int64), np.diff(starts, append=from_a.size)
 
 
 def mann_whitney_u(sample_a, sample_b) -> tuple[float, float]:
     """U statistic of the first sample and a two-sided p-value from the
-    normal approximation with tie and continuity corrections.  One argsort
-    of the pooled values marks each sorted place's sample, and the pooled
-    values sorted in place give the tie runs.  The argsort need not be
-    stable: a run's count of first-sample members does not depend on their
-    order within the run."""
-    a = np.asarray(sample_a, dtype=np.float64)
-    b = np.asarray(sample_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("both samples must be non-empty")
-    # Arrays are dropped as soon as they are used: with a million clicks per
-    # A/B bucket, this sort is the A/B test's memory peak.
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled)
-    from_a = order < a.size
-    del order
-    pooled.sort()
-    starts = np.flatnonzero(np.concatenate(([True], pooled[1:] != pooled[:-1])))
-    del pooled
-    run_a = np.add.reduceat(from_a, starts, dtype=np.int64)
-    counts = np.diff(starts, append=from_a.size)
-    del from_a, starts
-    return _mann_whitney_runs(run_a, counts)
+    normal approximation with tie and continuity corrections.  A sample
+    that is not in ascending order is sorted in a copy; the caller's arrays
+    are never changed.  The two sorted samples are then walked together in
+    value-range chunks (`_tie_runs`), so beyond the samples the test holds
+    only a chunk's arrays and one entry per run of tied values."""
+    return _mann_whitney_runs(_tie_runs(_ascending(sample_a), _ascending(sample_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def _fit_tree(x_t: np.ndarray, rows: np.ndarray, sample: np.ndarray, residual: n
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     node_of = np.zeros(x_t.shape[1], dtype=np.int64)
     level = [(0, 0, sample.size)]  # (node, start, stop): its slice of every index row
-    for _ in range(max_depth if x_t.shape[0] else 0):  # no feature column: one leaf
+    for depth in range(max_depth if x_t.shape[0] else 0):  # no feature column: one leaf
         values = _take_rows(x_t, rows)
         targets = residual[rows]
         # columns of this level's leaves: their ids are below every child's,
@@ -159,7 +159,7 @@ def _fit_tree(x_t: np.ndarray, rows: np.ndarray, sample: np.ndarray, residual: n
                 right.append(-1)
                 node_of[rows[best, lo:hi]] = child
                 children.append((child, hi - lo))
-        if not children:
+        if not children or depth == max_depth - 1:  # the deepest level's children are leaves
             break
         rows = _group_by_node(rows, node_of, len(feature))[:, dropped:]
         level, start = [], 0

@@ -459,7 +459,10 @@ def load_queries_rows(path: str) -> QueryTable:
     with TsvRows(path, (4, 4)) as rows:
         for qid, issue_time, grade, volume in rows:
             _new_key(qid, seen)
-            times.append(parse_int(issue_time, "issue_time"))
+            issue_time = parse_int(issue_time, "issue_time")
+            if issue_time < 0:
+                raise ValidationError(f"issue_time must be in [0, 2**63), got {issue_time}")
+            times.append(issue_time)
             grade = opt_real(grade, "true_grade")
             volume = None if volume == "-" else parse_int(volume, "volume")
             grades.append(math.nan if grade is None else _on_scale(grade, "true_grade"))

@@ -156,6 +156,16 @@ class TestBlend:
         assert capsys.readouterr().err == (
             f"freshblend: error: issue_time does not fit in 64 bits: {2**63}\n")
 
+    def test_negative_query_time_exits_one(self, tmp_path, capsys, monkeypatch):
+        # it once made every document fresh
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.tsv").write_text(TWO_DOC_RANKINGS, encoding="utf-8")
+        assert run(["blend", "--rankings", "r.tsv", "--query-time", "-1",
+                    "--p-fresh", "0.5", "--out", "o"]) == 1
+        assert capsys.readouterr().err == (
+            "freshblend: error: issue_time must be in [0, 2**63), got -1\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("estimate, predictions, message", [
         (["--p-fresh", "1.5"], "", "intent probabilities out of [0,1]"),
         (["--predictions", "p.tsv"], "q1\t-0.25\n", "intent probabilities out of [0,1]"),
@@ -188,17 +198,15 @@ class TestBlend:
 _ADDRESS_SPACE = 1536 * 2**20
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
-
-
-def _run_capped(cwd, argv):
-    """Run the CLI in a subprocess limited to 1.5 GB of address space."""
+def _run_capped(cwd, argv, address_space=_ADDRESS_SPACE):
+    """Run the CLI in a subprocess limited to `address_space` bytes of
+    address space, 1.5 GB by default."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(freshblend.__file__)))
     return subprocess.run(
         [sys.executable, "-m", "freshblend.cli", *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2),
+        capture_output=True, text=True, timeout=120,
     )
 
 
@@ -219,6 +227,17 @@ class TestOutOfMemory:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines() == ["freshblend: error: abtest: out of memory"]
+
+    def test_abtest_click_times_are_tested_in_bounded_memory(self, c50):
+        # 8M impressions per bucket peak at about 183 MB resident; a
+        # Mann-Whitney test over the pooled argsort and whole-sample tie-run
+        # arrays peaked at 471 MB and ran out of this address space
+        result = _run_capped(c50, ["abtest", "--corpus", "c50", "--n-queries", "8000000",
+                                   "--out", "ab"], address_space=512 * 2**20)
+        assert result.returncode == 0, result.stderr
+        report = json.loads((c50 / "ab" / "abreport.json").read_text(encoding="utf-8"))
+        assert report["n_queries"] == 8_000_000
+        assert report["metrics"]["time_to_first_click"]["p_value"] is not None
 
 
 class TestOversizedFlags:

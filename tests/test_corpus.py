@@ -361,6 +361,9 @@ class TestLineFormat:
          "volume must be positive, got 0"),
         (load_queries, b"q1\t99999999999999999999\t-\t-\n", 1,
          "issue_time does not fit in 64 bits"),
+        # a negative issue time once marked every document fresh
+        (load_queries, b"q1\t100\t-\t-\nq2\t-1\t-\t-\n", 2,
+         "issue_time must be in [0, 2**63), got -1"),
         (load_features, b"query_id\ta\tb\nq1\t0.5\n", 2, "expected 3 fields, got 2"),
         (load_features, b"query_id\ta\nq1\tinf\n", 2, "feature value is not finite: 'inf'"),
         (load_features, b"q1\t0.5\t0.25\nq2\t0.1\t0.2\n", 1,

@@ -177,6 +177,79 @@ class TestMannWhitneyAgainstMidranks:
             mann_whitney_counts([0, 0], [3, 1])
 
 
+@pytest.fixture(params=[1, 2, 3, 5])
+def small_chunks(request, monkeypatch):
+    """`mann_whitney_u` walking its samples a few values at a time."""
+    monkeypatch.setattr(experiments, "_MW_CHUNK", request.param)
+    return request.param
+
+
+class TestChunkedWalk:
+    @pytest.mark.parametrize("a, b", [
+        # a tie run longer than a chunk, in the middle and at the start,
+        # where it leaves the first chunk empty on both sides
+        ([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 4.0]),
+        ([0.0] * 9 + [1.0], [0.0] * 5),
+        # chunks that hold values of one sample only
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 30.0], [10.0, 11.0, 12.0]),
+        # one-element samples
+        ([3.0], [1.0]),
+        ([1.0], [1.0]),
+        ([2.0], [1.0, 2.0, 2.0, 3.0]),
+        # disjoint value ranges, either way round
+        (list(range(10)), list(range(20, 25))),
+        (list(range(20, 25)), list(range(10))),
+    ])
+    def test_equals_the_midrank_oracle_bit_for_bit(self, small_chunks, a, b):
+        assert mann_whitney_u(a, b) == midrank_mann_whitney(a, b)
+        assert mann_whitney_u(b, a) == midrank_mann_whitney(b, a)
+
+    def test_all_equal_samples_give_p_one(self, small_chunks):
+        u, p = mann_whitney_u([2.0] * 7, [2.0] * 4)
+        assert (u, p) == (14.0, 1.0)
+        assert (u, p) == midrank_mann_whitney([2.0] * 7, [2.0] * 4)
+
+    def test_unsorted_and_sorted_inputs_agree_and_are_left_unchanged(self, small_chunks):
+        rng = np.random.default_rng(small_chunks)
+        a = rng.integers(0, 6, 40).astype(np.float64)
+        b = np.concatenate([rng.integers(0, 6, 30), rng.random(5)])
+        a_before, b_before = a.copy(), b.copy()
+        expected = midrank_mann_whitney(a, b)
+        assert mann_whitney_u(a, b) == expected
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+        assert mann_whitney_u(np.sort(a), np.sort(b)) == expected
+        assert mann_whitney_u(a.tolist(), np.sort(b)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_samples(), st.sampled_from([1, 2, 3, 7, 64]))
+    def test_any_chunk_size_equals_the_midrank_oracle(self, samples, chunk):
+        a, b, _ = samples
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_MW_CHUNK", chunk)
+            assert mann_whitney_u(a, b) == midrank_mann_whitney(a, b)
+
+    def test_tie_term_past_2_to_53_is_summed_as_the_whole_array_is(self, small_chunks):
+        # three runs of 212k-317k ties and six distinct values, nine runs in
+        # all: the float tie term rounds, np.sum adds the runs' terms x, y, z
+        # as x + (y + z), and (x + y) + z would give another p-value
+        a = np.concatenate([np.full(107_051, 1.0), np.full(94_760, 2.0),
+                            np.full(159_965, 3.0), [1.1, 1.3, 3.2]])
+        b = np.concatenate([np.full(105_537, 1.0), np.full(127_831, 2.0),
+                            np.full(156_799, 3.0), [1.2, 3.1, 3.3]])
+        expected = midrank_mann_whitney(a, b)
+        assert mann_whitney_u(a, b) == expected
+        assert mann_whitney_u(b[::-1], a) == midrank_mann_whitney(b, a)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 136, 1000, 70_001, 3_000_000])
+    def test_sparse_pairwise_sum_equals_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            at = np.unique(rng.integers(0, n, int(rng.integers(1, 60))))
+            dense = np.zeros(n)
+            dense[at] = rng.integers(1, 2**62, at.size).astype(np.float64)
+            assert experiments._pairwise_sum(at, dense[at], 0, n) == float(np.sum(dense))
+
+
 # ---------------------------------------------------------------------------
 # click simulation
 # ---------------------------------------------------------------------------
